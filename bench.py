@@ -172,8 +172,7 @@ def run_bench() -> dict:
         shutil.rmtree(table_dir, ignore_errors=True)
         os.sync()
         cfg = EngineConfig(table_dir=table_dir, wal_dir=wal_dir,
-                           num_buckets=64, apply_mode="direct",
-                           batch_size=65536)
+                           num_buckets=64)
         cfg.ensure_dirs()
         cals.append(calibrate_host())
         t0 = time.time()

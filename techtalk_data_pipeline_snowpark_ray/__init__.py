@@ -9,18 +9,21 @@ Arrow batches.
 Core data flow (one "tick" = one consumed change-stream delta):
 
     WAL segments (Parquet, lsn-range named)          # stream on TABLE/STAGE
-      -> ray.data.read_parquet                       #   SnowflakeUtils.scala:46-66
-      -> normalize (schema-registry cast/null-fill)  # jsonToFields, Implicits.scala:13-26
-      -> bucket+salt partition (hash conv_id)        # [design: Snowflake micro-partitions]
-      -> per-batch combiner collapse                 # pre-aggregation before shuffle
-      -> groupby(shard).map_groups(BucketApplier)    # merge, SnowflakeUtilsOld.scala:84-109
-      -> delta "runs" written per bucket
-      -> atomic manifest publish (files + offset)    # executeInTransaction,
-                                                     #   SnowflakeUtils.scala:36-45,68-81
+      -> list new segments, group into lsn intervals #   SnowflakeUtils.scala:46-66
+      -> one fused DirectApplier task per group:
+           scan -> normalize (schema-registry cast)  # jsonToFields, Implicits.scala:13-26
+           -> partition (bucket = hash conv_id)      # [design: Snowflake micro-partitions]
+           -> LWW fold (fold_table)                  # merge, SnowflakeUtilsOld.scala:84-109
+           -> one sorted delta run + view partials
+      -> batch-interval check, then atomic manifest  # executeInTransaction,
+         publish (files + offset)                    #   SnowflakeUtils.scala:36-45,68-81
 
-Last-writer-wins resolution happens in a single associative fold
-(:func:`techtalk_data_pipeline_snowpark_ray.stages.apply.collapse_events`)
-reused by the combiner, the apply stage, compaction and snapshot reads.
+Compaction folds the delta runs into per-bucket bases as a separate
+step. Last-writer-wins resolution is one associative fold: the
+vectorized :func:`techtalk_data_pipeline_snowpark_ray.stages.apply.fold_table`
+in the apply stage and compaction, and its pandas equivalent
+:func:`techtalk_data_pipeline_snowpark_ray.stages.apply.collapse_events`
+in snapshot and point reads.
 """
 
 __version__ = "0.1.0"

@@ -26,18 +26,12 @@ class EngineConfig:
     #: and of compaction. On a real cluster size this to ~2-4x total cores so
     #: stragglers rebalance; a bucket's live rows must fit one worker's heap.
     num_buckets: int = 32
-    #: sub-splits for hot conversations (salting). A hot conv's events are
-    #: spread over `salt_factor` shards by hash(turn_idx); key-exclusive
-    #: because the full PK (conv_id, turn_idx) determines the shard.
+    #: sub-shard count for compaction's hot-bucket salting: a bucket past
+    #: `compact_salt_rows` folds in `max(2, salt_factor)` key-exclusive
+    #: sub-shards split by hash(turn_idx) (see `compact_salt_rows`).
     salt_factor: int = 4
-    #: events-per-conversation threshold (within one tick) above which a
-    #: conversation is salted. 0 disables auto-detection.
-    hot_key_threshold: int = 0
 
     # --- execution --------------------------------------------------------
-    #: rows per batch for map_batches stages (tune by bytes: transcript text
-    #: dominates; ~64k rows * ~200B text ~ 13MB/batch).
-    batch_size: int = 65536
     #: rows per fold/write unit in direct apply mode. Ray's parquet read
     #: can emit many small blocks (one per row group); coalescing them to
     #: ~256k rows (~65MB of transcript) per applier call cuts run-file
@@ -45,23 +39,13 @@ class EngineConfig:
     #: 3.8x faster compaction at 96M events -- while one batch x workers
     #: still fits comfortably in worker heaps. Size DOWN for fat rows.
     direct_batch_rows: int = 262144
-    #: actor-pool size for the merge-apply stage; None -> let Ray size tasks.
-    apply_concurrency: int | None = None
-    #: pre-collapse each batch before the shuffle (combiner). Cuts shuffle
-    #: bytes when a tick contains many updates to the same keys.
-    pre_collapse: bool = True
     #: target schema version to normalize to (see schemas.REGISTRY).
     schema_version: int = 3
-    #: apply strategy:
-    #:  "shuffle" -- groupby(shard).map_groups merge-apply: one run per
-    #:    bucket per tick (key-partitioned layout immediately; pays an
-    #:    all-to-all per tick).
-    #:  "direct"  -- LSM-style shuffle-free apply: each task collapses
-    #:    its lsn-interval batch and writes a sorted delta run directly;
-    #:    the (collapsed, much smaller) shuffle is deferred to
-    #:    compaction/snapshot-read. Scales linearly with cores; the
-    #:    right mode for sustained high-throughput ingest.
-    apply_mode: str = "shuffle"
+    #: apply strategy; "direct" is the only accepted value (each task
+    #: folds its lsn-interval batch and writes a sorted delta run
+    #: straight to storage; cross-run resolution is left to compaction
+    #: and snapshot reads). The field stays because callers still set it.
+    apply_mode: str = "direct"
     #: also maintain the derived `conv_stats` sink (per-conversation
     #: consumed-record counters), fed by the same delta and committed in
     #: the same atomic manifest publish as the main table (the
@@ -118,12 +102,11 @@ class EngineConfig:
     #: compaction hot-bucket salting gate: a bucket whose input rows
     #: (exact parallel count of the bucket column) exceed BOTH this
     #: floor and 2x the mean folds in `max(2, salt_factor)` parallel
-    #: key-exclusive sub-shards (hash(turn_idx) % S — the same salt as
-    #: the apply stage) instead of one straggler task; each sub-shard
-    #: writes its own base file (manifests already carry per-bucket
-    #: file LISTS, so every reader is unaffected). Measured: a 2.4M-row
-    #: hot bucket (one long conversation) compacted 18.4 s -> see
-    #: BENCH A/B. 0 disables.
+    #: key-exclusive sub-shards (hash(turn_idx) % S) instead of one
+    #: straggler task; each sub-shard writes its own base file
+    #: (manifests already carry per-bucket file LISTS, so every reader
+    #: is unaffected). Measured: a 2.4M-row hot bucket (one long
+    #: conversation) compacted 18.4 s -> see BENCH A/B. 0 disables.
     compact_salt_rows: int = 1_500_000
 
     # --- generator / determinism -----------------------------------------
@@ -131,6 +114,12 @@ class EngineConfig:
 
     # --- misc -------------------------------------------------------------
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.apply_mode != "direct":
+            raise ValueError(
+                f"apply_mode={self.apply_mode!r}: only 'direct' is "
+                "supported (shuffle mode was removed)")
 
     @property
     def runs_dir(self) -> str:
@@ -145,10 +134,6 @@ class EngineConfig:
         # staging area for uncommitted writes (the `_tmp/<txn>` of the
         # commit protocol; analogue of autocommit-off DML before COMMIT).
         return os.path.join(self.table_dir, "_tmp")
-
-    @property
-    def num_shards(self) -> int:
-        return self.num_buckets * self.salt_factor
 
     def ensure_dirs(self) -> None:
         for d in (self.table_dir, self.wal_dir, self.runs_dir,

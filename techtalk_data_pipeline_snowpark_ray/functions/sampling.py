@@ -189,16 +189,17 @@ def mixture_weights(sf_dir: str) -> pd.DataFrame:
     # — inside this engine's design envelope), and numpy would WRAP
     # silently; arbitrary-precision ints keep the floor-divide exact
     # (DuckDB's HUGEINT oracle arithmetic matches bit-for-bit)
-    tot = int(g["n_tokens"].sum())
-    g["share_ppm"] = np.fromiter(
-        ((int(t) * PPM) // tot for t in g["n_tokens"]),
-        dtype=np.int64, count=len(g))
+    # a zero total (no tokens anywhere) gives every group a zero share
+    # rather than a division by zero
+    def shares(col: pd.Series) -> np.ndarray:
+        tot = int(col.sum())
+        return np.fromiter(((int(v) * PPM) // tot if tot else 0
+                            for v in col), dtype=np.int64, count=len(col))
+
+    g["share_ppm"] = shares(g["n_tokens"])
     g["sqrt_tokens"] = np.floor(
         np.sqrt(g["n_tokens"].to_numpy(np.float64))).astype(np.int64)
-    stot = int(g["sqrt_tokens"].sum())
-    g["w_t2_ppm"] = np.fromiter(
-        ((int(s) * PPM) // stot for s in g["sqrt_tokens"]),
-        dtype=np.int64, count=len(g))
+    g["w_t2_ppm"] = shares(g["sqrt_tokens"])
     return g.sort_values(["source", "lang"], ignore_index=True)
 
 

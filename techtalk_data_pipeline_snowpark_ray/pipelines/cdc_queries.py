@@ -124,19 +124,13 @@ def apply_changes_dataset(ds: ray.data.Dataset, num_buckets: int = 16,
 
 # -- engine-backed flagship ------------------------------------------------
 
-def _fresh_cfg(tag: str, schema_version: int = 3,
-               apply_mode: str = "direct") -> EngineConfig:
-    """Query harness config. apply_mode defaults to "direct" — the
-    production zero-shuffle ingest path (and ~4x less fixed cost per
-    tick at query scale: 0.4 s vs 1.6-3.4 s measured on a 50k-event
-    tick at 32 cpus); `cdc_schema_evolution` pins "shuffle" so the
-    driver value-gates that path too."""
+def _fresh_cfg(tag: str, schema_version: int = 3) -> EngineConfig:
+    """Query harness config: a fresh table and WAL under /tmp."""
     root = os.path.join("/tmp", "ttdps-cdcq", f"{tag}-{uuid.uuid4().hex[:8]}")
     cfg = EngineConfig(table_dir=os.path.join(root, "table"),
                        wal_dir=os.path.join(root, "wal"),
-                       num_buckets=16, salt_factor=2, hot_key_threshold=0,
-                       schema_version=schema_version,
-                       apply_mode=apply_mode)
+                       num_buckets=16, salt_factor=2,
+                       schema_version=schema_version)
     cfg.ensure_dirs()
     return cfg
 
@@ -175,6 +169,9 @@ def _events_max_id(sf_dir: str) -> int:
     if mx is None:
         mx = pc.max(pq.read_table(path,
                                   columns=["event_id"])["event_id"]).as_py()
+    if mx is None:
+        raise ValueError(f"{path}: no non-null event_id (empty events "
+                         "table); cannot derive the evolution threshold")
     return int(mx)
 
 
@@ -248,10 +245,7 @@ def cdc_schema_evolution(sf_dir: str) -> ray.data.Dataset:
     below the threshold lsn, v2 segments above; normalize null-fills old
     rows; the final snapshot carries the evolved schema."""
     thr = _events_max_id(sf_dir) // 2
-    # pins the SHUFFLE apply path (key-partitioned layout per tick) so
-    # the driver value-gates both apply modes; everything else runs the
-    # production direct path
-    cfg = _fresh_cfg("evo", schema_version=2, apply_mode="shuffle")
+    cfg = _fresh_cfg("evo", schema_version=2)
     _write_events_wal(sf_dir, cfg, evolution_threshold=thr)
     ingest.run_loop(cfg, stop_when_idle=True)
     return _snapshot_sorted(cfg)

@@ -13,10 +13,8 @@ through the manifest publish that also advances the stream offset, all
 views and the table are transactionally consistent with each other.
 
 A view definition is two pieces:
-  * ``partial(batch, counts)``: change-record batch -> additive partial
-    rows (vectorized Arrow group-by). ``counts`` carries per-row source
-    event multiplicities when the batch was pre-collapsed by the
-    combiner, so counters stay exact after pre-aggregation.
+  * ``partial(batch)``: raw change-record batch (before the fold) ->
+    additive partial rows (vectorized Arrow group-by).
   * ``merge_spec``: (column, "sum"|"max"|"min") pairs merging partials
     associatively -- used identically by the reader's distributed
     groupby and by compaction.
@@ -41,15 +39,9 @@ DERIVED_ROLE_STATS = "role_stats"
 class DerivedView:
     name: str
     key: str
-    partial: Callable[[pa.Table, "np.ndarray | None"], pa.Table]
+    partial: Callable[[pa.Table], pa.Table]
     #: (value_col, fn) with fn in {"sum", "max", "min"}
     merge_spec: tuple[tuple[str, str], ...]
-    #: True when the view stays exact over combiner-collapsed records
-    #: (its grouping key is constant within a primary key, e.g.
-    #: conv_stats). Views that read per-event attributes which the fold
-    #: collapses away (e.g. role_stats) set False -- apply_tick then
-    #: skips the pre-shuffle combiner so the applier sees raw events.
-    exact_after_combine: bool = True
 
     def merge_table(self, tbl: pa.Table) -> pa.Table:
         """Associative merge of partial rows (used by compaction and by
@@ -61,29 +53,27 @@ class DerivedView:
             [self.key] + [c for c, _ in self.merge_spec])
 
 
-def _conv_stats_partial(batch: pa.Table, counts) -> pa.Table:
+def _conv_stats_partial(batch: pa.Table) -> pa.Table:
     """Per-conversation consumed-record counters (incl. redelivery)."""
-    weights = counts if counts is not None else np.ones(batch.num_rows, np.int64)
     tbl = pa.table({"conv_id": batch["conv_id"],
-                    "n_events": pa.array(weights, pa.int64()),
+                    "n_events": pa.array(np.ones(batch.num_rows, np.int64)),
                     "max_lsn": batch[schemas.LSN_COL]})
     return VIEWS[DERIVED_CONV_STATS].merge_table(tbl)
 
 
-def _role_stats_partial(batch: pa.Table, counts) -> pa.Table:
+def _role_stats_partial(batch: pa.Table) -> pa.Table:
     """Per-role event counters over change records that CARRY a role
     (deletes have no payload; partial updates may omit the column --
     and a null grouping key would also break the reader's distributed
     sort-based merge)."""
     import pyarrow.compute as pc
-    weights = counts if counts is not None else np.ones(batch.num_rows, np.int64)
     keep = pc.and_(
         pc.invert(pc.equal(batch[schemas.OP_COL],
                            pa.scalar(schemas.OP_DELETE))),
         pc.is_valid(batch["role"]))
-    keep_np = keep.to_numpy(zero_copy_only=False)
-    tbl = pa.table({"role": batch["role"].filter(keep),
-                    "n_events": pa.array(np.asarray(weights)[keep_np], pa.int64()),
+    role = batch["role"].filter(keep)
+    tbl = pa.table({"role": role,
+                    "n_events": pa.array(np.ones(len(role), np.int64)),
                     "max_lsn": batch[schemas.LSN_COL].filter(keep)})
     return VIEWS[DERIVED_ROLE_STATS].merge_table(tbl)
 
@@ -96,8 +86,7 @@ VIEWS[DERIVED_CONV_STATS] = DerivedView(
 VIEWS[DERIVED_ROLE_STATS] = DerivedView(
     name=DERIVED_ROLE_STATS, key="role",
     partial=_role_stats_partial,
-    merge_spec=(("n_events", "sum"), ("max_lsn", "max")),
-    exact_after_combine=False)
+    merge_spec=(("n_events", "sum"), ("max_lsn", "max")))
 
 
 def resolve_views(names) -> list[DerivedView]:

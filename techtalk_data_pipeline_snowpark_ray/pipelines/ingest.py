@@ -1,21 +1,25 @@
-"""The ingest pipeline: WAL tail -> normalize -> partition -> merge-apply
+"""The ingest pipeline: WAL tail -> normalize -> partition -> fold-apply
 -> atomic commit; plus snapshot read and compaction.
 
 This is the Ray-Data re-expression of the reference's core loop
 (``IngestOrdersFromRawToFlat.scala:63-98``: read stream delta ->
 explode/normalize -> merge -> commit advancing the stream offset), with
-Snowflake's server-side machinery replaced by:
+Snowflake's server-side machinery replaced by one write path:
 
-  tick:     ray.data.read_parquet(new WAL segments)       # stream read S8
-            .map_batches(SchemaNormalizer)                # jsonToFields T2
-            .map_batches(filter lsn > committed)          # offset semantics
-            .map_batches(Partitioner)                     # hash(conv_id)+salt
-            .map_batches(BatchCollapser)                  # combiner pre-agg
-            .groupby(shard).map_groups(BucketApplier)     # merge U1-U7
-            -> run files + metrics -> manifest publish    # txn commit U7
+  tick:     wal.list_segments(seq > committed)            # stream read S8
+            -> _segment_groups                            # lsn-interval groups
+            -> DirectApplier, one fused task per group:   # merge U1-U7
+                 scan -> SchemaNormalizer                 # jsonToFields T2
+                 -> [key extractor] -> [ChangeValidator]
+                 -> Partitioner                           # hash(conv_id)
+                 -> fold_table (LWW) -> sorted delta run + derived partials
+            -> _check_batch_intervals                     # fold precondition
+            -> _publish_append_rebased                    # txn commit U7
 
-All heavy work streams through the object store with backpressure; the
-driver touches only segment lists and a one-row-per-shard metrics frame.
+Delta runs land unbucketed (global runs); compaction folds them into
+per-bucket bases, and snapshot reads resolve across runs. Heavy data
+never reaches the driver: it touches only segment lists and a
+one-row-per-task metrics frame.
 """
 
 from __future__ import annotations
@@ -36,75 +40,14 @@ import ray.data
 from .. import schemas
 from ..config import EngineConfig
 from ..sources import wal
-from ..stages.apply import (BatchCollapser, collapse_events, fold_table,
-                            resolve_final)
+from ..stages.apply import fold_table, resolve_final
 from ..stages.normalize import SchemaNormalizer, normalize_batch
-from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, SHARD_COL,
-                                Partitioner, add_partition_cols,
-                                hash_strings_arrow, key_hash)
+from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
+                                add_partition_cols, hash_strings_arrow,
+                                key_hash)
 from ..state.manifest import CommitConflict, Manifest, TableState
 
 _BOOKKEEPING = (schemas.LSN_COL, schemas.OP_COL)
-
-
-# --------------------------------------------------------------------------
-# WAL tail -> normalized change Dataset
-# --------------------------------------------------------------------------
-
-def tail_changes(cfg: EngineConfig, committed_seq: int, normalize: bool = True,
-                 ) -> tuple[ray.data.Dataset | None, list[wal.Segment]]:
-    """Dataset of unconsumed, schema-normalized change records (every
-    row of every segment with seq > committed_seq), or (None, []) when
-    the log has no news.
-
-    Offset semantics are per *segment* (seq), never per row: segments
-    are disjoint lsn intervals (see sources/wal.py INTERVAL CONTRACT),
-    so no row filtering, no watermark holes, and replaying a consumed
-    file is a no-op by construction.
-    """
-    segments = wal.list_segments(cfg.wal_dir, after_seq=committed_seq)
-    if not segments:
-        return None, []
-    target = schemas.table_schema(cfg.schema_version)
-    # ONE scan over all segments regardless of their schema version: the
-    # scanner projects every fragment onto the current change schema
-    # (missing columns null-filled, widened types cast) -- so the whole
-    # tick stays a single fused read->normalize->partition->apply chain
-    # with no union barrier and no extra object-store round-trips.
-    scan_schema = schemas.change_schema(cfg.schema_version)
-    ds = ray.data.read_parquet([s.path for s in segments], schema=scan_schema)
-    if normalize:
-        ds = ds.map_batches(
-            SchemaNormalizer(target, keep_extra=_BOOKKEEPING),
-            # batch_size=None: 1:1 with blocks -- every stage upstream
-            # of the per-block collapse must preserve block contiguity
-            # (bundling interleaves non-consecutive blocks)
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        )
-    return ds, segments
-
-
-def detect_hot_convs(ds: ray.data.Dataset, threshold: int,
-                     batch_size: int) -> list[str]:
-    """Optional skew pre-pass: conversations with more events than
-    `threshold` in this tick. Pre-aggregates per batch (one row per conv
-    per batch) before the small groupby, so the shuffle moves counts,
-    not events."""
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        counts = pd.Series(batch.column("conv_id").to_numpy(zero_copy_only=False)) \
-                   .value_counts()
-        return pa.table({"conv_id": counts.index.astype(object),
-                         "n": counts.to_numpy(dtype=np.int64)})
-
-    import pyarrow.compute as pc
-
-    agg = (ds.map_batches(partial_counts, batch_format="pyarrow", batch_size=batch_size)
-             .groupby("conv_id").sum("n"))
-    hot = agg.map_batches(
-        lambda t: t.filter(pc.greater(t["sum(n)"], pa.scalar(int(threshold)))).select(["conv_id"]),
-        batch_format="pyarrow")
-    return [r["conv_id"] for r in hot.take_all()]  # small by construction
 
 
 # --------------------------------------------------------------------------
@@ -114,86 +57,16 @@ def detect_hot_convs(ds: ray.data.Dataset, threshold: int,
 RUN_COLS_FIXED = [BUCKET_COL, *schemas.KEY_COLS, schemas.LSN_COL, schemas.OP_COL]
 
 
-class BucketApplier:
-    """Per-shard merge applier used inside groupby(shard).map_groups.
-
-    Folds the shard's change records (LWW by lsn), writes one run file
-    with a txn-deterministic name (idempotent under task retry: a retry
-    atomically overwrites the same path with the same content), and
-    returns a one-row metrics frame. The heavy data never flows back to
-    the driver.
-
-    Reference parity: the merge statement + MergeResult metrics
-    (``SnowflakeUtilsOld.scala:84-109``,
-    ``IngestOrdersFromRawToFlat.scala:89-92``).
-    """
-
-    def __init__(self, runs_dir: str, txn_id: str, payload_cols: list[str],
-                 salt_factor: int = 1, derived_views: tuple = (),
-                 barriers: list[int] | None = None):
-        self.runs_dir = runs_dir
-        self.txn_id = txn_id
-        self.payload_cols = list(payload_cols)
-        self.salt_factor = salt_factor
-        self.derived_views = tuple(derived_views)
-        self.barriers = list(barriers) if barriers else None
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return _empty_metrics()
-        shard = int(group[SHARD_COL].iloc[0])
-        bucket = shard // self.salt_factor if self.salt_factor > 1 else int(group[BUCKET_COL].iloc[0])
-        n_src = int(group["_n"].sum()) if "_n" in group.columns else len(group)
-
-        out = collapse_events(group, self.payload_cols, barriers=self.barriers)
-        out = out.sort_values(list(schemas.KEY_COLS), kind="stable", ignore_index=True)
-        ops = out[schemas.OP_COL].value_counts()
-
-        fname = f"run-b{bucket:05d}-x{self.txn_id}-s{shard % max(self.salt_factor, 1):03d}.parquet"
-        path = os.path.join(self.runs_dir, fname)
-        cols = RUN_COLS_FIXED + self.payload_cols
-        table = pa.Table.from_pandas(out[cols], preserve_index=False) \
-            .replace_schema_metadata(None)
-        tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-        pq.write_table(table, tmp, compression="zstd")
-        os.replace(tmp, path)
-
-        derived_file = None
-        if self.derived_views:
-            # exact per-key source-event counts survive the combiner
-            # through the `_n` column (views that need raw per-event
-            # attributes disable the combiner via exact_after_combine)
-            counts = (group["_n"].to_numpy(dtype=np.int64)
-                      if "_n" in group.columns else None)
-            derived_file = write_derived_partials(
-                pa.Table.from_pandas(
-                    group.drop(columns=["_n"], errors="ignore"),
-                    preserve_index=False).replace_schema_metadata(None),
-                self.derived_views, self.runs_dir, self.txn_id,
-                counts=counts)
-
-        return pd.DataFrame([{
-            "bucket": bucket, "shard": shard, "file": fname,
-            "events_in": n_src, "records_out": len(out),
-            "n_full": int(ops.get(schemas.OP_FULL, 0)),
-            "n_partial": int(ops.get(schemas.OP_PARTIAL, 0)),
-            "n_delete": int(ops.get(schemas.OP_DELETE, 0)),
-            "max_lsn": int(out[schemas.LSN_COL].max()),
-            "derived_file": derived_file,
-        }])
-
-
 _COLLAPSED_OPS = pa.array([schemas.OP_FULL, schemas.OP_PARTIAL, schemas.OP_DELETE])
 
 
 class DirectApplier:
-    """Shuffle-free (LSM-style) apply used when cfg.apply_mode ==
-    "direct": each task folds its lsn-interval batch, sorts by
-    (bucket, conv_id, turn_idx) and writes one delta run straight to
-    storage -- no all-to-all in the ingest hot path, so throughput
-    scales linearly with cores. Cross-run LWW resolution is deferred to
-    compaction / snapshot read, which operate on the already-collapsed
-    (much smaller) records.
+    """Shuffle-free (LSM-style) apply: each task folds its lsn-interval
+    batch, sorts it by (bucket, key hash, lsn) and writes one delta run
+    straight to storage -- no all-to-all in the ingest hot path, so
+    throughput scales linearly with cores. Cross-run LWW resolution is
+    deferred to compaction / snapshot read, which operate on the
+    already-collapsed (much smaller) records.
 
     Hot-path note: the whole per-batch fold runs in Arrow/numpy
     (`stages.apply.fold_table`: one lexsort over (key-hash, lsn,
@@ -281,7 +154,7 @@ class DirectApplier:
             pc.index_in(out[schemas.OP_COL], value_set=_COLLAPSED_OPS)
             .to_numpy(zero_copy_only=False), return_counts=True)))
         return pd.DataFrame([{
-            "bucket": -1, "shard": -1, "file": fname,
+            "file": fname,
             "events_in": n, "records_out": out.num_rows,
             "n_full": int(op_counts.get(0, 0)),
             "n_partial": int(op_counts.get(1, 0)),
@@ -327,7 +200,6 @@ def _check_batch_intervals(metrics: pd.DataFrame) -> None:
 
 def _empty_metrics() -> pd.DataFrame:
     return pd.DataFrame({
-        "bucket": pd.Series(dtype="int64"), "shard": pd.Series(dtype="int64"),
         "file": pd.Series(dtype="object"), "events_in": pd.Series(dtype="int64"),
         "records_out": pd.Series(dtype="int64"), "n_full": pd.Series(dtype="int64"),
         "n_partial": pd.Series(dtype="int64"), "n_delete": pd.Series(dtype="int64"),
@@ -341,8 +213,7 @@ from .derived import DERIVED_CONV_STATS, resolve_views  # noqa: E402
 
 
 def write_derived_partials(batch: pa.Table, view_names, runs_dir: str,
-                           txn_id: str,
-                           counts: "np.ndarray | None" = None) -> str | None:
+                           txn_id: str) -> str | None:
     """Write one additive partial file per registered derived view for
     this batch (see pipelines/derived.py). Written by the same task that
     applies the delta; all partials become visible only through the same
@@ -355,7 +226,7 @@ def write_derived_partials(batch: pa.Table, view_names, runs_dir: str,
         return None
     out: dict[str, str] = {}
     for view in resolve_views(view_names):
-        agg = view.partial(batch, counts)
+        agg = view.partial(batch)
         fname = f"derived-{view.name}-x{txn_id}-{uuid.uuid4().hex[:12]}.parquet"
         path = os.path.join(runs_dir, fname)
         tmp = path + ".tmp"
@@ -448,7 +319,6 @@ class _AppendTxn:
     rebuild its manifest on a DIFFERENT parent without recomputing."""
     txn_id: str
     num_buckets: int
-    bucket_appends: list          # [(bucket_str, run_file), ...]
     global_appends: list          # [run_file, ...]
     derived_appends: dict         # view -> [run_file, ...] (additive)
     new_control_ops: list         # ControlOp dicts ADDED by this txn
@@ -464,9 +334,6 @@ class _AppendTxn:
 
 def _build_append_manifest(prev: Manifest, t: _AppendTxn) -> Manifest:
     from ..stages.controls import sorted_controls
-    buckets = {k: list(v) for k, v in prev.buckets.items()}
-    for b, f in t.bucket_appends:
-        buckets.setdefault(b, []).append(f)
     derived = {k: list(v) for k, v in prev.derived.items()}
     for view, files in t.derived_appends.items():
         derived.setdefault(view, []).extend(files)
@@ -478,7 +345,7 @@ def _build_append_manifest(prev: Manifest, t: _AppendTxn) -> Manifest:
         committed_lsn=max(prev.committed_lsn, t.committed_lsn),
         schema_version=max(prev.schema_version, t.schema_version),
         num_buckets=max(prev.num_buckets, t.num_buckets),
-        buckets=buckets,
+        buckets={k: list(v) for k, v in prev.buckets.items()},
         global_runs=list(prev.global_runs) + list(t.global_appends),
         derived=derived,
         control_ops=ops,
@@ -655,7 +522,7 @@ class TickResult:
         return self.manifest.committed_lsn
 
 
-def apply_tick(cfg: EngineConfig, hot_convs: list[str] | None = None,
+def apply_tick(cfg: EngineConfig,
                control_ops: list | None = None) -> TickResult | None:
     """Consume everything new in the WAL and commit one snapshot version.
 
@@ -698,187 +565,79 @@ def apply_tick(cfg: EngineConfig, hot_convs: list[str] | None = None,
         # op at/below the new watermark) -- conflict instead.
         manifest = _publish_append_rebased(state, cfg, prev_version, prev, _AppendTxn(
             txn_id=state.new_txn(), num_buckets=cfg.num_buckets,
-            bucket_appends=[], global_appends=[], derived_appends={},
+            global_appends=[], derived_appends={},
             new_control_ops=[c.to_dict() for c in new_controls],
             wal_consumed=[], committed_seq=prev.committed_seq,
             committed_lsn=prev.committed_lsn,
             schema_version=prev.schema_version,
             metrics={"control_only": True}))
         return TickResult(manifest, 0, 0, 0)
-    direct_mode = cfg.apply_mode == "direct"
-    if direct_mode:
-        # fused-read path builds its own per-group scans; only list here
-        segments = wal.list_segments(cfg.wal_dir, after_seq=prev.committed_seq)
-        ds = None
-    else:
-        ds, segments = tail_changes(cfg, prev.committed_seq)
+    # the fused-read applier scans its own segment groups; only list here
+    segments = wal.list_segments(cfg.wal_dir, after_seq=prev.committed_seq)
     if not segments:
         return None
     payload = schemas.payload_cols(cfg.schema_version)
-    direct = direct_mode
     view_names = list(cfg.derived_views)
     if cfg.derived_conv_stats and DERIVED_CONV_STATS not in view_names:
         view_names.append(DERIVED_CONV_STATS)
-    views = resolve_views(view_names)
-    # views reading per-event attributes the fold collapses away need
-    # raw events in the applier -> skip the pre-shuffle combiner
-    pre_collapse = cfg.pre_collapse and all(v.exact_after_combine
-                                            for v in views)
-
-    if not direct:
-        # the key extractor rewrites key columns; both skew detection
-        # and validation must see the keys the partitioner will hash,
-        # so it applies FIRST (a post-extraction hot key would
-        # otherwise never be salted)
-        key_extractor = cfg.extras.get("key_extractor")
-        if key_extractor is not None:
-            ds = ds.map_batches(key_extractor, batch_format="pyarrow",
-                                batch_size=None,   # block contiguity
-                                zero_copy_batch=True)
-        if hot_convs is None and cfg.hot_key_threshold > 0:
-            # the pre-pass only counts keys: with no extractor in
-            # play, probe a conv_id-ONLY scan of the same segments
-            # instead of re-reading the full-width change stream
-            # (an extractor derives keys from other columns, which
-            # forces the full scan it already went through above)
-            probe = ds if key_extractor is not None \
-                else ray.data.read_parquet([s.path for s in segments],
-                                           columns=["conv_id"])
-            hot_convs = detect_hot_convs(probe, cfg.hot_key_threshold,
-                                         cfg.batch_size)
-    hot_ref = ray.put(list(hot_convs)) if hot_convs else None
+    resolve_views(view_names)         # unknown names fail before any write
 
     txn = state.new_txn()
 
-    if direct:
-        # Fully fused stage: each task scans its OWN group of WAL
-        # segments straight from storage (what every worker on a real
-        # cluster does), then normalize + partition + fold + write --
-        # zero data bytes transit the object store; only segment paths
-        # in and one metrics row per group out. Groups are consecutive
-        # seq runs, so each group is an lsn interval (fold precondition).
-        normalizer = SchemaNormalizer(schemas.table_schema(cfg.schema_version),
-                                      keep_extra=_BOOKKEEPING)
-        partitioner = Partitioner(cfg.num_buckets, 1, None, include_key_hash=True)
-        # key-extractor hook (J7 expression merge keys, SampleCrud.scala:
-        # 47-51: merge ON substring(code, 0, 4)): a table->table callable
-        # rewriting the key columns BEFORE partitioning, so routing,
-        # fold and storage all see the extracted key
-        key_extractor = cfg.extras.get("key_extractor")
-        pre = [normalizer]
-        if key_extractor:
-            pre.append(key_extractor)
-        # validator sits AFTER the key extractor (it must judge the
-        # keys the partitioner will actually hash -- a raw null key the
-        # extractor can derive is fine; an extractor emitting a null
-        # key must be caught) and BEFORE the partitioner
-        if cfg.bad_record_policy != "none":
-            from ..stages.validate import QUARANTINE_SUBDIR, ChangeValidator
-            pre.append(ChangeValidator(
-                cfg.bad_record_policy,
-                os.path.join(cfg.table_dir, QUARANTINE_SUBDIR), txn))
-        pre.append(partitioner)
-        pre = tuple(pre)
-        applier = DirectApplier(runs_dir=state.runs_dir, txn_id=txn,
-                                payload_cols=payload,
-                                pre_stages=pre,
-                                scan_schema=schemas.change_schema(cfg.schema_version),
-                                derived_views=tuple(view_names),
-                                barriers=barriers)
-        # DEFAULT: explicit consecutive-segment groups, each scanned
-        # and folded IN ONE TASK (`_segment_groups` → DirectApplier's
-        # fused-read path). This is the only batching whose interval
-        # soundness is guaranteed BY CONSTRUCTION: the fold's collapse
-        # is associative only over lsn-interval inputs, and letting Ray
-        # form the fold units violates that two different ways —
-        # cross-block bundles (batch_size=N) mix whichever blocks
-        # complete first (observed corrupting nullable columns on a
-        # 490-segment WAL at 32 cpus), and per-block mapping
-        # (batch_size=None) under read→map fusion degrades to the
-        # parquet scanner's ~10k-row mini-batches (28x the run files).
-        # The historical io-thread oversubscription of in-task scans is
-        # fixed by single-threaded per-task reads (parallelism comes
-        # from the task fan-out, not nested arrow thread pools).
-        # `_check_batch_intervals` still verifies the invariant on
-        # every tick before anything publishes.
-        if cfg.extras.get("ray_read", False):
-            # escape hatch for A/B: Ray read + per-block folds (sound,
-            # but fold-unit size is at the scanner's mercy)
-            ds = ray.data.read_parquet(
-                [s.path for s in segments],
-                schema=schemas.change_schema(cfg.schema_version))
-            metrics_ds = ds.map_batches(applier, batch_format="pyarrow",
-                                        batch_size=None,
-                                        zero_copy_batch=True)
-        else:
-            # group size targets ~direct_batch_rows of decompressed
-            # rows via compressed bytes; built from the ALREADY-listed
-            # segments (re-listing would race a live WAL writer)
-            groups = _segment_groups(segments, cfg)
-            paths_ds = ray.data.from_items(
-                [{"paths": g} for g in groups],
-                override_num_blocks=max(1, len(groups)))
-            metrics_ds = paths_ds.map_batches(applier,
-                                              batch_format="pyarrow",
-                                              batch_size=1)
-    else:
-        # key_extractor already applied (before skew detection)
-        if cfg.bad_record_policy != "none":
-            # after the extractor, before the partitioner (see the
-            # direct-mode ordering note)
-            from ..stages.validate import QUARANTINE_SUBDIR, ChangeValidator
-            ds = ds.map_batches(
-                ChangeValidator(cfg.bad_record_policy,
-                                os.path.join(cfg.table_dir,
-                                             QUARANTINE_SUBDIR), txn),
-                batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True)
-        ds = ds.map_batches(
-            Partitioner(cfg.num_buckets, cfg.salt_factor, hot_ref),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        )
-        if pre_collapse:
-            # combiner before the shuffle (same interval precondition)
-            ds = ds.map_batches(_CountingCollapser(payload, barriers=barriers),
-                                batch_format="pandas", batch_size=None)
-        applier_kwargs = dict(runs_dir=state.runs_dir, txn_id=txn,
-                              payload_cols=payload, salt_factor=cfg.salt_factor,
-                              derived_views=tuple(view_names),
-                              barriers=barriers)
-        if cfg.apply_concurrency:
-            # actor-pool applier (explicit ST1 lifecycle) stays on the
-            # Dataset groupby; the exchange below is task-shaped
-            metrics_ds = ds.groupby(SHARD_COL) \
-                .map_groups(BucketApplier, batch_format="pandas",
-                            fn_constructor_kwargs=applier_kwargs,
-                            concurrency=cfg.apply_concurrency)
-        else:
-            from ..stages.exchange import exchange_map_groups
-
-            applier = BucketApplier(**applier_kwargs)
-
-            def apply_shard(group: pd.DataFrame) -> pd.DataFrame:
-                return applier(group)
-
-            # raw hash exchange instead of the sort-based groupby
-            # shuffle: shards only need co-location, not global order
-            metrics_ds = exchange_map_groups(ds, SHARD_COL, cfg.num_shards,
-                                             apply_shard, keep_part_col=True)
-    # The per-batch collapse (DirectApplier fold / shuffle-mode
-    # pre-collapse combiner) is only associative over lsn-INTERVAL
-    # inputs, which is why every collapse unit above is exactly ONE
-    # block (batch_size=None; blocks are contiguous by construction)
-    # and never a bundle — Ray's streaming executor hands a map task
-    # whichever blocks complete first, and a NON-consecutive bundle
-    # lets the collapse merge an update onto a stale absolute across a
-    # gap another batch owns, silently corrupting nullable columns
-    # (observed on a 490-segment WAL at 32 cpus; preserve_order does
-    # NOT prevent it — bundle composition is unordered either way).
-    # The disjointness check verifies the invariant on every direct
-    # tick before anything publishes.
-    metrics = metrics_ds.to_pandas()  # one row per shard/task -- tiny
-    if direct and len(metrics):
-        _check_batch_intervals(metrics)
+    # Fully fused stage: each task scans its OWN group of WAL segments
+    # straight from storage (what every worker on a real cluster does),
+    # then normalize + partition + fold + write -- zero data bytes
+    # transit the object store; only segment paths in and one metrics
+    # row per group out.
+    normalizer = SchemaNormalizer(schemas.table_schema(cfg.schema_version),
+                                  keep_extra=_BOOKKEEPING)
+    partitioner = Partitioner(cfg.num_buckets, 1, None, include_key_hash=True)
+    # key-extractor hook (J7 expression merge keys, SampleCrud.scala:
+    # 47-51: merge ON substring(code, 0, 4)): a table->table callable
+    # rewriting the key columns BEFORE partitioning, so routing,
+    # fold and storage all see the extracted key
+    key_extractor = cfg.extras.get("key_extractor")
+    pre = [normalizer]
+    if key_extractor:
+        pre.append(key_extractor)
+    # validator sits AFTER the key extractor (it must judge the keys
+    # the partitioner will actually hash -- a raw null key the extractor
+    # can derive is fine; an extractor emitting a null key must be
+    # caught) and BEFORE the partitioner
+    if cfg.bad_record_policy != "none":
+        from ..stages.validate import QUARANTINE_SUBDIR, ChangeValidator
+        pre.append(ChangeValidator(
+            cfg.bad_record_policy,
+            os.path.join(cfg.table_dir, QUARANTINE_SUBDIR), txn))
+    pre.append(partitioner)
+    applier = DirectApplier(runs_dir=state.runs_dir, txn_id=txn,
+                            payload_cols=payload,
+                            pre_stages=tuple(pre),
+                            scan_schema=schemas.change_schema(cfg.schema_version),
+                            derived_views=tuple(view_names),
+                            barriers=barriers)
+    # Explicit consecutive-segment groups, each scanned and folded IN
+    # ONE TASK (`_segment_groups` → DirectApplier's fused-read path).
+    # This is the only batching whose interval soundness is guaranteed
+    # BY CONSTRUCTION: the fold's collapse is associative only over
+    # lsn-interval inputs, and letting Ray form the fold units violates
+    # that two different ways — cross-block bundles (batch_size=N) mix
+    # whichever blocks complete first (observed corrupting nullable
+    # columns on a 490-segment WAL at 32 cpus; preserve_order does not
+    # prevent it), and per-block mapping (batch_size=None) under
+    # read→map fusion degrades to the parquet scanner's ~10k-row
+    # mini-batches (28x the run files). In-task scans are
+    # single-threaded (parallelism comes from the task fan-out, not
+    # nested arrow thread pools). `_check_batch_intervals` still
+    # verifies the invariant on every tick before anything publishes.
+    # Groups are built from the ALREADY-listed segments (re-listing
+    # would race a live WAL writer).
+    groups = _segment_groups(segments, cfg)
+    paths_ds = ray.data.from_items([{"paths": g} for g in groups],
+                                   override_num_blocks=max(1, len(groups)))
+    metrics = paths_ds.map_batches(applier, batch_format="pyarrow",
+                                   batch_size=1).to_pandas()  # row per task
+    _check_batch_intervals(metrics)
     if metrics.empty:
         if cfg.bad_record_policy != "quarantine":
             return None
@@ -889,13 +648,6 @@ def apply_tick(cfg: EngineConfig, hot_convs: list[str] | None = None,
         # segment forever and stall every later segment behind it
         metrics = _empty_metrics()
 
-    bucket_appends: list[tuple[str, str]] = []
-    global_appends: list[str] = []
-    if direct:
-        global_appends = metrics["file"].dropna().tolist()
-    else:
-        bucket_appends = [(str(int(rec.bucket)), rec.file)
-                          for rec in metrics.sort_values("shard").itertuples()]
     derived_appends: dict[str, list[str]] = {}
     if view_names and "derived_file" in metrics.columns:
         import json as _json
@@ -918,8 +670,7 @@ def apply_tick(cfg: EngineConfig, hot_convs: list[str] | None = None,
     manifest = _publish_append_rebased(state, cfg, prev_version, prev, _AppendTxn(
         txn_id=txn,
         num_buckets=cfg.num_buckets,
-        bucket_appends=bucket_appends,
-        global_appends=global_appends,
+        global_appends=metrics["file"].dropna().tolist(),
         derived_appends=derived_appends,
         new_control_ops=[c.to_dict() for c in new_controls],
         wal_consumed=[s.name for s in segments],
@@ -932,41 +683,10 @@ def apply_tick(cfg: EngineConfig, hot_convs: list[str] | None = None,
             "deletes": int(metrics["n_delete"].sum()),
             "lag": int(wal.high_watermark(cfg.wal_dir) - committed),
             "events_rejected": n_rejected,
-            "hot_convs": len(hot_convs or []),
-            "per_bucket": metrics.groupby("bucket")["events_in"].sum().to_dict(),
         },
     ))
     return TickResult(manifest, int(metrics["events_in"].sum()),
                       int(metrics["records_out"].sum()), len(segments))
-
-
-class _CountingCollapser(BatchCollapser):
-    """Combiner that also tracks how many source events fold into each
-    collapsed record (`_n`), so the applier can report true event
-    throughput after pre-aggregation. With epoch barriers active, the
-    counts group by (key, epoch) to match the finer collapse."""
-
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        if "_n" not in batch.columns:
-            batch = batch.assign(_n=np.int64(1))
-        keys = list(schemas.KEY_COLS)
-        if self.barriers:
-            batch = batch.assign(_epoch=np.searchsorted(
-                np.asarray(self.barriers, dtype=np.int64),
-                batch[schemas.LSN_COL].to_numpy(), side="right"))
-            keys = keys + ["_epoch"]
-        sums = batch.groupby(keys, sort=False, as_index=False)["_n"].sum()
-        out = collapse_events(batch.drop(columns=["_n"]), self.payload_cols,
-                              barriers=self.barriers)
-        if self.barriers:
-            out = out.assign(_epoch=np.searchsorted(
-                np.asarray(self.barriers, dtype=np.int64),
-                out[schemas.LSN_COL].to_numpy(), side="right"))
-        out = out.merge(sums, on=keys, how="left")
-        if self.barriers:
-            out = out.drop(columns=["_epoch"])
-        # hand Arrow blocks (no pandas metadata) to the shuffle
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
 # --------------------------------------------------------------------------
@@ -1387,7 +1107,7 @@ def replicate_delta(cfg_src: EngineConfig, cfg_dst: EngineConfig,
     # destination (both are pure delta appends; LWW resolves by lsn)
     return _publish_append_rebased(state, cfg_dst, prev_version, prev, _AppendTxn(
         txn_id=txn, num_buckets=cfg_dst.num_buckets,
-        bucket_appends=[], global_appends=metrics["file"].tolist(),
+        global_appends=metrics["file"].tolist(),
         derived_appends={}, new_control_ops=[],
         wal_consumed=[], committed_seq=prev.committed_seq,
         committed_lsn=prev.committed_lsn,
@@ -1967,9 +1687,9 @@ def compact(cfg: EngineConfig, waves: int = 1,
 
     def sub_fold(shard: int, n_shards: int):
         # key-exclusive sub-shard of a HOT bucket's fold: the full PK
-        # (conv_id, turn_idx) determines the shard via the same
-        # multiplicative turn hash the apply-stage salt uses, so every
-        # record of a key folds in exactly one sub-task
+        # (conv_id, turn_idx) determines the shard via a multiplicative
+        # turn_idx hash, so every record of a key folds in exactly one
+        # sub-task
         def fold(group: "pa.Table | None") -> "dict | None":
             if group is None or group.num_rows == 0:
                 return None
@@ -2205,10 +1925,9 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
         pq.write_table(out, tmp, compression="zstd")
         os.replace(tmp, path)
         m = _empty_metrics()
-        m.loc[0] = {"bucket": -1, "shard": -1, "file": fname,
-                    "events_in": n, "records_out": n, "n_full": n,
-                    "n_partial": 0, "n_delete": 0, "max_lsn": lsn,
-                    "derived_file": None}
+        m.loc[0] = {"file": fname, "events_in": n, "records_out": n,
+                    "n_full": n, "n_partial": 0, "n_delete": 0,
+                    "max_lsn": lsn, "derived_file": None}
         return m
 
     metrics = ds.map_batches(import_batch, batch_format="pyarrow",

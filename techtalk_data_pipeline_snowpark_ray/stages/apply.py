@@ -9,10 +9,10 @@ conditional update ``SampleCrud.scala:28-36``; conditional delete
 {insert, update(partial), delete} is applied by ONE associative,
 vectorized fold, :func:`collapse_events`, reused as:
 
-  * per-batch combiner before the shuffle (pre-aggregation),
-  * per-shard apply (inside groupby(shard).map_groups),
-  * compaction of a bucket's runs,
-  * final snapshot resolution.
+  * the exact fallback of :func:`fold_table` (the vectorized per-task
+    fold of the apply stage and of compaction) for hash-collided groups,
+  * control-op resolution (stages/controls.py),
+  * final snapshot, point-read and view resolution (:func:`resolve_final`).
 
 Event semantics (in lsn order; ties = arrival order, for re-delivered
 duplicates which are byte-identical):
@@ -311,18 +311,3 @@ def fold_table(batch: "pa.Table", payload_cols: list[str],
         return parts[0]
     return pa.concat_tables(parts, promote_options="default")
 
-
-class BatchCollapser:
-    """map_batches combiner: collapse each batch before the shuffle so
-    repeated updates to one key ship once (pre-aggregation pattern).
-    `barriers` = committed control-op lsns (epoch boundaries the
-    combiner must not fold across)."""
-
-    def __init__(self, payload_cols: list[str],
-                 barriers: list[int] | None = None):
-        self.payload_cols = list(payload_cols)
-        self.barriers = list(barriers) if barriers else None
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return collapse_events(batch, self.payload_cols,
-                               barriers=self.barriers)

@@ -39,11 +39,13 @@ import ray.data
 @ray.remote
 def _split_block(tbl: pa.Table, col: str, n: int):
     if isinstance(tbl, pd.DataFrame):
-        # Ray passes EMPTY source blocks through map stages without
-        # calling the UDF, so a pandas-sourced pipeline can deliver a
-        # (columnless) pandas block here even when every map stage is
-        # pyarrow-format; normalize at the boundary
-        tbl = pa.Table.from_pandas(tbl, preserve_index=False)
+        # pandas blocks come from UDFs returning DataFrames, and Ray
+        # passes EMPTY source blocks through map stages without calling
+        # the UDF; normalize at the boundary with Ray's own conversion,
+        # which types an all-null column as `null` so that its slices
+        # still merge with typed slices of the same column
+        from ray.data.block import BlockAccessor
+        tbl = BlockAccessor.for_block(tbl).to_arrow()
     # strip dict-valued (pandas) schema metadata so every emitted slice
     # keeps a hashable schema -- Ray's block-schema dedup depends on it
     tbl = tbl.replace_schema_metadata(None)
@@ -111,7 +113,12 @@ def exchange_map_groups(ds: ray.data.Dataset, part_col: str,
     ``ds.groupby(part_col, num_partitions=P).map_groups(fn)`` minus the
     global sort (and minus the part column, unless kept). Partitions
     with zero rows are skipped, matching map_groups semantics."""
-    blocks = ds.to_arrow_refs()
+    # the executed blocks as-is (_split_block normalizes pandas ones):
+    # `to_arrow_refs` would then fetch the schema by re-running the plan
+    # under a limit(1), and cancelling that run's in-flight tasks can
+    # abort the Ray 2.49 driver on a core-worker reference-count check
+    blocks = [ref for bundle in ds.iter_internal_ref_bundles()
+              for ref in bundle.block_refs]
     if not blocks:
         return ds
     outs = [_split_block.options(num_returns=num_partitions)

@@ -450,8 +450,11 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
         k, valid = _bloom_key_i64(b[right_on])
         # ship the REAL key (cast to the left column's width) so the
         # per-partition membership test compares true values, not
-        # hashes; null right keys can never match and drop here
-        keys = pc.cast(b[right_on], lt).filter(pa.array(valid)) \
+        # hashes; null right keys and integer keys outside the left
+        # type's range can never match and drop here, before the cast
+        if pa.types.is_integer(lt):
+            valid = valid & _fits_int_type(b[right_on], lt)
+        keys = pc.cast(b[right_on].filter(pa.array(valid)), lt) \
             .combine_chunks()
         part = (k[valid].astype(np.uint64) % np.uint64(nparts)) \
             .astype(np.int32)
@@ -498,6 +501,20 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     neg = left.map_batches(passthrough, batch_format="pyarrow",
                            zero_copy_batch=True)
     return neg.union(checked)
+
+
+def _fits_int_type(col: "pa.ChunkedArray | pa.Array",
+                   t: pa.DataType) -> np.ndarray:
+    """Mask of integer `col` values representable in integer type `t`
+    (null -> False)."""
+    import pyarrow.compute as pc
+
+    ci = np.iinfo(col.type.to_pandas_dtype())
+    ti = np.iinfo(t.to_pandas_dtype())
+    lo = pa.scalar(max(int(ci.min), int(ti.min)), col.type)
+    hi = pa.scalar(min(int(ci.max), int(ti.max)), col.type)
+    fits = pc.and_(pc.greater_equal(col, lo), pc.less_equal(col, hi))
+    return pc.fill_null(fits, False).to_numpy(zero_copy_only=False)
 
 
 def _bloom_key_i64(col: "pa.ChunkedArray | pa.Array"

@@ -1,4 +1,4 @@
-"""Hash partitioning of change events by conv_id, with hot-key salting.
+"""Hash partitioning of change events by conv_id.
 
 The reference never partitions client-side (Snowflake micro-partitions
 do it server-side); on Ray this is the correctness-critical design
@@ -6,14 +6,15 @@ point: every key (conv_id, turn_idx) must land in exactly one apply
 group so last-writer-wins state is never split across workers.
 
 Layout key:   bucket = H(conv_id) % num_buckets          (stable, stored)
-Shuffle key:  shard  = bucket * salt_factor + salt
-              salt   = H2(turn_idx) % salt_factor   for HOT conversations
+Shard key:    shard  = bucket * salt_factor + salt
+              salt   = H2(turn_idx) % salt_factor   for `hot_convs`
                      = 0                            otherwise
 
-The salt depends only on key fields, so routing stays key-exclusive;
-because the *layout* (manifest bookkeeping, compaction, snapshot-read
-grouping) uses `bucket` only, the hot set may change from tick to tick
-without breaking cross-run LWW folds.
+The apply stage calls this with salt_factor=1 and no hot set (so
+shard == bucket); the salt branch survives only for callers that still
+pass one. The salt depends only on key fields, so routing stays
+key-exclusive, and the layout (manifest bookkeeping, compaction,
+snapshot-read grouping) uses `bucket` only.
 
 Hash: pandas' stable 64-bit sip-like hash (`pandas.util.hash_array`,
 fixed default hash key -> deterministic across processes and nodes),

@@ -42,6 +42,20 @@ def test_yaml_unknown_key_fails_loudly(tmp_path):
         EngineConfig.from_yaml(str(p))
 
 
+def test_shuffle_apply_mode_rejected(tmp_path):
+    """Shuffle mode was removed: asking for it fails loudly, from code
+    and from YAML, and its old knobs are unknown keys."""
+    with pytest.raises(ValueError, match="shuffle mode was removed"):
+        EngineConfig(apply_mode="shuffle")
+    p = tmp_path / "conf.yml"
+    p.write_text("table-dir: /tmp/x\napply-mode: shuffle\n")
+    with pytest.raises(ValueError, match="shuffle mode was removed"):
+        EngineConfig.from_yaml(str(p))
+    p.write_text("table-dir: /tmp/x\nhot-key-threshold: 200\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        EngineConfig.from_yaml(str(p))
+
+
 def test_shipped_example_config_parses():
     cfg = EngineConfig.from_yaml("conf.example.yml")
     assert cfg.apply_mode == "direct"

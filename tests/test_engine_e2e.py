@@ -34,6 +34,13 @@ def wal_oracle(wal_dir: str) -> pd.DataFrame:
     return apply_events_oracle(pa.concat_tables(tables), PAYLOAD)
 
 
+def nulls_as_none(df: pd.DataFrame) -> pd.DataFrame:
+    """`df` with every null (None, NaN, pd.NA) as None, so that frames
+    built by different paths compare their nulls position by position
+    without pandas' mixed-null-marker ambiguity."""
+    return df.astype(object).where(df.notna(), None)
+
+
 def assert_matches_oracle(cfg):
     snap = ingest.snapshot_to_pandas(cfg)
     oracle = wal_oracle(cfg.wal_dir)
@@ -157,23 +164,40 @@ def test_compaction_single_run_per_bucket_and_equal_state(tmp_engine):
     assert ingest.apply_tick(tmp_engine) is not None
 
 
-def test_hot_key_salting_matches_unsalted(tmp_path):
+def test_compaction_salts_hot_bucket(tmp_path):
+    """Compaction's hot-bucket salting: a bucket past both
+    `compact_salt_rows` and 2x the mean folds in max(2, salt_factor)
+    key-exclusive sub-shards, each writing its own base file; the
+    snapshot equals the oracle before and after."""
     from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
-    spec = GenSpec(n_events=4000, n_conversations=20, zipf_s=1.6, seed=3,
-                   partial_update_fraction=0.3)
-    results = []
-    for i, (salt, thresh) in enumerate([(1, 0), (4, 50)]):
-        cfg = EngineConfig(table_dir=str(tmp_path / f"t{i}"),
-                           wal_dir=str(tmp_path / f"w{i}"),
-                           num_buckets=4, salt_factor=salt,
-                           hot_key_threshold=thresh)
-        cfg.ensure_dirs()
-        write_wal(spec, cfg.wal_dir, segment_rows=1000)
-        res = ingest.apply_tick(cfg)
-        if thresh:
-            assert res.manifest.metrics["hot_convs"] > 0  # skew detected
-        results.append(ingest.snapshot_to_pandas(cfg))
-    pd.testing.assert_frame_equal(results[0], results[1])
+    cfg = EngineConfig(table_dir=str(tmp_path / "t"),
+                       wal_dir=str(tmp_path / "w"), num_buckets=8,
+                       salt_factor=3, compact_salt_rows=100)
+    cfg.ensure_dirs()
+    spec = GenSpec(n_events=6000, n_conversations=30, max_turns=2000,
+                   zipf_s=1.6, ooo_window=8, dup_fraction=0.02,
+                   partial_update_fraction=0.3, seed=13)
+    write_wal(spec, cfg.wal_dir, segment_rows=1000)
+    ingest.apply_tick(cfg)
+    assert_matches_oracle(cfg)
+    # the gate's input: per-bucket rows over the committed delta runs
+    state = TableState(cfg.table_dir)
+    rows = pd.Series(pa.concat_tables(
+        [pq.read_table(p, columns=["bucket"])
+         for p in state.run_paths(state.load_latest())])["bucket"]
+        .to_numpy()).value_counts()
+    hot = {str(b) for b, n in rows.items()
+           if n > cfg.compact_salt_rows and n > 2 * rows.mean()}
+    assert hot                               # the zipf skew trips the gate
+    m = ingest.compact(cfg)
+    n_shards = max(2, cfg.salt_factor)
+    for b, runs in m.buckets.items():
+        want = ([f"base-b{int(b):05d}-s{s:02d}-x{m.txn_id}.parquet"
+                 for s in range(n_shards)] if b in hot
+                else [f"base-b{int(b):05d}-x{m.txn_id}.parquet"])
+        assert sorted(os.path.basename(f) for f in runs) == want
+    assert hot <= set(m.buckets)
+    assert_matches_oracle(cfg)
 
 
 def test_lineage_and_metrics(tmp_engine):
@@ -185,7 +209,7 @@ def test_lineage_and_metrics(tmp_engine):
     assert [m.version for m in lineage] == [1, 0]
     tick = lineage[1]
     assert tick.metrics["events_applied"] >= TINY.n_events
-    assert "per_bucket" in tick.metrics and tick.metrics["lag"] == 0
+    assert tick.metrics["lag"] == 0
     assert tick.wal_consumed  # consumed segments recorded for audit
 
 
@@ -206,9 +230,9 @@ def test_run_loop_bounded_replay(tmp_engine):
 
 
 def test_direct_mode_full_replay_and_compaction(tmp_path):
-    """LSM-style apply_mode="direct": multi-tick replay, exactly-once
-    idle tick, compaction folding global runs into per-bucket bases --
-    all matching the oracle (same invariants as shuffle mode)."""
+    """LSM-style direct apply: multi-tick replay, exactly-once idle
+    tick, compaction folding global runs into per-bucket bases -- all
+    matching the oracle."""
     from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
     cfg = EngineConfig(table_dir=str(tmp_path / "t"), wal_dir=str(tmp_path / "w"),
                        num_buckets=4, apply_mode="direct")
@@ -234,81 +258,65 @@ def test_direct_mode_full_replay_and_compaction(tmp_path):
     assert_matches_oracle(cfg)
 
 
-def test_direct_and_shuffle_modes_agree(tmp_path):
-    from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
-    snaps = []
-    for i, mode in enumerate(["shuffle", "direct"]):
-        cfg = EngineConfig(table_dir=str(tmp_path / f"t{i}"),
-                           wal_dir=str(tmp_path / f"w{i}"),
-                           num_buckets=4, apply_mode=mode)
-        cfg.ensure_dirs()
-        write_wal(TINY, cfg.wal_dir, segment_rows=500)
-        ingest.apply_tick(cfg)
-        snaps.append(ingest.snapshot_to_pandas(cfg))
-    pd.testing.assert_frame_equal(snaps[0], snaps[1])
-
-
 def test_dual_sink_atomic_commit(tmp_path, monkeypatch):
     """One consumed delta feeds the lake table AND the derived
     conv_stats sink in one atomic manifest publish (SampleStream
     parity: one stream, two sinks, one transaction)."""
     from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
-    for i, mode in enumerate(["direct", "shuffle"]):
-        cfg = EngineConfig(table_dir=str(tmp_path / f"t{i}"),
-                           wal_dir=str(tmp_path / f"w{i}"),
-                           num_buckets=4, apply_mode=mode,
-                           derived_views=("conv_stats", "role_stats"))
-        cfg.ensure_dirs()
-        write_wal(TINY, cfg.wal_dir, segment_rows=500)
-        # crash before publish: NEITHER sink becomes visible
-        def boom(self, manifest, **kw):
-            raise RuntimeError("crash")
-        monkeypatch.setattr(TableState, "publish", boom)
-        with pytest.raises(RuntimeError):
-            ingest.apply_tick(cfg)
-        monkeypatch.undo()
-        state = TableState(cfg.table_dir)
-        assert state.latest_version() is None
-        assert ingest.read_derived(cfg).count() == 0
-        # successful tick: BOTH sinks visible from the same manifest
+    cfg = EngineConfig(table_dir=str(tmp_path / "t"),
+                       wal_dir=str(tmp_path / "w"), num_buckets=4,
+                       derived_views=("conv_stats", "role_stats"))
+    cfg.ensure_dirs()
+    write_wal(TINY, cfg.wal_dir, segment_rows=500)
+    # crash before publish: NEITHER sink becomes visible
+    def boom(self, manifest, **kw):
+        raise RuntimeError("crash")
+    monkeypatch.setattr(TableState, "publish", boom)
+    with pytest.raises(RuntimeError):
         ingest.apply_tick(cfg)
-        m = state.load_latest()
-        assert m.derived["conv_stats"]
-        stats = ingest.read_derived(cfg).to_pandas().sort_values(
-            "conv_id", ignore_index=True)
-        # derived counters == per-conv event counts of the whole WAL
-        events = pa.concat_tables(
-            [normalize_batch(pq.read_table(p), schemas.table_schema(3),
-                             keep_extra=("lsn", "op"))
-             for p in sorted(glob.glob(os.path.join(cfg.wal_dir, "*.parquet")))])
-        expect = (events.to_pandas().groupby("conv_id", as_index=False)
-                  .agg(n_events=("lsn", "size"), max_lsn=("lsn", "max")))
-        pd.testing.assert_frame_equal(
-            stats, expect.sort_values("conv_id", ignore_index=True),
-            check_dtype=False)
-        # the SECOND named view rides the same transaction (registry):
-        # per-role counts over non-delete events
-        assert m.derived["role_stats"]
-        roles = ingest.read_derived(cfg, "role_stats").to_pandas() \
-            .sort_values("role", ignore_index=True)
-        edf = events.to_pandas()
-        expect_roles = (edf[(edf["op"] != "delete") & edf["role"].notna()]
-                        .groupby("role", as_index=False)
-                        .agg(n_events=("lsn", "size"), max_lsn=("lsn", "max")))
-        pd.testing.assert_frame_equal(
-            roles, expect_roles.sort_values("role", ignore_index=True),
-            check_dtype=False)
-        # compaction folds the partials and preserves totals in BOTH views
-        ingest.compact(cfg)
-        m2 = TableState(cfg.table_dir).load_latest()
-        assert len(m2.derived["conv_stats"]) == 1
-        assert len(m2.derived["role_stats"]) == 1
-        stats2 = ingest.read_derived(cfg).to_pandas().sort_values(
-            "conv_id", ignore_index=True)
-        pd.testing.assert_frame_equal(stats2, stats)
-        roles2 = ingest.read_derived(cfg, "role_stats").to_pandas() \
-            .sort_values("role", ignore_index=True)
-        pd.testing.assert_frame_equal(roles2, roles)
+    monkeypatch.undo()
+    state = TableState(cfg.table_dir)
+    assert state.latest_version() is None
+    assert ingest.read_derived(cfg).count() == 0
+    # successful tick: BOTH sinks visible from the same manifest
+    ingest.apply_tick(cfg)
+    m = state.load_latest()
+    assert m.derived["conv_stats"]
+    stats = ingest.read_derived(cfg).to_pandas().sort_values(
+        "conv_id", ignore_index=True)
+    # derived counters == per-conv event counts of the whole WAL
+    events = pa.concat_tables(
+        [normalize_batch(pq.read_table(p), schemas.table_schema(3),
+                         keep_extra=("lsn", "op"))
+         for p in sorted(glob.glob(os.path.join(cfg.wal_dir, "*.parquet")))])
+    expect = (events.to_pandas().groupby("conv_id", as_index=False)
+              .agg(n_events=("lsn", "size"), max_lsn=("lsn", "max")))
+    pd.testing.assert_frame_equal(
+        stats, expect.sort_values("conv_id", ignore_index=True),
+        check_dtype=False)
+    # the SECOND named view rides the same transaction (registry):
+    # per-role counts over non-delete events
+    assert m.derived["role_stats"]
+    roles = ingest.read_derived(cfg, "role_stats").to_pandas() \
+        .sort_values("role", ignore_index=True)
+    edf = events.to_pandas()
+    expect_roles = (edf[(edf["op"] != "delete") & edf["role"].notna()]
+                    .groupby("role", as_index=False)
+                    .agg(n_events=("lsn", "size"), max_lsn=("lsn", "max")))
+    pd.testing.assert_frame_equal(
+        roles, expect_roles.sort_values("role", ignore_index=True),
+        check_dtype=False)
+    # compaction folds the partials and preserves totals in BOTH views
+    ingest.compact(cfg)
+    m2 = TableState(cfg.table_dir).load_latest()
+    assert len(m2.derived["conv_stats"]) == 1
+    assert len(m2.derived["role_stats"]) == 1
+    stats2 = ingest.read_derived(cfg).to_pandas().sort_values(
+        "conv_id", ignore_index=True)
+    pd.testing.assert_frame_equal(stats2, stats)
+    roles2 = ingest.read_derived(cfg, "role_stats").to_pandas() \
+        .sort_values("role", ignore_index=True)
+    pd.testing.assert_frame_equal(roles2, roles)
 
 
 # -- apply-time conditional ops (controls) + expression merge keys ---------
@@ -344,8 +352,9 @@ def test_conditional_controls_match_sequential_oracle(tmp_engine):
     oracle = wal_oracle_with_controls(tmp_engine.wal_dir, ops)
     assert len(snap) == len(oracle)
     pd.testing.assert_frame_equal(
-        snap.reset_index(drop=True),
-        oracle.astype({c: snap[c].dtype for c in snap.columns}),
+        nulls_as_none(snap.reset_index(drop=True)),
+        nulls_as_none(oracle.astype({c: snap[c].dtype
+                                     for c in snap.columns})),
         check_dtype=False)
     # compaction absorbs covered ops: same state, ops gone
     ingest.compact(tmp_engine)
@@ -371,8 +380,9 @@ def test_conditional_controls_direct_mode_and_future_op(tmp_path):
     oracle = wal_oracle_with_controls(cfg.wal_dir, ops + [future])
     assert len(snap) == len(oracle)
     pd.testing.assert_frame_equal(
-        snap.reset_index(drop=True),
-        oracle.astype({c: snap[c].dtype for c in snap.columns}),
+        nulls_as_none(snap.reset_index(drop=True)),
+        nulls_as_none(oracle.astype({c: snap[c].dtype
+                                     for c in snap.columns})),
         check_dtype=False)
     # compaction absorbs only covered ops; the future op stays pending
     ingest.compact(cfg)
@@ -530,7 +540,8 @@ def test_read_delta_between_versions(tmp_engine):
     keys = ["conv_id", "turn_idx"]
     refolded = refolded[final.columns].sort_values(keys, kind="stable",
                                                    ignore_index=True)
-    _pd.testing.assert_frame_equal(refolded, final, check_dtype=False)
+    _pd.testing.assert_frame_equal(nulls_as_none(refolded),
+                                   nulls_as_none(final), check_dtype=False)
     # a window spanning a compaction is rejected
     ingest.compact(tmp_engine)
     state = TableState(tmp_engine.table_dir)
@@ -964,15 +975,14 @@ def _wal_with_bad_rows(wal_dir):
     return t
 
 
-@pytest.mark.parametrize("mode", ["direct", "shuffle"])
-def test_bad_record_policy(tmp_path, mode):
+def test_bad_record_policy(tmp_path):
     from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
     from techtalk_data_pipeline_snowpark_ray.stages.validate import (
         read_wal_quarantine)
     # fail: loud rollback, nothing visible, WAL unconsumed
-    cfg_f = EngineConfig(table_dir=str(tmp_path / f"tf-{mode}"),
-                         wal_dir=str(tmp_path / f"w-{mode}"), num_buckets=4,
-                         apply_mode=mode, bad_record_policy="fail")
+    cfg_f = EngineConfig(table_dir=str(tmp_path / "tf"),
+                         wal_dir=str(tmp_path / "w"), num_buckets=4,
+                         bad_record_policy="fail")
     cfg_f.ensure_dirs()
     _wal_with_bad_rows(cfg_f.wal_dir)
     with pytest.raises(Exception, match="invalid change record"):
@@ -980,9 +990,9 @@ def test_bad_record_policy(tmp_path, mode):
     assert TableState(cfg_f.table_dir).latest_version() is None
 
     # quarantine: tick commits valid rows; bad rows tagged + counted
-    cfg_q = EngineConfig(table_dir=str(tmp_path / f"tq-{mode}"),
+    cfg_q = EngineConfig(table_dir=str(tmp_path / "tq"),
                          wal_dir=cfg_f.wal_dir, num_buckets=4,
-                         apply_mode=mode, bad_record_policy="quarantine")
+                         bad_record_policy="quarantine")
     cfg_q.ensure_dirs()
     res = ingest.apply_tick(cfg_q)
     assert res.manifest.metrics["events_rejected"] == 3
@@ -1008,7 +1018,8 @@ def test_read_conversation_with_pending_controls(tmp_engine):
     for cid in snap["conv_id"].drop_duplicates().iloc[[1, 11]].tolist():
         got = ingest.read_conversation(tmp_engine, cid)
         want = snap[snap["conv_id"] == cid].reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want[got.columns],
+        pd.testing.assert_frame_equal(nulls_as_none(got),
+                                      nulls_as_none(want[got.columns]),
                                       check_dtype=False)
 
 
@@ -1450,7 +1461,6 @@ def test_direct_apply_many_tiny_segments_matches_oracle(tmp_engine):
     non-contiguous-bundle fold corruption): per-block folds + the
     interval check must yield exact oracle state."""
     cfg = tmp_engine
-    cfg.apply_mode = "direct"
     spec = GenSpec(n_events=6000, n_conversations=30, max_turns=2000,
                    zipf_s=1.6, ooo_window=8, dup_fraction=0.02,
                    partial_update_fraction=0.3, seed=13)

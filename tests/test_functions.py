@@ -490,6 +490,23 @@ def test_bloom_semi_join_rejects_bad_key_types():
         bloom_semi_join(floats, fright, on="k").to_pandas()
 
 
+def test_bloom_semi_join_drops_right_keys_outside_left_type():
+    """An int64 right key beyond the int32 left key's range can never
+    match: it is dropped instead of failing the cast (and the join)."""
+    import ray.data
+    from techtalk_data_pipeline_snowpark_ray.stages.joins import (
+        bloom_semi_join)
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2, 3], pa.int32()),
+        "v": pa.array([10, 20, 30], pa.int64())}))
+    right = ray.data.from_arrow(pa.table(
+        {"k": pa.array([2, 2 ** 40], pa.int64())}))
+    semi = bloom_semi_join(left, right, on="k").to_pandas()
+    assert semi["k"].tolist() == [2] and semi["v"].tolist() == [20]
+    anti = bloom_semi_join(left, right, on="k", anti=True).to_pandas()
+    assert sorted(anti["k"].tolist()) == [1, 3]
+
+
 def test_exchange_all_empty_input_unions_cleanly():
     """An exchange whose every partition is input-empty returns a
     schema-less empty dataset — NOT one carrying the exchange INPUT

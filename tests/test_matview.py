@@ -15,6 +15,8 @@ from techtalk_data_pipeline_snowpark_ray.sources.generate import (
 from techtalk_data_pipeline_snowpark_ray.sources.wal import WalWriter
 from techtalk_data_pipeline_snowpark_ray.state.manifest import TableState
 
+from test_engine_e2e import nulls_as_none
+
 MV = "conv_live_stats"
 
 TINY = GenSpec(n_events=1500, n_conversations=40, max_turns=10, zipf_s=1.2,
@@ -475,14 +477,16 @@ def test_grouped_multicolumn_group(tmp_engine):
         .sort_values(["role", "tool"], ignore_index=True)
     got = matview.read_grouped_matview(cfg, "role_tool_stats") \
         .to_pandas().sort_values(["role", "tool"], ignore_index=True)
-    pd.testing.assert_frame_equal(got[["role", "tool", "n_turns"]], want,
-                                  check_dtype=False)
+    pd.testing.assert_frame_equal(
+        nulls_as_none(got[["role", "tool", "n_turns"]]), nulls_as_none(want),
+        check_dtype=False)
     assert want["tool"].isna().any()      # the null group is exercised
     dist = matview.read_grouped_matview(cfg, "role_tool_stats",
                                         force_distributed=True) \
         .to_pandas().sort_values(["role", "tool"], ignore_index=True)
-    pd.testing.assert_frame_equal(dist[["role", "tool", "n_turns"]], want,
-                                  check_dtype=False)
+    pd.testing.assert_frame_equal(
+        nulls_as_none(dist[["role", "tool", "n_turns"]]), nulls_as_none(want),
+        check_dtype=False)
 
 
 def test_mv_compaction_distributed_path_identical(tmp_engine, monkeypatch):

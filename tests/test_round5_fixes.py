@@ -606,3 +606,30 @@ def test_bootstrap_import_empty_source_then_cdc(tmp_path):
     w.close()
     assert ingest.apply_tick(cfg) is not None
     assert_matches_oracle(cfg)
+
+
+# -- zero-total and empty-input edges -------------------------------------------
+
+def test_mixture_weights_zero_tokens_gives_zero_shares(tmp_path, ray_session):
+    """A corpus with no tokens at all (empty or null text) has zero
+    total tokens: every group's share is 0, not a ZeroDivisionError."""
+    from techtalk_data_pipeline_snowpark_ray.functions import sampling
+    sf = make_doc_dir(tmp_path, ["", None, "   "])
+    out = sampling.mixture_weights(sf)
+    assert len(out) == 1
+    assert out["n_tokens"].tolist() == [0]
+    assert out["share_ppm"].tolist() == [0]
+    assert out["w_t2_ppm"].tolist() == [0]
+
+
+def test_events_max_id_empty_events_raises_valueerror(tmp_path):
+    """An empty events table has no max event_id: a descriptive
+    ValueError, not int(None)'s TypeError."""
+    import pytest
+    from techtalk_data_pipeline_snowpark_ray.pipelines import cdc_queries
+    d = tmp_path / "sfe"
+    d.mkdir()
+    pq.write_table(pa.table({"event_id": pa.array([], pa.int64())}),
+                   d / "events.parquet")
+    with pytest.raises(ValueError, match="empty events table"):
+        cdc_queries._events_max_id(str(d))
