@@ -19,11 +19,12 @@ Core data flow (one "tick" = one consumed change-stream delta):
          publish (files + offset)                    #   SnowflakeUtils.scala:36-45,68-81
 
 Compaction folds the delta runs into per-bucket bases as a separate
-step. Last-writer-wins resolution is one associative fold: the
-vectorized :func:`techtalk_data_pipeline_snowpark_ray.stages.apply.fold_table`
-in the apply stage and compaction, and its pandas equivalent
-:func:`techtalk_data_pipeline_snowpark_ray.stages.apply.collapse_events`
-in snapshot and point reads.
+step. Last-writer-wins resolution is one associative fold,
+:func:`techtalk_data_pipeline_snowpark_ray.stages.apply.fold_table`:
+the apply stage calls it directly, and compaction, snapshot and point
+reads, views and queries call it through
+:func:`techtalk_data_pipeline_snowpark_ray.stages.controls.resolve_with_controls`.
+Its pandas twin in the same module is kept only as the test oracle.
 """
 
 __version__ = "0.1.0"

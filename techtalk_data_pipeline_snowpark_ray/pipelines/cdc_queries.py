@@ -45,7 +45,7 @@ import ray.data
 from .. import schemas
 from ..config import EngineConfig
 from ..sources.wal import WalWriter
-from ..stages.apply import resolve_final
+from ..stages.controls import resolve_with_controls
 from ..stages.partition import BUCKET_COL, Partitioner
 from . import ingest
 
@@ -113,13 +113,12 @@ def apply_changes_dataset(ds: ray.data.Dataset, num_buckets: int = 16,
                         zero_copy_batch=True)
     final_cols = [*schemas.KEY_COLS, *payload]
 
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return target.empty_table().to_pandas()
-        return resolve_final(g, payload)[final_cols]
+    def resolve(g: pa.Table) -> pa.Table:
+        return resolve_with_controls(g, payload, []).select(final_cols)
 
     from ..stages.exchange import exchange_map_groups
-    return exchange_map_groups(ds, BUCKET_COL, num_buckets, resolve)
+    return exchange_map_groups(ds, BUCKET_COL, num_buckets, resolve,
+                               batch_format="pyarrow")
 
 
 # -- engine-backed flagship ------------------------------------------------
@@ -384,13 +383,14 @@ def cdc_render_transcripts(sf_dir: str,
     ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
                         zero_copy_batch=True)
 
-    def resolve_and_render(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame({"conv_id": pd.Series(dtype=object),
-                                 "n_turns": pd.Series(dtype="int64"),
-                                 "transcript": pd.Series(dtype=object)})
-        fin = resolve_final(g, payload)
-        fin = fin.sort_values(["conv_id", "turn_idx"], kind="stable")
+    out_schema = pa.schema([("conv_id", pa.string()),
+                            ("n_turns", pa.int64()),
+                            ("transcript", pa.string())])
+
+    def resolve_and_render(g: pa.Table) -> pa.Table:
+        fin = resolve_with_controls(g, payload, []).to_pandas()
+        if fin.empty:
+            return out_schema.empty_table()
         # null role/text (upsert that never set the column) renders as
         # '' -- without the fill the '\n'.join raises on NaN while the
         # SQL string_agg would silently skip the line; COALESCE in the
@@ -399,12 +399,13 @@ def cdc_render_transcripts(sf_dir: str,
         out = fin.groupby("conv_id", sort=False).agg(
             n_turns=("line", "size"),
             transcript=("line", "\n".join)).reset_index()
-        out["n_turns"] = out["n_turns"].astype("int64")
-        return out[["conv_id", "n_turns", "transcript"]]
+        return pa.Table.from_pandas(out, schema=out_schema,
+                                    preserve_index=False)
 
     from ..stages.exchange import exchange_map_groups
     return exchange_map_groups(ds, BUCKET_COL, num_buckets,
-                               resolve_and_render).sort("conv_id")
+                               resolve_and_render,
+                               batch_format="pyarrow").sort("conv_id")
 
 
 def cdc_turn_windows(sf_dir: str, w: int = 4,
@@ -432,18 +433,17 @@ def cdc_turn_windows(sf_dir: str, w: int = 4,
     ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
                         zero_copy_batch=True)
 
-    empty = pd.DataFrame({"conv_id": pd.Series(dtype=object),
-                          "window_idx": pd.Series(dtype="int64"),
-                          "turn_lo": pd.Series(dtype="int64"),
-                          "turn_hi": pd.Series(dtype="int64"),
-                          "n_window_turns": pd.Series(dtype="int64"),
-                          "window_text": pd.Series(dtype=object)})
+    out_schema = pa.schema([("conv_id", pa.string()),
+                            ("window_idx", pa.int64()),
+                            ("turn_lo", pa.int64()),
+                            ("turn_hi", pa.int64()),
+                            ("n_window_turns", pa.int64()),
+                            ("window_text", pa.string())])
 
-    def resolve_and_window(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return empty.copy()
-        fin = resolve_final(g, payload)
-        fin = fin.sort_values(["conv_id", "turn_idx"], kind="stable")
+    def resolve_and_window(g: pa.Table) -> pa.Table:
+        fin = resolve_with_controls(g, payload, []).to_pandas()
+        if fin.empty:
+            return out_schema.empty_table()
         # null-fill as in cdc_render_transcripts (oracle: COALESCE)
         fin["line"] = fin["role"].fillna("") + ": " + fin["text"].fillna("")
         grp = fin.groupby("conv_id", sort=False)
@@ -464,13 +464,13 @@ def cdc_turn_windows(sf_dir: str, w: int = 4,
                 "turn_hi": st.str[-1].astype(np.int64).to_numpy(),
                 "n_window_turns": sl.str.len().astype(np.int64).to_numpy(),
                 "window_text": sl.str.join("\n").to_numpy()}))
-        if not frames:
-            return empty.copy()
-        return pd.concat(frames, ignore_index=True)
+        return pa.Table.from_pandas(pd.concat(frames, ignore_index=True),
+                                    schema=out_schema, preserve_index=False)
 
     from ..stages.exchange import exchange_map_groups
     return exchange_map_groups(ds, BUCKET_COL, num_buckets,
-                               resolve_and_window) \
+                               resolve_and_window,
+                               batch_format="pyarrow") \
         .sort(["conv_id", "window_idx"])
 
 
@@ -946,24 +946,25 @@ def cdc_tool_call_stats(sf_dir: str) -> pd.DataFrame:
     ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
                         zero_copy_batch=True)
 
-    def resolve_and_count(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"tool": pd.Series(dtype=object),
-                              "n_turns": pd.Series(dtype="int64"),
-                              "n_convs": pd.Series(dtype="int64")})
-        if g.empty:
-            return empty
-        fin = resolve_final(g, payload)
-        fin = fin[fin["tool"].notna()]
+    out_schema = pa.schema([("tool", pa.string()),
+                            ("n_turns", pa.int64()),
+                            ("n_convs", pa.int64())])
+
+    def resolve_and_count(g: pa.Table) -> pa.Table:
+        fin = resolve_with_controls(g, payload, [], sort=False)
+        fin = fin.filter(pc.is_valid(fin["tool"])).to_pandas()
         if fin.empty:
-            return empty
+            return out_schema.empty_table()
         agg = fin.groupby("tool", sort=False).agg(
             n_turns=("conv_id", "size"),
             n_convs=("conv_id", "nunique")).reset_index()
-        return agg.astype({"n_turns": "int64", "n_convs": "int64"})
+        return pa.Table.from_pandas(agg, schema=out_schema,
+                                    preserve_index=False)
 
     from ..stages.exchange import exchange_map_groups
     parts = exchange_map_groups(ds, BUCKET_COL, num_buckets,
-                                resolve_and_count).to_pandas()
+                                resolve_and_count,
+                                batch_format="pyarrow").to_pandas()
     out = parts.groupby("tool", sort=True, as_index=False).agg(
         n_turns=("n_turns", "sum"), n_convs=("n_convs", "sum"))
     return out.sort_values("tool", ignore_index=True)

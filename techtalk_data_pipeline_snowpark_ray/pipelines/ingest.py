@@ -40,7 +40,8 @@ import ray.data
 from .. import schemas
 from ..config import EngineConfig
 from ..sources import wal
-from ..stages.apply import fold_table, resolve_final
+from ..stages.apply import fold_table
+from ..stages.controls import resolve_with_controls, sorted_controls
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
                                 add_partition_cols, hash_strings_arrow,
@@ -333,7 +334,6 @@ class _AppendTxn:
 
 
 def _build_append_manifest(prev: Manifest, t: _AppendTxn) -> Manifest:
-    from ..stages.controls import sorted_controls
     derived = {k: list(v) for k, v in prev.derived.items()}
     for view, files in t.derived_appends.items():
         derived.setdefault(view, []).extend(files)
@@ -435,7 +435,6 @@ def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
     land mis-bucketed next to the new bases."""
     import json as _json
 
-    from ..stages.controls import sorted_controls
     base = prev                   # the manifest whose runs were folded
     absorbed = _op_keys(base.control_ops) - _op_keys(keep_ops)
 
@@ -535,8 +534,6 @@ def apply_tick(cfg: EngineConfig,
     publish a manifest carrying just the new ops). Crash-safe: nothing
     is visible until the manifest LATEST pointer is swapped.
     """
-    from ..stages.controls import sorted_controls
-
     cfg.ensure_dirs()
     state = TableState(cfg.table_dir)
     prev_version, prev = state.load_latest_versioned()
@@ -820,6 +817,17 @@ def _exchange_by_bucket(paths: list[str], num_buckets: int,
     return [list(refs) for refs in zip(*outs)]
 
 
+def _run_schema(version: int, payload: list[str]) -> pa.Schema:
+    """Column layout of a run file (RUN_COLS_FIXED + `payload`), typed
+    by the table schema at `version`."""
+    target = schemas.table_schema(version)
+    return pa.schema([pa.field(BUCKET_COL, pa.int32()),
+                      *(target.field(k) for k in schemas.KEY_COLS),
+                      pa.field(schemas.LSN_COL, pa.int64()),
+                      pa.field(schemas.OP_COL, pa.string()),
+                      *(target.field(c) for c in payload)])
+
+
 def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
                   final_only: bool = True,
                   columns: list[str] | None = None,
@@ -846,8 +854,6 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
     skipping read under `read_conversation` (one bucket) and the
     inverted-index search (index-hit buckets, matview.search_token).
     """
-    from ..stages.controls import resolve_with_controls, sorted_controls
-
     state = TableState(cfg.table_dir)
     m = manifest or state.load_latest()
     if buckets is None:
@@ -887,31 +893,15 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
 
     final_cols = [*schemas.KEY_COLS,
                   *(payload if columns is None else columns)]
-    target = schemas.table_schema(cfg.schema_version)
-
-    def _empty_run_frame() -> pd.DataFrame:
-        # typed empty RUN-shaped frame so an empty bucket resolves
-        # through the exact same code path (and thus schema) as an
-        # occupied one -- mismatched per-block schemas break unions
-        cols = {BUCKET_COL: pd.Series(dtype="int32")}
-        for f in target:
-            if f.name in schemas.KEY_COLS or f.name in payload:
-                cols[f.name] = pd.Series(
-                    dtype=object if pa.types.is_string(f.type)
-                    else f.type.to_pandas_dtype())
-        cols[schemas.LSN_COL] = pd.Series(dtype="int64")
-        cols[schemas.OP_COL] = pd.Series(dtype=object)
-        return pd.DataFrame(cols)
+    # an empty bucket resolves a typed empty run through the same path
+    # (and thus schema) as an occupied one -- mismatched per-block
+    # schemas break unions
+    empty_run = _run_schema(cfg.schema_version, payload).empty_table()
 
     def resolve(group: "pa.Table | None") -> pa.Table:
-        g = _empty_run_frame() if group is None or group.num_rows == 0 \
-            else group.to_pandas()
-        out = resolve_with_controls(g, payload, controls) if controls \
-            else resolve_final(g, payload)
-        if final_only:
-            out = out[final_cols]
-        return pa.Table.from_pandas(out, preserve_index=False) \
-            .replace_schema_metadata(None)
+        out = resolve_with_controls(
+            empty_run if group is None else group, payload, controls)
+        return out.select(final_cols) if final_only else out
 
     # the exchange splits by the STORED layout: the manifest's bucket
     # count, never the config's (a reader with a stale cfg after a
@@ -941,38 +931,24 @@ def read_conversation(cfg: EngineConfig, conv_id: str,
     turn_idx ordering) is identical to `read_snapshot`."""
     import pyarrow.dataset as pads
 
-    from ..stages.controls import resolve_with_controls, sorted_controls
-
     state = TableState(cfg.table_dir)
     m = manifest or state.load_latest()
     nb = m.num_buckets or cfg.num_buckets
     bucket = int(hash_strings_arrow(pa.array([conv_id], pa.string()))[0]
                  % np.uint64(nb))
     payload = schemas.payload_cols(cfg.schema_version)
-    final_cols = [*schemas.KEY_COLS, *payload]
     files = list(m.buckets.get(str(bucket), [])) + list(m.global_runs)
-    if not files:
-        return schemas.table_schema(cfg.schema_version).empty_table() \
-            .to_pandas()[final_cols]
-    paths = [os.path.join(state.runs_dir, f) for f in files]
-    scan_schema = pa.schema([
-        pa.field(BUCKET_COL, pa.int32()),
-        *schemas.table_schema(cfg.schema_version),
-        pa.field(schemas.LSN_COL, pa.int64()),
-        pa.field(schemas.OP_COL, pa.string()),
-    ])
-    flt = (pads.field(BUCKET_COL) == bucket) \
-        & (pads.field("conv_id") == conv_id)
-    t = pads.dataset(paths, format="parquet", schema=scan_schema) \
-        .to_table(filter=flt)
-    controls = sorted_controls(m.control_ops)
-    g = t.to_pandas()
-    if not len(g):
-        return schemas.table_schema(cfg.schema_version).empty_table() \
-            .to_pandas()[final_cols]
-    out = resolve_with_controls(g, payload, controls) if controls \
-        else resolve_final(g, payload)
-    return out[final_cols].sort_values("turn_idx", ignore_index=True)
+    scan_schema = _run_schema(cfg.schema_version, payload)
+    if files:
+        flt = (pads.field(BUCKET_COL) == bucket) \
+            & (pads.field("conv_id") == conv_id)
+        t = pads.dataset([os.path.join(state.runs_dir, f) for f in files],
+                         format="parquet", schema=scan_schema) \
+            .to_table(filter=flt)
+    else:
+        t = scan_schema.empty_table()
+    out = resolve_with_controls(t, payload, sorted_controls(m.control_ops))
+    return out.select([*schemas.KEY_COLS, *payload]).to_pandas()
 
 
 def read_snapshot_as_of(cfg: EngineConfig, version: int,
@@ -1639,8 +1615,6 @@ def compact(cfg: EngineConfig, waves: int = 1,
     LWW safety is preserved because the fold still sees every record
     of a key in exactly one (new) bucket group.
     """
-    from ..stages.controls import resolve_with_controls, sorted_controls
-
     state = TableState(cfg.table_dir)
     prev_version, prev = state.load_latest_versioned()
     if not prev.buckets and not prev.global_runs:
@@ -1665,19 +1639,9 @@ def compact(cfg: EngineConfig, waves: int = 1,
         if group is None or group.num_rows == 0:
             return None
         bucket = group[BUCKET_COL][0].as_py()
-        if absorb:
-            resolved = resolve_with_controls(
-                group.select(cols).to_pandas(), payload, absorb, sort=False)
-            out = pa.Table.from_pandas(resolved[cols], preserve_index=False) \
-                .replace_schema_metadata(None)
-        else:
-            out = fold_table(group.select(cols), payload)
-        out = out.filter(pc.invert(pc.equal(out[schemas.OP_COL],
-                                            schemas.OP_DELETE)))
         # the user-visible stable (conv_id, turn_idx) ordering lives in
         # the compacted base runs
-        out = out.take(pc.sort_indices(out, sort_keys=[
-            ("conv_id", "ascending"), ("turn_idx", "ascending")]))
+        out = resolve_with_controls(group.select(cols), payload, absorb)
         sfx = "" if shard is None else f"-s{shard:02d}"
         fname = f"base-b{bucket:05d}{sfx}-x{txn}.parquet"
         tmp = os.path.join(runs_dir, fname + f".tmp-{uuid.uuid4().hex[:8]}")

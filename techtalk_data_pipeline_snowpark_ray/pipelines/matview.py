@@ -56,6 +56,7 @@ import ray.data
 
 from .. import schemas
 from ..config import EngineConfig
+from ..stages.controls import resolve_with_controls, sorted_controls
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 
@@ -507,9 +508,6 @@ def _inc_fold(view: MatView, payload: list[str], controls,
     bucket's run rows to the affected keys, LWW-resolve just those,
     re-aggregate, tombstone the vanished — then write the view run
     file in-task (no driver hop for the rows)."""
-    from ..stages.apply import resolve_final
-    from ..stages.controls import resolve_with_controls
-
     key_set = pa.array(keys, pa.string())
     agg_cols = [view.key, "turn_idx", *view.source_cols]
 
@@ -517,15 +515,10 @@ def _inc_fold(view: MatView, payload: list[str], controls,
         live = view.empty_result()
         if tbl is not None and tbl.num_rows:
             tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=key_set))
-            if tbl.num_rows:
-                g = tbl.to_pandas()
-                resolved = resolve_with_controls(g, payload, controls,
-                                                 sort=False) if controls \
-                    else resolve_final(g, payload, sort=False)
-                if not resolved.empty:
-                    rt = pa.Table.from_pandas(resolved[agg_cols],
-                                              preserve_index=False)
-                    live = view.agg(rt)
+            resolved = resolve_with_controls(tbl, payload, controls,
+                                             sort=False)
+            if resolved.num_rows:
+                live = view.agg(resolved.select(agg_cols))
         present = set(live[view.key].to_pylist())
         gone = pa.array([k for k in keys if k not in present], pa.string())
         dead_cols = {view.key: gone}
@@ -569,7 +562,6 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
         return None                      # already fresh: idempotent
 
     payload = schemas.payload_cols(m.schema_version or cfg.schema_version)
-    from ..stages.controls import sorted_controls
     controls = sorted_controls(m.control_ops)
     txn = state.new_txn()
     num_buckets = m.num_buckets or cfg.num_buckets
@@ -779,23 +771,16 @@ def _grouped_fold(view: GroupedMatView, payload: list[str], controls,
     advances even when it resolved to zero live rows (otherwise stale
     partials from an older epoch would keep winning the read-side
     current-filter)."""
-    from ..stages.apply import resolve_final
-    from ..stages.controls import resolve_with_controls
-
     def fold(tbl: "pa.Table | None") -> dict:
         partial = None
         if tbl is not None and tbl.num_rows:
-            g = tbl.to_pandas()
-            resolved = resolve_with_controls(g, payload, controls,
-                                             sort=False) if controls \
-                else resolve_final(g, payload, sort=False)
-            if not resolved.empty:
+            resolved = resolve_with_controls(tbl, payload, controls,
+                                             sort=False)
+            if resolved.num_rows:
                 cols = [*schemas.KEY_COLS,
                         *[c for c in payload if c in
                           set(view.source_cols)]]
-                rt = pa.Table.from_pandas(resolved[cols],
-                                          preserve_index=False)
-                partial = view.partial(rt)
+                partial = view.partial(resolved.select(cols))
         if partial is None:
             # typed empty input: non-string source cols (ts, ...) must
             # keep their lake types or the partial's kernels break
@@ -843,7 +828,6 @@ def _refresh_grouped(cfg: EngineConfig,
         return None
 
     payload = schemas.payload_cols(m.schema_version or cfg.schema_version)
-    from ..stages.controls import sorted_controls
     controls = sorted_controls(m.control_ops)
     txn = state.new_txn()
     num_buckets = m.num_buckets or cfg.num_buckets

@@ -29,7 +29,7 @@ SCHEMA_VERSION_COL = "schema_version"
 OP_INSERT = "insert"
 OP_UPDATE = "update"
 OP_DELETE = "delete"
-#: ops of *collapsed* records (see stages.apply.collapse_events):
+#: ops of *collapsed* records (see stages.apply.fold_table):
 #:   full    = absolute row (does not depend on prior state)
 #:   partial = column-subset update (merged onto prior state at read time)
 OP_FULL = "full"

@@ -7,12 +7,13 @@ conditional update ``SampleCrud.scala:28-36``; conditional delete
 ``SampleCrud.scala:71-75``; generic wrapper
 ``SnowflakeUtilsOld.scala:84-109``). The whole CRUD op set
 {insert, update(partial), delete} is applied by ONE associative,
-vectorized fold, :func:`collapse_events`, reused as:
+vectorized fold, :func:`fold_table` (Arrow/numpy). Production calls
+only it: the apply stage directly; compaction, snapshot and point
+reads, views and queries through ``stages.controls.resolve_with_controls``.
 
-  * the exact fallback of :func:`fold_table` (the vectorized per-task
-    fold of the apply stage and of compaction) for hash-collided groups,
-  * control-op resolution (stages/controls.py),
-  * final snapshot, point-read and view resolution (:func:`resolve_final`).
+:func:`collapse_events` and :func:`resolve_final` are the pandas
+reference of the same fold, kept for the tests that pin
+:func:`fold_table` to them (tests/test_property_fold.py).
 
 Event semantics (in lsn order; ties = arrival order, for re-delivered
 duplicates which are byte-identical):
@@ -33,8 +34,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
+from .partition import key_hash
 
 _OP_MAP_TO_COLLAPSED = {
     schemas.OP_INSERT: schemas.OP_FULL,
@@ -133,181 +137,193 @@ def resolve_final(df: pd.DataFrame, payload_cols: list[str],
     return out
 
 
-_ALL_OPS = [schemas.OP_INSERT, schemas.OP_UPDATE, schemas.OP_DELETE,
-            schemas.OP_FULL, schemas.OP_PARTIAL]
-_COLLAPSED_OPS_ARR = None  # [full, partial, delete], built lazily (needs pyarrow)
+# op codes: index into _ALL_OPS in, index into _COLLAPSED_OPS out
+_ALL_OPS = pa.array([schemas.OP_INSERT, schemas.OP_UPDATE, schemas.OP_DELETE,
+                     schemas.OP_FULL, schemas.OP_PARTIAL])
+_COLLAPSED_OPS = pa.array([schemas.OP_FULL, schemas.OP_PARTIAL,
+                           schemas.OP_DELETE])
 
 
-def fold_table(batch: "pa.Table", payload_cols: list[str],
+def fold_table(batch: pa.Table, payload_cols: list[str],
                kh: np.ndarray | None = None,
-               barriers: list[int] | None = None) -> "pa.Table":
+               barriers: list[int] | None = None) -> pa.Table:
     """Arrow/numpy fold of a change-record table (columns: key cols,
     lsn, op, payload, any passthrough) to one collapsed record per key
-    — the vectorized equivalent of :func:`collapse_events` (pinned
-    row-for-row equal by tests/test_property_fold.py's hypothesis
-    differential tests, incl. forced hash collisions and null keys,
-    plus tests/test_collapse.py's collision unit test).
+    — the production fold, pinned row-for-row equal to the
+    :func:`collapse_events` reference by tests/test_property_fold.py's
+    hypothesis differential tests (incl. forced hash collisions and
+    null keys) and tests/test_collapse.py's collision unit test.
 
     Shape (everything O(n log n) numpy + O(columns) arrow gathers, no
-    pandas on the main path): sort by (key-hash, lsn, absolute-rank),
-    dedup re-delivered (key, lsn) duplicates keeping the
-    information-bearing absolute record, find each group's last
-    barrier (insert/full/delete — rows before it can never influence
-    the fold), and emit the group's LAST row with each payload column
-    overridden by its last non-null value inside that final segment
-    (exactly what collapse_events' ffill-then-tail computes). Groups
-    whose 64-bit key hashes collide on different REAL keys (vanishing
-    probability, checked explicitly) are demoted to the exact pandas
-    path, which groups by the real key columns.
+    pandas): sort by (key-hash, lsn, absolute-rank), check the hash
+    groups against the real keys, then run the segment-fold kernel
+    (:func:`_fold_sorted`). Groups whose 64-bit key hashes collide on
+    different REAL keys (vanishing probability, checked explicitly)
+    are re-sorted by an exact dense code of the key and go through
+    the same kernel.
 
     Same interval-partition precondition as collapse_events. With
     ``barriers`` (control-op epochs) the epoch is mixed into the
     group hash, so groups are (key, epoch) — the same grouping
     collapse_events builds from the raw lsns.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .partition import key_hash
-
-    global _COLLAPSED_OPS_ARR
-    if _COLLAPSED_OPS_ARR is None:
-        _COLLAPSED_OPS_ARR = pa.array(
-            [schemas.OP_FULL, schemas.OP_PARTIAL, schemas.OP_DELETE])
-
-    n = batch.num_rows
-    if n == 0:
+    if batch.num_rows == 0:
         return batch
     if kh is None:
         kh = key_hash(batch["conv_id"],
                       batch["turn_idx"].to_numpy(zero_copy_only=False))
     lsn = batch[schemas.LSN_COL].to_numpy(zero_copy_only=False)
+    epoch = None
     if barriers:
         # epoch barriers (control ops): same key, different epoch must
         # stay distinct groups -- mix the epoch into the key hash (same
         # key/epoch pairs keep identical hashes, so the collision guard
         # below still compares real keys soundly). Equal-lsn duplicates
-        # always share an epoch, so the (hash, lsn) dedup stays sound.
+        # always share an epoch, so the (group, lsn) dedup stays sound.
         epoch = np.searchsorted(np.asarray(barriers, dtype=np.int64),
-                                lsn, side="right").astype(np.uint64)
-        kh = kh * np.uint64(0x9E3779B97F4A7C15) + epoch
+                                lsn, side="right")
+        kh = kh * np.uint64(0x9E3779B97F4A7C15) + epoch.astype(np.uint64)
     codes = pc.index_in(batch[schemas.OP_COL],
-                        value_set=pa.array(_ALL_OPS)).to_numpy(zero_copy_only=False)
+                        value_set=_ALL_OPS).to_numpy(zero_copy_only=False)
     is_rel = (codes == 1) | (codes == 4)        # update / partial
     # exactly-once vs duplicate delivery (same ranking as
     # collapse_events): among equal-(key, lsn) records the absolute one
-    # must survive the dedup -- rank it last within the (hash, lsn) run
+    # must survive the dedup -- rank it last within the (group, lsn) run
     prn = np.where(is_rel, np.int8(0), np.int8(1))
 
     order = np.lexsort((prn, lsn, kh))   # stable: arrival breaks full ties
-    kh_s = kh[order]
-    new_grp = np.ones(n, dtype=bool)
-    new_grp[1:] = kh_s[1:] != kh_s[:-1]
+    new_grp = _run_starts(kh[order])
+    coll = _collided_groups(batch, order, new_grp)
+    if coll is not None:
+        # the exact code cannot collide, so this pass needs no guard
+        rows = np.sort(order[coll])
+        code = _exact_key_code(batch, rows,
+                               None if epoch is None else epoch[rows])
+        perm = np.lexsort((prn[rows], lsn[rows], code))
+        order = np.concatenate([order[~coll], rows[perm]])
+        new_grp = np.concatenate([new_grp[~coll], _run_starts(code[perm])])
+    return _fold_sorted(batch, payload_cols, order, np.cumsum(new_grp),
+                        lsn, codes, is_rel)
 
-    # hash-collision guard BEFORE the dedup (a collision could
-    # otherwise swallow a different key's record as a "duplicate"):
-    # within repeated-hash positions, verify the REAL key matches the
-    # previous row; any mismatching hash-group is demoted to the exact
-    # pandas path.
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal (sorted) keys starts."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
+
+
+def _collided_groups(batch: pa.Table, order: np.ndarray,
+                     new_grp: np.ndarray) -> np.ndarray | None:
+    """Hash-collision guard, run BEFORE the dedup (a collision could
+    otherwise swallow a different key's record as a "duplicate"):
+    within repeated-hash positions, compare the REAL key with the
+    previous row. Returns the rows (ordered coords) of every hash group
+    holding more than one real key, or None."""
     rep_pos = np.flatnonzero(~new_grp)
-    coll_row = None
-    if len(rep_pos):
-        cur = pa.array(order[rep_pos])
-        prv = pa.array(order[rep_pos - 1])
-        conv = batch["conv_id"]
-        a, b = conv.take(cur), conv.take(prv)
-        # null-safe compare: collapse_events groups null keys together
-        # (groupby dropna=False), so null == null is the SAME key;
-        # pc.equal alone would yield null there and crash the `&` below
-        same_conv = pc.or_(
-            pc.fill_null(pc.equal(a, b), False),
-            pc.and_(pc.is_null(a), pc.is_null(b))).to_numpy(
-            zero_copy_only=False)
-        turn = batch["turn_idx"].to_numpy(zero_copy_only=False)
-        same_key = same_conv & (turn[order[rep_pos]] == turn[order[rep_pos - 1]])
-        bad = rep_pos[~same_key]
-        if len(bad):
-            grp_full = np.cumsum(new_grp) - 1
-            collided = np.zeros(int(grp_full[-1]) + 1, dtype=bool)
-            collided[np.unique(grp_full[bad])] = True
-            coll_row = collided[grp_full]           # ordered coords
+    if not len(rep_pos):
+        return None
+    conv = batch["conv_id"]
+    a = conv.take(pa.array(order[rep_pos]))
+    b = conv.take(pa.array(order[rep_pos - 1]))
+    # null-safe compare: collapse_events groups null keys together
+    # (groupby dropna=False), so null == null is the SAME key;
+    # pc.equal alone would yield null there and crash the `&` below
+    same_conv = pc.or_(
+        pc.fill_null(pc.equal(a, b), False),
+        pc.and_(pc.is_null(a), pc.is_null(b))).to_numpy(zero_copy_only=False)
+    turn = batch["turn_idx"].to_numpy(zero_copy_only=False)
+    same_key = same_conv & (turn[order[rep_pos]] == turn[order[rep_pos - 1]])
+    bad = rep_pos[~same_key]
+    if not len(bad):
+        return None
+    grp = np.cumsum(new_grp) - 1
+    collided = np.zeros(int(grp[-1]) + 1, dtype=bool)
+    collided[grp[bad]] = True
+    return collided[grp]
 
-    parts: list[pa.Table] = []
-    if coll_row is not None:
-        sub_t = batch.take(pa.array(np.sort(order[coll_row])))
-        folded = collapse_events(sub_t.to_pandas(), payload_cols,
-                                 barriers=barriers)
-        parts.append(pa.Table.from_pandas(folded[batch.column_names],
-                                          schema=sub_t.schema,
-                                          preserve_index=False)
-                     .replace_schema_metadata(None))
-        keep_vec = ~coll_row
-        order, kh_s, lsn_s = order[keep_vec], kh_s[keep_vec], lsn[order][keep_vec]
-    else:
-        lsn_s = lsn[order]
 
-    if len(order):
-        # dedup (hash, lsn): keep the LAST of each run (highest
-        # absolute-rank, then latest arrival -- the sort key above)
-        keep = np.ones(len(order), dtype=bool)
-        keep[:-1] = (kh_s[1:] != kh_s[:-1]) | (lsn_s[1:] != lsn_s[:-1])
-        o2, k2 = order[keep], kh_s[keep]
-        m = len(o2)
-        ng = np.ones(m, dtype=bool)
-        ng[1:] = k2[1:] != k2[:-1]
-        starts = np.flatnonzero(ng)
-        grp = np.cumsum(ng) - 1
-        idx = np.arange(m, dtype=np.int64)
-        ends = np.append(starts[1:], m) - 1
-        last_rows = o2[ends]                         # original coords
+def _exact_key_code(batch: pa.Table, rows: np.ndarray,
+                    epoch: np.ndarray | None) -> np.ndarray:
+    """Dense int64 code of (conv_id, turn_idx[, epoch]) over `rows`:
+    equal codes iff equal keys; a null conv_id is a value of its own."""
+    conv = batch["conv_id"].take(pa.array(rows))
+    parts = [pc.index_in(conv, value_set=pc.unique(conv)).to_numpy(),
+             batch["turn_idx"].to_numpy(zero_copy_only=False)[rows]]
+    if epoch is not None:
+        parts.append(epoch)
+    code = np.zeros(len(rows), dtype=np.int64)
+    for part in parts:
+        _, part = np.unique(part, return_inverse=True)
+        # both factors are < len(rows): the product stays exact
+        _, code = np.unique(code * (int(part.max()) + 1) + part,
+                            return_inverse=True)
+    return code
 
-        # final segment per group: from the LAST barrier row (insert/
-        # full/delete resets state) to the group end; rows before it
-        # cannot influence the folded record
-        is_bar2 = ~is_rel[o2]
-        last_bar = np.maximum.reduceat(
-            np.where(is_bar2, idx, np.int64(-1)), starts)
-        seg_start = np.maximum(last_bar, starts)
-        in_last = idx >= seg_start[grp]
-        had_bar = last_bar >= 0
 
-        # emit groups in last-row order: a SORTED gather is measurably
-        # faster on wide string columns, and the run is sorted again
-        # downstream anyway
-        sig = np.argsort(last_rows, kind="stable")
-        vec = batch.take(pa.array(last_rows[sig]))
-        # op: delete if the group's final record is a delete; full when
-        # any barrier fixed the row's absolute state; else partial
-        last_codes = codes[last_rows[sig]]
-        out_code = np.where(last_codes == 2, np.int32(2),
-                            np.where(had_bar[sig], np.int32(0),
-                                     np.int32(1)))
-        vec = vec.set_column(vec.schema.get_field_index(schemas.OP_COL),
-                             schemas.OP_COL,
-                             _COLLAPSED_OPS_ARR.take(pa.array(out_code)))
-        # payload: last non-null value within the final segment (what
-        # collapse_events' groupwise ffill leaves on the tail row). A
-        # column only differs from the tail row where the tail is null
-        # and an earlier in-segment row is not (partial-update
-        # inheritance) -- columns with no such group skip the gather.
-        for name in payload_cols:
-            col = batch.column(name)
-            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-            pos = np.where(valid[o2] & in_last, idx, np.int64(-1))
-            lastv = np.maximum.reduceat(pos, starts)
-            # lastv == ends: tail row itself non-null (value exact);
-            # lastv == -1: whole segment null, tail therefore null too
-            if bool(np.all((lastv == ends) | (lastv < 0))):
-                continue                     # tail row already exact
-            lastv = lastv[sig]
-            gather = o2[np.clip(lastv, 0, None)]
-            ind = pa.array(gather, mask=lastv < 0)   # null idx -> null
-            vec = vec.set_column(
-                vec.schema.get_field_index(name), name,
-                col.take(ind).combine_chunks())
-        parts.append(vec)
+def _fold_sorted(batch: pa.Table, payload_cols: list[str],
+                 order: np.ndarray, gid: np.ndarray, lsn: np.ndarray,
+                 codes: np.ndarray, is_rel: np.ndarray) -> pa.Table:
+    """Segment-fold kernel. `order` lists the rows sorted by (group,
+    lsn, absolute-rank); `gid` (same coords) is equal exactly within a
+    group. Dedups re-delivered (group, lsn) duplicates keeping the
+    information-bearing absolute record, finds each group's last
+    barrier (insert/full/delete -- rows before it can never influence
+    the fold), and emits the group's LAST row with each payload column
+    overridden by its last non-null value inside that final segment
+    (exactly what collapse_events' ffill-then-tail computes)."""
+    # dedup (group, lsn): keep the LAST of each run (highest
+    # absolute-rank, then latest arrival -- the sort key)
+    lsn_s = lsn[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[:-1] = (gid[1:] != gid[:-1]) | (lsn_s[1:] != lsn_s[:-1])
+    o2 = order[keep]
+    m = len(o2)
+    ng = _run_starts(gid[keep])
+    starts = np.flatnonzero(ng)
+    grp = np.cumsum(ng) - 1
+    idx = np.arange(m, dtype=np.int64)
+    ends = np.append(starts[1:], m) - 1
+    last_rows = o2[ends]                         # original coords
 
-    if len(parts) == 1:
-        return parts[0]
-    return pa.concat_tables(parts, promote_options="default")
+    # final segment per group: from the LAST barrier row (insert/
+    # full/delete resets state) to the group end; rows before it
+    # cannot influence the folded record
+    last_bar = np.maximum.reduceat(
+        np.where(~is_rel[o2], idx, np.int64(-1)), starts)
+    in_last = idx >= np.maximum(last_bar, starts)[grp]
+    had_bar = last_bar >= 0
 
+    # emit groups in last-row order: a SORTED gather is measurably
+    # faster on wide string columns, and the run is sorted again
+    # downstream anyway
+    sig = np.argsort(last_rows, kind="stable")
+    vec = batch.take(pa.array(last_rows[sig]))
+    # op: delete if the group's final record is a delete; full when
+    # any barrier fixed the row's absolute state; else partial
+    last_codes = codes[last_rows[sig]]
+    out_code = np.where(last_codes == 2, np.int32(2),
+                        np.where(had_bar[sig], np.int32(0), np.int32(1)))
+    vec = vec.set_column(vec.schema.get_field_index(schemas.OP_COL),
+                         schemas.OP_COL,
+                         _COLLAPSED_OPS.take(pa.array(out_code)))
+    # payload: last non-null value within the final segment (what
+    # collapse_events' groupwise ffill leaves on the tail row). A
+    # column only differs from the tail row where the tail is null
+    # and an earlier in-segment row is not (partial-update
+    # inheritance) -- columns with no such group skip the gather.
+    for name in payload_cols:
+        col = batch.column(name)
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+        pos = np.where(valid[o2] & in_last, idx, np.int64(-1))
+        lastv = np.maximum.reduceat(pos, starts)
+        # lastv == ends: tail row itself non-null (value exact);
+        # lastv == -1: whole segment null, tail therefore null too
+        if bool(np.all((lastv == ends) | (lastv < 0))):
+            continue                     # tail row already exact
+        lastv = lastv[sig]
+        gather = o2[np.clip(lastv, 0, None)]
+        ind = pa.array(gather, mask=lastv < 0)   # null idx -> null
+        vec = vec.set_column(vec.schema.get_field_index(name), name,
+                             col.take(ind).combine_chunks())
+    return vec

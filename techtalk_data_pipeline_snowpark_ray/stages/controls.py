@@ -13,9 +13,10 @@ Mechanics (see also stages/apply.py):
 
   * a control op at lsn L is an *epoch barrier*: folds must never
     collapse a key's events across L, because the op has to see the
-    state as of L (``collapse_events(..., barriers=...)`` keeps one
+    state as of L (``fold_table(..., barriers=...)`` keeps one
     collapsed record per (key, epoch));
-  * resolution (:func:`resolve_with_controls`) folds epoch 0, applies
+  * resolution (:func:`resolve_with_controls`, the one resolve every
+    read, view, query and compaction path calls) folds epoch 0, applies
     the first control to the folded state (vectorized mask + assignment
     kernels), LWW-merges epoch 1 on top, applies the second control,
     ...; modified rows advance their lsn to the control's lsn;
@@ -25,7 +26,8 @@ Mechanics (see also stages/apply.py):
 
 Predicates and assignments are a small declarative, JSON-serializable
 DSL (no pickled lambdas in the manifest): every function is a
-vectorized pandas kernel.
+vectorized pandas kernel. The fold itself is Arrow; the state goes
+through pandas only while a control op is applied to it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
+from .apply import fold_table
 
 def _cmp(fn):
     """Comparison kernel tolerant of object columns holding None (a
@@ -171,45 +176,49 @@ def apply_control(state: pd.DataFrame, op: ControlOp,
     return state
 
 
-def resolve_with_controls(df: pd.DataFrame, payload_cols: list[str],
+def resolve_with_controls(tbl: pa.Table, payload_cols: list[str],
                           controls: list[ControlOp],
-                          key_cols: tuple[str, ...] = schemas.KEY_COLS,
-                          sort: bool = True) -> pd.DataFrame:
-    """Collapse change records to final visible state with control ops
-    interleaved at their lsn positions (the generalization of
-    apply.resolve_final; identical when `controls` is empty)."""
-    from .apply import collapse_events, resolve_final
+                          sort: bool = True) -> pa.Table:
+    """Collapse change records to the final visible state -- the one
+    resolve of every read, view and query path, and of compaction.
 
+    Folds with :func:`fold_table` (epoch 0 first when `controls` is
+    non-empty), applies each control op to the folded state and
+    LWW-merges the next epoch on top; then drops tombstones and, with
+    `sort`, orders rows by (conv_id, turn_idx). Columns and types are
+    those of `tbl`."""
     controls = sorted_controls(controls)
     if not controls:
-        return resolve_final(df, payload_cols, key_cols, sort=sort)
-    barriers = [c.lsn for c in controls]
-    folded = collapse_events(df, payload_cols, key_cols, barriers=barriers)
-    if folded.empty:
-        return folded
-    epoch = np.searchsorted(barriers, folded[schemas.LSN_COL].to_numpy(),
-                            side="right")
-    # Incremental merges below collapse WITHOUT barriers: everything
-    # merged at step i lies at-or-before control i's position, so the
-    # per-key records MUST fold into one current record for the control
-    # to see (and for partials to inherit across epochs). Barriers only
-    # protect the initial collapse of raw records from folding across a
-    # control position.
-    state: pd.DataFrame | None = None
-    for i, op in enumerate(controls):
-        cur = folded[epoch == i]
-        if state is None:
-            state = cur.reset_index(drop=True)
-        elif len(cur):
-            state = collapse_events(
-                pd.concat([state, cur], ignore_index=True), payload_cols,
-                key_cols)
-        state = apply_control(state, op, payload_cols)
-    last = folded[epoch == len(controls)]
-    if len(last):
-        state = collapse_events(pd.concat([state, last], ignore_index=True),
-                                payload_cols, key_cols)
-    out = state[state[schemas.OP_COL] != schemas.OP_DELETE]
-    if sort and not out.empty:
-        out = out.sort_values(list(key_cols), kind="stable", ignore_index=True)
-    return out.reset_index(drop=True)
+        state = fold_table(tbl, payload_cols)
+    else:
+        barriers = [c.lsn for c in controls]
+        folded = fold_table(tbl, payload_cols, barriers=barriers)
+        epoch = np.searchsorted(
+            barriers, folded[schemas.LSN_COL].to_numpy(zero_copy_only=False),
+            side="right")
+        epochs = [folded.filter(pa.array(epoch == i))
+                  for i in range(len(controls) + 1)]
+        # The merges below fold WITHOUT barriers: everything merged
+        # after control i lies at-or-before control i+1's position, so
+        # the per-key records MUST fold into one current record for the
+        # next control to see (and for partials to inherit across
+        # epochs). Barriers only protect the initial fold of raw
+        # records from folding across a control position.
+        state = epochs[0]
+        for op, nxt in zip(controls, epochs[1:]):
+            if state.num_rows:
+                # the control DSL kernels are pandas: convert around
+                # them only, and back to the state's exact schema
+                out = apply_control(state.to_pandas(), op, payload_cols)
+                state = pa.Table.from_pandas(
+                    out, schema=state.schema, preserve_index=False) \
+                    .replace_schema_metadata(state.schema.metadata)
+            if nxt.num_rows:
+                state = fold_table(pa.concat_tables([state, nxt]),
+                                   payload_cols)
+    state = state.filter(pc.not_equal(state[schemas.OP_COL],
+                                      schemas.OP_DELETE))
+    if sort:
+        state = state.take(pc.sort_indices(state, sort_keys=[
+            (k, "ascending") for k in schemas.KEY_COLS]))
+    return state

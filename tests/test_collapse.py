@@ -200,3 +200,54 @@ def test_hash_strings_arrow_trailing_zero_length():
         assert hb[i] == hash_strings_arrow(pa.array([v], pa.string()))[0]
     # sliced chunk (nonzero chunk offset) agrees with the full array
     assert (hash_strings_arrow(big.slice(1, 3)) == hb[1:4]).all()
+
+
+def _referenced_names(node) -> set[str]:
+    """Every identifier `node` references: names, attributes, imports."""
+    import ast
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_one_production_fold():
+    """The pandas fold is the test oracle only: no package module but
+    stages/apply.py (which defines it) references collapse_events or
+    resolve_final, and fold_table -- with every helper it calls in
+    that module -- touches neither them nor pandas."""
+    import ast
+    import pathlib
+
+    import techtalk_data_pipeline_snowpark_ray as pkg
+
+    root = pathlib.Path(pkg.__file__).parent
+    reference = {"collapse_events", "resolve_final"}
+    offenders = {}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "stages/apply.py":
+            continue
+        used = _referenced_names(ast.parse(path.read_text())) & reference
+        if used:
+            offenders[rel] = sorted(used)
+    assert offenders == {}
+
+    tree = ast.parse((root / "stages" / "apply.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, todo = set(), ["fold_table"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_referenced_names(funcs[name]) & funcs.keys())
+    assert not reached & reference
+    for name in reached:
+        used = _referenced_names(funcs[name]) & {"pd", "to_pandas",
+                                                 "from_pandas"}
+        assert not used, (name, used)

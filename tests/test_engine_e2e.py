@@ -1023,6 +1023,50 @@ def test_read_conversation_with_pending_controls(tmp_engine):
                                       check_dtype=False)
 
 
+def test_read_snapshot_keeps_types_of_all_null_columns(tmp_engine):
+    """A payload column that is null throughout a bucket (`tool`
+    outside bucket 0) or never set (`model`) keeps its schema type in
+    every block read_snapshot emits, projected or not; a pandas round
+    trip of the resolved bucket would type it `null`."""
+    import numpy as np
+    import ray
+    from techtalk_data_pipeline_snowpark_ray.stages.partition import (
+        hash_strings_arrow)
+
+    convs = [f"conv-{i}" for i in range(24)]
+    bucket = hash_strings_arrow(pa.array(convs)) \
+        % np.uint64(tmp_engine.num_buckets)
+    assert len(set(bucket.tolist())) > 1
+    n = len(convs)
+    w = WalWriter(tmp_engine.wal_dir, segment_rows=100)
+    w.append(pa.table({
+        "lsn": pa.array(range(1, n + 1), pa.int64()),
+        "op": ["insert"] * n,
+        "schema_version": pa.array([3] * n, pa.int32()),
+        "conv_id": convs,
+        "turn_idx": pa.array([0] * n, pa.int64()),
+        "role": ["user"] * n,
+        "text": [f"t{i}" for i in range(n)],
+        "tool": ["search" if b == 0 else None for b in bucket.tolist()],
+        "ts": pa.array([i * 1_000_000 for i in range(n)], pa.timestamp("us")),
+        "model": pa.nulls(n, pa.string()),
+    }, schema=schemas.change_schema(3)), 3)
+    w.close()
+    ingest.apply_tick(tmp_engine)
+
+    target = schemas.table_schema(3)
+    for columns in (None, ["tool"]):
+        ds = ingest.read_snapshot(tmp_engine, columns=columns).materialize()
+        blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        assert sum(b.num_rows for b in blocks) == n
+        for b in blocks:
+            assert b.schema.names == [*schemas.KEY_COLS,
+                                      *(columns or PAYLOAD)]
+            for f in b.schema:
+                assert f.type == target.field(f.name).type, (columns, f)
+
+
 def test_replicate_delta_cascade(tmp_path):
     """Cascaded CDC: engine B materializes engine A's table by
     ingesting A's replicated delta windows through its ordinary loop

@@ -239,3 +239,67 @@ def test_fold_table_trailing_null_or_empty_key():
         d.loc[d.index[-1], "conv_id"] = sentinel
         vec, ref = _fold_both(d)
         pd.testing.assert_frame_equal(vec, ref, check_dtype=False)
+
+
+# ---- control ops: resolve_with_controls vs the sequential oracle ----
+
+_CONTROL_PREDICATES = [
+    {"col": "role", "fn": "eq", "value": "user"},
+    {"col": "tool", "fn": "ne", "value": "search"},
+    {"col": "turn_idx", "fn": "gt", "value": 0},
+    {"col": "text", "fn": "contains", "value": "1"},
+]
+_CONTROL_ASSIGNMENTS = [
+    {"tool": {"fn": "set", "value": "calc"}},
+    {"text": {"fn": "upper", "col": "text"}},
+    {"role": {"fn": "set", "value": "system"},
+     "model": {"fn": "concat", "col": "model", "value": "-x"}},
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 300),
+       p_dup=st.floats(0, 0.3), data=st.data())
+def test_resolve_with_controls_equals_sequential_oracle(seed, n, p_dup, data):
+    """Control ops interleaved with a chaos stream (duplicates, mixed
+    raw/collapsed ops, partial updates): the epoch fold of
+    resolve_with_controls must equal replaying events and controls one
+    at a time. Some controls sit exactly on an event's lsn, where the
+    control applies first."""
+    import pyarrow as pa
+    from techtalk_data_pipeline_snowpark_ray.stages.controls import (
+        ControlOp, resolve_with_controls)
+
+    df = _chaos_stream(seed, n, 8, 3, p_dup)
+    # the oracle's input contract: deletes carry only the key, as WAL
+    # delete events do, and equal-(key, lsn) records without an
+    # absolute one are byte-identical re-deliveries (the chaos stream
+    # also degrades clones of relative records; keep their first copy)
+    df.loc[df["op"] == "delete", PAYLOAD] = None
+    key_lsn = ["conv_id", "turn_idx", "lsn"]
+    rel = df["op"].isin(["update", "partial"])
+    has_abs = (~rel).groupby([df[c] for c in key_lsn]).transform("any")
+    df = df[~(rel & ~has_abs & df.duplicated(key_lsn))]
+    lsns = sorted(int(v) for v in df["lsn"].unique())
+    ops = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lsn = data.draw(st.sampled_from(lsns)
+                        | st.integers(0, lsns[-1] + 2))
+        kind = data.draw(st.sampled_from(["update", "delete"]))
+        ops.append(ControlOp(
+            lsn=lsn, kind=kind,
+            predicate=data.draw(st.sampled_from(_CONTROL_PREDICATES)),
+            assignments=data.draw(st.sampled_from(_CONTROL_ASSIGNMENTS))
+            if kind == "update" else {}))
+    # typed like a run file: a control may set a column that is all
+    # null in the input
+    table_schema = schemas.table_schema(3)
+    tbl = pa.Table.from_pandas(df, schema=pa.schema(
+        [("lsn", pa.int64()), ("op", pa.string()), *table_schema]),
+        preserve_index=False)
+    got = resolve_with_controls(tbl, PAYLOAD, ops) \
+        .select(table_schema.names).to_pandas()
+    want = pa.Table.from_pandas(
+        apply_events_oracle(df, PAYLOAD, control_ops=ops),
+        schema=table_schema, preserve_index=False).to_pandas()
+    pd.testing.assert_frame_equal(got, want)
