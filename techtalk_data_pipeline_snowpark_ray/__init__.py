@@ -10,7 +10,7 @@ Core data flow (one "tick" = one consumed change-stream delta):
 
     WAL segments (Parquet, lsn-range named)          # stream on TABLE/STAGE
       -> list new segments, group into lsn intervals #   SnowflakeUtils.scala:46-66
-      -> one fused DirectApplier task per group:
+      -> one plain Ray task per group (DirectApplier):
            scan -> normalize (schema-registry cast)  # jsonToFields, Implicits.scala:13-26
            -> partition (bucket = hash conv_id)      # [design: Snowflake micro-partitions]
            -> LWW fold (fold_table)                  # merge, SnowflakeUtilsOld.scala:84-109

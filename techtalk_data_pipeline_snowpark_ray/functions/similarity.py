@@ -28,6 +28,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..stages.exchange import block_refs
+
 TOP_K = 10
 N_QUERIES = 5
 NEAR_DUP_THRESHOLD = 0.35
@@ -586,7 +588,7 @@ def embedding_near_dup(sf_dir: str, threshold: float = NEAR_DUP_THRESHOLD,
     """Cosine near-duplicate pairs on the vec_id % modulus == 0 subset.
 
     Distributed exact all-pairs via block decomposition: the filtered
-    subset's Arrow blocks stay in the object store (`to_arrow_refs`,
+    subset's Arrow blocks stay in the object store (`block_refs`,
     nothing is collected to the driver) and one Ray task per block pair
     computes the O(rows_a x rows_b) similarity tile, returning only
     matching pairs. Work is O(n^2/cluster) and per-task memory is one
@@ -605,7 +607,7 @@ def embedding_near_dup(sf_dir: str, threshold: float = NEAR_DUP_THRESHOLD,
 
     sub = _emb(sf_dir).map_batches(subset, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    refs = sub.to_arrow_refs()
+    refs = block_refs(sub)
     futures = [_block_pair_sims.remote(refs[i], refs[j], i == j, threshold)
                for i in range(len(refs)) for j in range(i, len(refs))]
     parts = [p for p in ray.get(futures) if len(p)]
@@ -638,8 +640,9 @@ def semantic_decontaminate(sf_dir: str, bench_mod: int = 10,
 
     # distributed filter: only the fixed-size eval side reaches the
     # driver (the full table never transits it)
-    ev = _emb(sf_dir).map_batches(eval_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True).to_arrow_refs()
+    ev = block_refs(_emb(sf_dir).map_batches(eval_rows,
+                                             batch_format="pyarrow",
+                                             zero_copy_batch=True))
     parts = [_stack(t) for t in ray.get(ev) if t.num_rows]
     if not parts:
         raise ValueError(

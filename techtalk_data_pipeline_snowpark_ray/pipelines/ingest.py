@@ -8,7 +8,7 @@ Snowflake's server-side machinery replaced by one write path:
 
   tick:     wal.list_segments(seq > committed)            # stream read S8
             -> _segment_groups                            # lsn-interval groups
-            -> DirectApplier, one fused task per group:   # merge U1-U7
+            -> one plain Ray task per group (DirectApplier):  # merge U1-U7
                  scan -> SchemaNormalizer                 # jsonToFields T2
                  -> [key extractor] -> [ChangeValidator]
                  -> Partitioner                           # hash(conv_id)
@@ -72,10 +72,11 @@ class DirectApplier:
     Hot-path note: the whole per-batch fold runs in Arrow/numpy
     (`stages.apply.fold_table`: one lexsort over (key-hash, lsn,
     absolute-rank) plus O(columns) gathers) -- repeated-key batches pay
-    no pandas groupby. Only hash-groups where two DIFFERENT real keys
+    no pandas groupby. Hash-groups where two DIFFERENT real keys
     collide on the 64-bit key hash (vanishing probability, checked
-    explicitly) are demoted to the exact pandas collapse, which groups
-    by the REAL key columns; collisions are thereby harmless.
+    explicitly) are re-folded by the exact dense key code inside
+    `fold_table`, which orders by the REAL key columns; collisions are
+    thereby harmless.
 
     ``fold=False`` is the PASS-THROUGH mode for inputs that are NOT
     lsn-interval batches (replication windows: already-collapsed run
@@ -102,12 +103,6 @@ class DirectApplier:
         self.fold = fold
 
     def __call__(self, batch: pa.Table) -> pd.DataFrame:
-        if "paths" in batch.column_names:
-            # fused-read mode: rows are segment-path groups; scan each
-            # group in-task (no object-store hop for the data)
-            frames = [self._apply_one(self._scan(group.as_py()))
-                      for group in batch["paths"]]
-            return pd.concat(frames, ignore_index=True) if frames else _empty_metrics()
         return self._apply_one(batch)
 
     def _scan(self, paths: list[str]) -> pa.Table:
@@ -169,14 +164,20 @@ class DirectApplier:
         }])
 
 
+@ray.remote
+def _apply_group(applier: DirectApplier, paths: list[str]) -> pd.DataFrame:
+    """Scan one consecutive segment group and fold it, in one task."""
+    return applier._apply_one(applier._scan(paths))
+
+
 def _check_batch_intervals(metrics: pd.DataFrame) -> None:
     """Verify the direct-mode fold precondition: every batch's input
     lsn range [min, max] must be pairwise disjoint (boundary EQUALITY
     is allowed — a duplicate re-delivery, confined to reorder-slack
     distance by the WAL writer's contract, can legally straddle a
     batch split as two equal-lsn records, which the terminal fold's
-    (key, lsn) dedup resolves). A violation means the executor handed
-    a task non-consecutive blocks; the tick aborts BEFORE publish (its
+    (key, lsn) dedup resolves). A violation means a segment group was
+    not an lsn interval; the tick aborts BEFORE publish (its
     written runs are unreferenced orphans, GC-sweepable), so nothing
     corrupt ever commits."""
     if "min_lsn" not in metrics.columns:
@@ -194,8 +195,8 @@ def _check_batch_intervals(metrics: pd.DataFrame) -> None:
         raise RuntimeError(
             "direct-apply batch interval violation: batch "
             f"[{lo[i + 1]}, {hi[i + 1]}] overlaps [{lo[i]}, {hi[i]}] — "
-            "the executor delivered non-consecutive blocks to one fold "
-            "task; tick aborted before publish (no corrupt state "
+            "a segment group was not an lsn interval; tick aborted "
+            "before publish (no corrupt state "
             "committed; orphan runs are GC-sweepable)")
 
 
@@ -569,7 +570,7 @@ def apply_tick(cfg: EngineConfig,
             schema_version=prev.schema_version,
             metrics={"control_only": True}))
         return TickResult(manifest, 0, 0, 0)
-    # the fused-read applier scans its own segment groups; only list here
+    # each apply task scans its own segment group; only list here
     segments = wal.list_segments(cfg.wal_dir, after_seq=prev.committed_seq)
     if not segments:
         return None
@@ -613,37 +614,26 @@ def apply_tick(cfg: EngineConfig,
                             scan_schema=schemas.change_schema(cfg.schema_version),
                             derived_views=tuple(view_names),
                             barriers=barriers)
-    # Explicit consecutive-segment groups, each scanned and folded IN
-    # ONE TASK (`_segment_groups` → DirectApplier's fused-read path).
-    # This is the only batching whose interval soundness is guaranteed
-    # BY CONSTRUCTION: the fold's collapse is associative only over
-    # lsn-interval inputs, and letting Ray form the fold units violates
-    # that two different ways — cross-block bundles (batch_size=N) mix
-    # whichever blocks complete first (observed corrupting nullable
-    # columns on a 490-segment WAL at 32 cpus; preserve_order does not
-    # prevent it), and per-block mapping (batch_size=None) under
-    # read→map fusion degrades to the parquet scanner's ~10k-row
-    # mini-batches (28x the run files). In-task scans are
-    # single-threaded (parallelism comes from the task fan-out, not
-    # nested arrow thread pools). `_check_batch_intervals` still
-    # verifies the invariant on every tick before anything publishes.
-    # Groups are built from the ALREADY-listed segments (re-listing
-    # would race a live WAL writer).
-    groups = _segment_groups(segments, cfg)
-    paths_ds = ray.data.from_items([{"paths": g} for g in groups],
-                                   override_num_blocks=max(1, len(groups)))
-    metrics = paths_ds.map_batches(applier, batch_format="pyarrow",
-                                   batch_size=1).to_pandas()  # row per task
+    # Each task scans and folds ONE consecutive segment group: the
+    # fold's collapse is associative only over lsn-interval inputs, and
+    # `_segment_groups` makes every group an interval by construction
+    # (`_check_batch_intervals` still verifies it before publish).
+    # Groups come from the ALREADY-listed segments (re-listing would
+    # race a live WAL writer).
+    applier_ref = ray.put(applier)
+    frames = ray.get([_apply_group.remote(applier_ref, g)
+                      for g in _segment_groups(segments, cfg)])
+    frames = [f for f in frames if not f.empty]
+    metrics = pd.concat(frames, ignore_index=True) if frames \
+        else _empty_metrics()
     _check_batch_intervals(metrics)
-    if metrics.empty:
-        if cfg.bad_record_policy != "quarantine":
-            return None
-        # with quarantine active, a segment can be consumed while
-        # contributing ZERO valid rows (every record diverted); the
-        # tick must still publish so committed_seq advances past it --
-        # returning None here would re-read and re-quarantine the same
-        # segment forever and stall every later segment behind it
-        metrics = _empty_metrics()
+    # with quarantine active, a segment can be consumed while
+    # contributing ZERO valid rows (every record diverted); the tick
+    # must still publish so committed_seq advances past it -- returning
+    # None here would re-read and re-quarantine the same segment
+    # forever and stall every later segment behind it
+    if metrics.empty and cfg.bad_record_policy != "quarantine":
+        return None
 
     derived_appends: dict[str, list[str]] = {}
     if view_names and "derived_file" in metrics.columns:

@@ -30,9 +30,9 @@ touches a tiny fraction of keys, so the refresh here is
 Full-recompute fallback (window not delta-expressible): first refresh,
 a compaction or re-bucketing inside the window (both rewrite file
 history), or a control-op change (controls reach keys the delta never
-names). The fallback streams the per-bucket resolved snapshot
-(`read_snapshot` emits one key-exclusive block per bucket) and replaces
-the view's file set wholesale.
+names). The fallback runs the same per-bucket fold over every bucket
+and every key (no key filter, no tombstones) and replaces the view's
+file set wholesale.
 
 Reads merge the view's run files latest-``_mv_seq``-wins per key and
 drop tombstones — a routed hash exchange, never a driver-side fold.
@@ -503,24 +503,30 @@ def _write_mv_file(tbl: pa.Table, runs_dir: str, view: MatView,
 
 
 def _inc_fold(view: MatView, payload: list[str], controls,
-              keys: list[str], mv_seq: int, runs_dir: str, txn: str):
-    """Per-affected-bucket fold for the incremental path: filter the
-    bucket's run rows to the affected keys, LWW-resolve just those,
-    re-aggregate, tombstone the vanished — then write the view run
-    file in-task (no driver hop for the rows)."""
-    key_set = pa.array(keys, pa.string())
+              keys: list[str] | None, mv_seq: int, runs_dir: str, txn: str):
+    """Per-bucket fold of both refresh paths: filter the bucket's run
+    rows to `keys`, LWW-resolve just those, re-aggregate, tombstone the
+    vanished -- then write the view run file in-task (no driver hop for
+    the rows). `keys=None` (full recompute) means every key, no filter
+    and no tombstones; a bucket with no live rows then writes no file
+    and returns None."""
+    key_set = None if keys is None else pa.array(keys, pa.string())
     agg_cols = [view.key, "turn_idx", *view.source_cols]
 
-    def fold(tbl: "pa.Table | None") -> dict:
+    def fold(tbl: "pa.Table | None") -> dict | None:
         live = view.empty_result()
         if tbl is not None and tbl.num_rows:
-            tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=key_set))
+            if key_set is not None:
+                tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=key_set))
             resolved = resolve_with_controls(tbl, payload, controls,
                                              sort=False)
             if resolved.num_rows:
                 live = view.agg(resolved.select(agg_cols))
-        present = set(live[view.key].to_pylist())
-        gone = pa.array([k for k in keys if k not in present], pa.string())
+        present = set(live[view.key].to_pylist()) if keys else set()
+        gone = pa.array([k for k in keys or () if k not in present],
+                        pa.string())
+        if not live.num_rows and not len(gone):
+            return None
         dead_cols = {view.key: gone}
         for nname, t in view.agg_fields:
             dead_cols[nname] = pa.nulls(len(gone), t)
@@ -539,8 +545,7 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
     committed version. Publishes one manifest (the refresh is itself a
     transaction); a no-op (already fresh, or an empty delta window)
     returns None."""
-    from .ingest import _exchange_by_bucket, _fold_bucket_refs, \
-        read_snapshot
+    from .ingest import _exchange_by_bucket, _fold_bucket_refs
 
     if name in GROUPED_MATVIEWS:
         return _refresh_grouped(cfg, GROUPED_MATVIEWS[name])
@@ -574,6 +579,7 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
     if delta is not None and not delta:
         return None                      # version moved, table data didn't
 
+    pruned, scan_cols = _scan_cols_for(view, payload, controls)
     if delta is not None:
         # -- incremental: affected keys -> bucket-pruned re-resolve ----
         pairs = pa.concat_tables(ray.get([
@@ -584,50 +590,39 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
         per_bucket: dict[int, set] = {}
         for c, b in zip(conv, buck):
             per_bucket.setdefault(int(b), set()).add(c)
-        buckets = sorted(per_bucket)
-        pruned, scan_cols = _scan_cols_for(view, payload, controls)
+        keys_of = {b: sorted(per_bucket[b]) for b in sorted(per_bucket)}
+        subset = list(keys_of)
         # path-list pruning: bucketed run files are bucket-exclusive
         # (manifest.buckets), so only affected buckets' files are read;
         # global (direct-mode) runs can hold any bucket and are always
         # scanned — but they are sorted by bucket, so the exchange's
         # row-group filter skips their untouched ranges too
-        want = {str(b) for b in buckets}
+        want = {str(b) for b in subset}
         paths = [os.path.join(state.runs_dir, f)
                  for b, runs in m.buckets.items() if b in want
                  for f in runs] \
             + [os.path.join(state.runs_dir, f) for f in m.global_runs]
-        exchanged = _exchange_by_bucket(
-            paths, num_buckets, columns=scan_cols,
-            bucket_subset=buckets)
-        metas = ray.get([
-            _fold_bucket_refs.remote(
-                _inc_fold(view, pruned, controls,
-                          sorted(per_bucket[b]), cur,
-                          state.runs_dir, txn),
-                *refs)
-            for b, refs in zip(buckets, exchanged)])
-        files = list(m.derived.get(view.derived_key, [])) \
-            + [mm["file"] for mm in metas]
+    else:
+        # -- full recompute: every bucket folds all of its keys --------
+        keys_of = dict.fromkeys(range(num_buckets))
+        subset = None
+        paths = state.run_paths(m)
+    exchanged = _exchange_by_bucket(paths, num_buckets, columns=scan_cols,
+                                    bucket_subset=subset)
+    metas = [mm for mm in ray.get([
+        _fold_bucket_refs.remote(
+            _inc_fold(view, pruned, controls, keys, cur, state.runs_dir,
+                      txn),
+            *refs)
+        for keys, refs in zip(keys_of.values(), exchanged)]) if mm]
+    files = [mm["file"] for mm in metas]
+    if delta is not None:
+        files = list(m.derived.get(view.derived_key, [])) + files
         stats = {"mode": "incremental",
                  "affected_keys": int(len(conv)),
-                 "affected_buckets": len(buckets),
+                 "affected_buckets": len(keys_of),
                  "tombstones": int(sum(mm["n_dead"] for mm in metas))}
     else:
-        # -- full recompute: per-bucket resolved blocks -> view files --
-        snap = read_snapshot(cfg, manifest=m,
-                             columns=list(view.source_cols))
-        runs_dir, mv_seq = state.runs_dir, cur
-
-        def write_block(block: pa.Table) -> pa.Table:
-            if block.num_rows == 0:
-                return pa.table({"file": pa.array([], pa.string())})
-            out = _state_cols(view.agg(block), mv_seq, False)
-            return pa.table({"file": [
-                _write_mv_file(out, runs_dir, view, mv_seq, txn)]})
-
-        produced = snap.map_batches(write_block, batch_size=None,
-                                    batch_format="pyarrow").to_pandas()
-        files = produced["file"].tolist()
         stats = {"mode": "full", "reason": reason}
 
     derived = {k: list(v) for k, v in m.derived.items()}

@@ -30,6 +30,7 @@ import ray
 import ray.data
 
 from ..functions.textstats import md5_hash64_series
+from ..stages.exchange import block_refs
 
 SUCCESS = "_SUCCESS"
 
@@ -114,7 +115,7 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, key: str,
 
     # raw hash exchange: one split task per input block, per-bucket
     # object returns, one writer task per missing bucket
-    blocks = ds.to_arrow_refs()
+    blocks = block_refs(ds)
     if not blocks:
         # a ZERO-BLOCK dataset (everything filtered upstream) is still
         # a successful export: mark every remaining bucket complete
@@ -126,6 +127,8 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, key: str,
 
     @ray.remote
     def split(tbl: pa.Table):
+        from ray.data.block import BlockAccessor
+        tbl = BlockAccessor.for_block(tbl).to_arrow()  # pandas blocks too
         if key not in tbl.column_names:
             # SCHEMALESS empty block (e.g. a filter that matched
             # nothing): every bucket gets an empty slice, which

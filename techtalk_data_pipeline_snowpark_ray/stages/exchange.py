@@ -36,6 +36,17 @@ import ray
 import ray.data
 
 
+def block_refs(ds: ray.data.Dataset) -> list:
+    """Refs of `ds`'s executed blocks, in order, as they are: unlike
+    `to_arrow_refs`, never re-run the plan under a `limit(1)` to fetch
+    the schema -- cancelling that run's in-flight tasks can abort the
+    Ray 2.49 driver on a core-worker reference-count check. A block may
+    be a pandas DataFrame; the consuming task converts it with
+    `BlockAccessor.for_block(b).to_arrow()`."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+
 @ray.remote
 def _split_block(tbl: pa.Table, col: str, n: int):
     if isinstance(tbl, pd.DataFrame):
@@ -113,12 +124,7 @@ def exchange_map_groups(ds: ray.data.Dataset, part_col: str,
     ``ds.groupby(part_col, num_partitions=P).map_groups(fn)`` minus the
     global sort (and minus the part column, unless kept). Partitions
     with zero rows are skipped, matching map_groups semantics."""
-    # the executed blocks as-is (_split_block normalizes pandas ones):
-    # `to_arrow_refs` would then fetch the schema by re-running the plan
-    # under a limit(1), and cancelling that run's in-flight tasks can
-    # abort the Ray 2.49 driver on a core-worker reference-count check
-    blocks = [ref for bundle in ds.iter_internal_ref_bundles()
-              for ref in bundle.block_refs]
+    blocks = block_refs(ds)          # _split_block normalizes pandas ones
     if not blocks:
         return ds
     outs = [_split_block.options(num_returns=num_partitions)

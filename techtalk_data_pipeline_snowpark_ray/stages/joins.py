@@ -34,6 +34,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .exchange import block_refs
+
 #: per-worker-process cache of fetched broadcast objects (ObjectRef ->
 #: value), bounded: worker processes outlive queries, so an unbounded
 #: cache would accumulate every broadcast ever fetched (and pin its
@@ -418,8 +420,8 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     # driver ingress is ~batches/16 x filter size, not batches x size
     # (each partial is full filter width -- linear fan-in would swamp
     # the driver exactly when the filter is large enough to matter)
-    part_refs = right.map_batches(partial_bloom,
-                                  batch_format="pyarrow").to_arrow_refs()
+    part_refs = block_refs(right.map_batches(partial_bloom,
+                                             batch_format="pyarrow"))
     merged = BloomFilter(proto.m, proto.k)
     chunks = [part_refs[i:i + 16] for i in range(0, len(part_refs), 16)]
     for blob in ray.get([_or_bloom_parts.remote(*c) for c in chunks]):
@@ -546,9 +548,13 @@ def _bloom_key_i64(col: "pa.ChunkedArray | pa.Array"
 
 @ray.remote
 def _or_bloom_parts(*tbls):
-    """OR-fold a chunk of partial-bloom tables to one bit blob."""
+    """OR-fold a chunk of partial-bloom blocks to one bit blob."""
+    from ray.data.block import BlockAccessor
     acc = None
     for t in tbls:
+        # an empty source block passes the map stage unconverted, so it
+        # may still be pandas
+        t = BlockAccessor.for_block(t).to_arrow()
         if "bits" not in t.schema.names:
             continue        # schema-less empty block (empty right side)
         for blob in t["bits"].to_pylist():
