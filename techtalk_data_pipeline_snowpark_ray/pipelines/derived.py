@@ -22,6 +22,7 @@ A view definition is two pieces:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,7 @@ import pyarrow as pa
 import ray
 
 from .. import schemas
+from ..state.storage import write_run
 
 DERIVED_CONV_STATS = "conv_stats"
 DERIVED_ROLE_STATS = "role_stats"
@@ -101,12 +103,7 @@ def resolve_views(names) -> list[DerivedView]:
 
 def _write_additive_base(tbl: pa.Table, runs_dir: str,
                          fname: str) -> str:
-    import os
-
-    import pyarrow.parquet as pq
-    tmp = os.path.join(runs_dir, fname + ".tmp")
-    pq.write_table(tbl, tmp, compression="zstd")
-    os.replace(tmp, os.path.join(runs_dir, fname))
+    write_run(tbl, os.path.join(runs_dir, fname))
     return fname
 
 

@@ -20,6 +20,11 @@ Delta runs land unbucketed (global runs); compaction folds them into
 per-bucket bases, and snapshot reads resolve across runs. Heavy data
 never reaches the driver: it touches only segment lists and a
 one-row-per-task metrics frame.
+
+Every run file goes through `state.storage.write_run`: zstd parquet
+whose integer and timestamp columns (bucket, turn_idx, lsn, ts) are
+delta-coded and whose unique `text` stays plain, because every tick,
+compaction, snapshot read and lookup pays for the bytes stored.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
                                 add_partition_cols, hash_strings_arrow,
                                 key_hash)
 from ..state.manifest import CommitConflict, Manifest, TableState
+from ..state.storage import write_run
 
 _BOOKKEEPING = (schemas.LSN_COL, schemas.OP_COL)
 
@@ -138,10 +144,7 @@ class DirectApplier:
             out[BUCKET_COL].to_numpy(zero_copy_only=False)))))
 
         fname = f"delta-x{self.txn_id}-{uuid.uuid4().hex[:12]}.parquet"
-        path = os.path.join(self.runs_dir, fname)
-        tmp = path + ".tmp"
-        pq.write_table(out, tmp, compression="zstd")
-        os.replace(tmp, path)
+        write_run(out, os.path.join(self.runs_dir, fname))
 
         derived_file = write_derived_partials(batch, self.derived_views,
                                               self.runs_dir, self.txn_id)
@@ -180,7 +183,7 @@ def _check_batch_intervals(metrics: pd.DataFrame) -> None:
     not an lsn interval; the tick aborts BEFORE publish (its
     written runs are unreferenced orphans, GC-sweepable), so nothing
     corrupt ever commits."""
-    if "min_lsn" not in metrics.columns:
+    if "min_lsn" not in metrics.columns or len(metrics) < 2:
         return
     m = metrics.dropna(subset=["min_lsn", "max_lsn"])
     if len(m) < 2:
@@ -230,10 +233,7 @@ def write_derived_partials(batch: pa.Table, view_names, runs_dir: str,
     for view in resolve_views(view_names):
         agg = view.partial(batch)
         fname = f"derived-{view.name}-x{txn_id}-{uuid.uuid4().hex[:12]}.parquet"
-        path = os.path.join(runs_dir, fname)
-        tmp = path + ".tmp"
-        pq.write_table(agg, tmp, compression="zstd")
-        os.replace(tmp, path)
+        write_run(agg, os.path.join(runs_dir, fname))
         out[view.name] = fname
     return json.dumps(out)
 
@@ -1245,9 +1245,7 @@ def _erase_from_file(path: str, out_path: str, conv_ids: "list[str]"
     # keep them (a null membership would filter-drop otherwise)
     kept = t.filter(pc.fill_null(
         pc.invert(pc.is_in(t["conv_id"], value_set=keys)), True))
-    tmp = out_path + f".tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(kept, tmp, compression="zstd")
-    os.replace(tmp, out_path)
+    write_run(kept, out_path)
     return kept.num_rows, t.num_rows - kept.num_rows
 
 
@@ -1634,9 +1632,7 @@ def compact(cfg: EngineConfig, waves: int = 1,
         out = resolve_with_controls(group.select(cols), payload, absorb)
         sfx = "" if shard is None else f"-s{shard:02d}"
         fname = f"base-b{bucket:05d}{sfx}-x{txn}.parquet"
-        tmp = os.path.join(runs_dir, fname + f".tmp-{uuid.uuid4().hex[:8]}")
-        pq.write_table(out, tmp, compression="zstd")
-        os.replace(tmp, os.path.join(runs_dir, fname))
+        write_run(out, os.path.join(runs_dir, fname))
         return {"bucket": int(bucket), "file": fname, "rows": out.num_rows}
 
     def sub_fold(shard: int, n_shards: int):
@@ -1656,12 +1652,15 @@ def compact(cfg: EngineConfig, waves: int = 1,
         return fold
 
     paths = state.run_paths(prev)
-    # hot-bucket salting gate: measured (footer-stats) skew only; a
-    # rebucket migration recomputes bucket routing, so stored-bucket
-    # estimates would lie — skip salting there
+    # hot-bucket salting gate: measured skew only; a rebucket migration
+    # recomputes bucket routing, so stored-bucket estimates would lie —
+    # skip salting there. Under the floor in total (footer row counts)
+    # no bucket can be hot, so the per-file histogram is skipped.
     hot: set[int] = set()
     n_shards = max(2, cfg.salt_factor)
-    if cfg.compact_salt_rows and not rebucket:
+    if cfg.compact_salt_rows and not rebucket and sum(
+            pq.read_metadata(p).num_rows for p in paths) \
+            > cfg.compact_salt_rows:
         est = _bucket_rows_estimate(paths, cfg.num_buckets)
         mean = max(1.0, float(est[est > 0].mean())) if est.any() else 1.0
         hot = {int(b) for b in np.flatnonzero(
@@ -1874,10 +1873,7 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
         out = out.take(pa.array(np.lexsort((
             okh, out[BUCKET_COL].to_numpy(zero_copy_only=False)))))
         fname = f"delta-x{txn}-{uuid.uuid4().hex[:12]}.parquet"
-        path = os.path.join(runs_dir, fname)
-        tmp = path + ".tmp"
-        pq.write_table(out, tmp, compression="zstd")
-        os.replace(tmp, path)
+        write_run(out, os.path.join(runs_dir, fname))
         m = _empty_metrics()
         m.loc[0] = {"file": fname, "events_in": n, "records_out": n,
                     "n_full": n, "n_partial": 0, "n_delete": 0,

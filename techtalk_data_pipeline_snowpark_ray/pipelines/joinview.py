@@ -28,7 +28,7 @@ version the refresh committed (strictly increasing: every refresh
 publishes a new A version).
 
 Read side and tombstone semantics are shared with
-:mod:`.matview` (`merge_mv_rows`, measured-small single-task gate).
+:mod:`.matview` (`merge_latest`, measured-small single-task gate).
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ from ..config import EngineConfig
 from ..stages.exchange import exchange_map_groups
 from ..stages.partition import hash_strings_arrow
 from ..state.manifest import Manifest, TableState
-from .matview import (MV_DEAD_COL, MV_SEQ_COL, SMALL_VIEW_BYTES,
-                      _delta_files, _scan_affected, _state_cols,
-                      _view_bytes, merge_mv_rows)
+from ..state.storage import write_run
+from .matview import (MV_SEQ_COL, SMALL_VIEW_BYTES, _delta_files,
+                      _scan_affected, _state_cols, _view_bytes,
+                      merge_latest)
 
 JMV_PREFIX = "jmv:"
 _JMV_RE = re.compile(r"-sa(\d+)-sb(\d+)-x")
@@ -129,9 +130,7 @@ def _write_jmv(tbl: pa.Table, runs_dir: str, fname_base: str) -> str:
     of matview._write_mv_file; name carries the -sa/-sb watermark via
     fname_base)."""
     fname = f"{fname_base}-{uuid.uuid4().hex[:12]}.parquet"
-    tmp = os.path.join(runs_dir, fname + ".tmp")
-    pq.write_table(tbl, tmp, compression="zstd")
-    os.replace(tmp, os.path.join(runs_dir, fname))
+    write_run(tbl, os.path.join(runs_dir, fname))
     return fname
 
 
@@ -353,7 +352,7 @@ def refresh_join_matview(cfg_a: EngineConfig, cfg_b: EngineConfig,
         # a full refresh and publish a fresh commit forever, breaking
         # the idle contract joinview_step/run_continuous rely on
         files = [_write_jmv(
-            _state_cols(_result_schema(view).empty_table(), seq, False),
+            _state_cols(view.empty_result(), seq, False),
             runs_dir, fname_base)]
 
     files = files if mode == "full" \
@@ -402,34 +401,18 @@ def compact_jmv_files(runs_dir: str, view_key: str, files: "list[str]",
 
     def small(tbl: pa.Table) -> "list[str]":
         seq = int(pc.max(tbl[MV_SEQ_COL]).as_py()) if tbl.num_rows else 0
-        out = _fold_jmv_table(tbl, name, seq)
+        out = _state_cols(merge_latest(tbl, "conv_id"), seq, False)
         return [_write_jmv(out, runs_dir,
                            f"jmv-{name}-sa{sa}-sb{sb}-x{txn}")]
 
     return compact_view_sized(
         runs_dir, files, "conv_id", small,
         lambda i, slices: _merge_jmv_part.remote(
-            runs_dir, name, f"jmv-{name}-sa{sa}-sb{sb}-x{txn}p{i}",
-            *slices))
-
-
-def _fold_jmv_table(tbl: pa.Table, name: str, seq: int) -> pa.Table:
-    """Latest-wins fold of join-view rows + the view's declared-type
-    restore (tombstone nulls float-ify int columns through pandas)."""
-    merged = merge_mv_rows(tbl.to_pandas(), "conv_id")
-    out = _state_cols(
-        pa.Table.from_pandas(merged, preserve_index=False)
-        .replace_schema_metadata(None), seq, False)
-    view = JOIN_MATVIEWS[name]
-    want = pa.schema([pa.field("conv_id", pa.string()),
-                      *[pa.field(n, t) for n, t in view.agg_fields],
-                      pa.field(MV_SEQ_COL, pa.int64()),
-                      pa.field(MV_DEAD_COL, pa.bool_())])
-    return out.select(want.names).cast(want)
+            runs_dir, f"jmv-{name}-sa{sa}-sb{sb}-x{txn}p{i}", *slices))
 
 
 @ray.remote
-def _merge_jmv_part(runs_dir: str, name: str, fname_base: str,
+def _merge_jmv_part(runs_dir: str, fname_base: str,
                     *slices: pa.Table) -> "str | None":
     """Seq stamp = the partition's own max (see matview._merge_mv_part
     for why per-partition stamps preserve latest-wins)."""
@@ -437,26 +420,15 @@ def _merge_jmv_part(runs_dir: str, name: str, fname_base: str,
     if tbl.num_rows == 0:
         return None
     seq = int(pc.max(tbl[MV_SEQ_COL]).as_py())
-    return _write_jmv(_fold_jmv_table(tbl, name, seq), runs_dir,
-                      fname_base)
-
-
-def _result_schema(view: JoinMatView) -> pa.Schema:
-    return pa.schema([pa.field("conv_id", pa.string()),
-                      *[pa.field(n, t) for n, t in view.agg_fields]])
+    return _write_jmv(_state_cols(merge_latest(tbl, "conv_id"), seq,
+                                  False), runs_dir, fname_base)
 
 
 @ray.remote
-def _merge_small_jview(paths: "list[str]", name: str) -> pa.Table:
-    view = JOIN_MATVIEWS[name]
+def _merge_small_jview(paths: "list[str]") -> pa.Table:
     tbl = pa.concat_tables([pq.read_table(p) for p in paths],
                            promote_options="default")
-    out = pa.Table.from_pandas(
-        merge_mv_rows(tbl.to_pandas(), "conv_id"), preserve_index=False)
-    # tombstone nulls float-ify int columns through pandas: restore
-    # the declared types
-    want = _result_schema(view)
-    return out.select(want.names).cast(want)
+    return merge_latest(tbl, "conv_id")
 
 
 def read_join_matview(cfg_a: EngineConfig, name: str,
@@ -475,7 +447,7 @@ def read_join_matview(cfg_a: EngineConfig, name: str,
     if num_partitions is None \
             and _view_bytes(paths) <= SMALL_VIEW_BYTES:
         return ray.data.from_arrow_refs(
-            [_merge_small_jview.remote(paths, name)])
+            [_merge_small_jview.remote(paths)])
     P = num_partitions or min(32, m.num_buckets or cfg_a.num_buckets)
     part = "_mv_part"
 
@@ -487,11 +459,6 @@ def read_join_matview(cfg_a: EngineConfig, name: str,
     ds = ray.data.read_parquet(paths) \
         .map_batches(add_part, batch_format="pyarrow",
                      zero_copy_batch=True)
-    want = _result_schema(view)
-
-    def merge_part(g: pd.DataFrame) -> pd.DataFrame:
-        out = merge_mv_rows(g, "conv_id")[list(want.names)]
-        return pa.Table.from_pandas(out, preserve_index=False) \
-            .cast(want).to_pandas()
-
-    return exchange_map_groups(ds, part, P, merge_part)
+    return exchange_map_groups(ds, part, P,
+                               lambda t: merge_latest(t, "conv_id"),
+                               batch_format="pyarrow")

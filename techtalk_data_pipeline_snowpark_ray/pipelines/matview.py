@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -59,6 +58,7 @@ from ..config import EngineConfig
 from ..stages.controls import resolve_with_controls, sorted_controls
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
+from ..state.storage import write_run
 
 MV_PREFIX = "mv:"
 GMV_PREFIX = "gmv:"
@@ -496,9 +496,7 @@ def _write_mv_file(tbl: pa.Table, runs_dir: str, view: MatView,
                    mv_seq: int, txn: str) -> str:
     fname = (f"mv-{view.name}-s{mv_seq}-x{txn}-"
              f"{uuid.uuid4().hex[:12]}.parquet")
-    tmp = os.path.join(runs_dir, fname + ".tmp")
-    pq.write_table(tbl, tmp, compression="zstd")
-    os.replace(tmp, os.path.join(runs_dir, fname))
+    write_run(tbl, os.path.join(runs_dir, fname))
     return fname
 
 
@@ -643,17 +641,23 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
 
 # -- read side ---------------------------------------------------------------
 
-def merge_mv_rows(df: pd.DataFrame, key: str,
-                  keep_dead: bool = False) -> pd.DataFrame:
-    """Latest-``_mv_seq``-wins per key; tombstones mask older rows and
-    are then dropped (kept only when compaction wants them gone too —
-    a compacted base has no older rows left to mask)."""
-    df = df.sort_values([key, MV_SEQ_COL], kind="stable") \
-           .drop_duplicates(key, keep="last")
+def merge_latest(tbl: pa.Table, key: str,
+                 keep_dead: bool = False) -> pa.Table:
+    """Latest-``_mv_seq``-wins per key (the last row of a (key, seq)
+    tie, in input order), sorted by key, seq/dead columns dropped.
+    Tombstones mask older rows and are then dropped unless
+    `keep_dead`. A null key is one key."""
+    tbl = tbl.take(pc.sort_indices(
+        tbl, [(key, "ascending"), (MV_SEQ_COL, "ascending")]))
+    if tbl.num_rows > 1:
+        k = tbl[key].combine_chunks()
+        cur, nxt = k[:-1], k[1:]
+        last = pc.and_not(pc.fill_null(pc.not_equal(cur, nxt), True),
+                          pc.and_(pc.is_null(cur), pc.is_null(nxt)))
+        tbl = tbl.filter(pa.concat_arrays([last, pa.array([True])]))
     if not keep_dead:
-        df = df[~df[MV_DEAD_COL]]
-    return df.drop(columns=[MV_SEQ_COL, MV_DEAD_COL]) \
-             .reset_index(drop=True)
+        tbl = tbl.filter(pc.invert(tbl[MV_DEAD_COL]))
+    return tbl.drop_columns([MV_SEQ_COL, MV_DEAD_COL])
 
 
 #: a view whose current files measure under this merges in ONE Ray
@@ -673,44 +677,11 @@ def _view_bytes(paths: list[str]) -> int:
     return sum(os.stat(p).st_size for p in paths)
 
 
-def _restore_int_dtypes(df: pd.DataFrame, schema: pa.Schema) -> pd.DataFrame:
-    """Undo pandas' null-driven int->float promotion against the
-    declared schema (rows carrying the nulls are already dropped).
-    Casts to each field's DECLARED width, not a blanket int64 — an
-    int32/int16 agg field must come back at its own width or
-    tombstone-carrying partitions would emit wider blocks than the
-    rest and break the blocks-must-agree invariant."""
-    for f in schema:
-        if pa.types.is_integer(f.type) and f.name in df.columns:
-            want = np.dtype(f.type.to_pandas_dtype())
-            if df[f.name].dtype != want:
-                df[f.name] = df[f.name].astype(want)
-    return df
-
-
-def _mv_result_schema(view: MatView) -> pa.Schema:
-    """The view's declared result schema (key + typed agg cols) — the
-    cast target after any pandas fold: tombstone nulls float-ify int
-    columns through to_pandas, and a float-typed generation next to an
-    int-typed one breaks every later concat."""
-    return view.empty_result().schema
-
-
-def _mv_file_schema(view: MatView) -> pa.Schema:
-    return pa.schema([*_mv_result_schema(view),
-                      pa.field(MV_SEQ_COL, pa.int64()),
-                      pa.field(MV_DEAD_COL, pa.bool_())])
-
-
 @ray.remote
 def _merge_small_view(paths: list[str], name: str) -> pa.Table:
-    view = _view(name)
     tbl = pa.concat_tables([pq.read_table(p) for p in paths],
                            promote_options="default")
-    out = pa.Table.from_pandas(merge_mv_rows(tbl.to_pandas(), view.key),
-                               preserve_index=False)
-    want = _mv_result_schema(view)
-    return out.select(want.names).cast(want)
+    return merge_latest(tbl, _view(name).key)
 
 
 def read_matview(cfg: EngineConfig, name: str,
@@ -738,16 +709,11 @@ def read_matview(cfg: EngineConfig, name: str,
         p = (hash_strings_arrow(t[view.key]) % np.uint64(P)).astype(np.int64)
         return t.append_column(part, pa.array(p))
 
-    want = _mv_result_schema(view)
-
-    def merge_part(g: pd.DataFrame) -> pd.DataFrame:
-        # dtype restore: a partition whose slice held tombstones gets
-        # float-ified int cols from pandas; blocks must agree
-        return _restore_int_dtypes(merge_mv_rows(g, view.key), want)
-
     ds = ray.data.read_parquet(paths) \
         .map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return exchange_map_groups(ds, part, P, merge_part)
+    return exchange_map_groups(ds, part, P,
+                               lambda t: merge_latest(t, view.key),
+                               batch_format="pyarrow")
 
 
 # -- grouped matviews --------------------------------------------------------
@@ -1412,12 +1378,7 @@ def _merge_mv_part(runs_dir: str, view_name: str, txn: str,
         return None
     seq = int(pc.max(tbl[MV_SEQ_COL]).as_py())
     view = _view(view_name)
-    merged = merge_mv_rows(tbl.to_pandas(), view.key)
-    out = _state_cols(
-        pa.Table.from_pandas(merged, preserve_index=False)
-        .replace_schema_metadata(None), seq, False)
-    want = _mv_file_schema(view)
-    out = out.select(want.names).cast(want)
+    out = _state_cols(merge_latest(tbl, view.key), seq, False)
     return _write_mv_file(out, runs_dir, view, seq, txn)
 
 
@@ -1436,14 +1397,9 @@ def compact_mv_files(runs_dir: str, view_key: str, files: list[str],
     view = _view(name)
 
     def small(tbl: pa.Table) -> list[str]:
-        merged = merge_mv_rows(tbl.to_pandas(), view.key)
         seq = int(pc.max(tbl[MV_SEQ_COL]).as_py()) if tbl.num_rows else 0
-        out = _state_cols(
-            pa.Table.from_pandas(merged, preserve_index=False)
-            .replace_schema_metadata(None), seq, False)
-        want = _mv_file_schema(view)
-        return [_write_mv_file(out.select(want.names).cast(want),
-                               runs_dir, view, seq, txn)]
+        out = _state_cols(merge_latest(tbl, view.key), seq, False)
+        return [_write_mv_file(out, runs_dir, view, seq, txn)]
 
     return compact_view_sized(
         runs_dir, files, view.key, small,

@@ -37,6 +37,10 @@ OP_PARTIAL = "partial"
 #: barrier ops start a new fold segment: anything absolute or destructive
 BARRIER_OPS = (OP_INSERT, OP_DELETE, OP_FULL)
 
+#: string columns whose values are (nearly) all distinct: run files
+#: store them plain, not dictionary-encoded (state.storage.write_run)
+FREE_TEXT_COLS = ("text",)
+
 TRANSCRIPT_V1 = pa.schema(
     [
         pa.field("conv_id", pa.string()),

@@ -36,14 +36,19 @@ GET / HEAD / LIST-prefix / DELETE / no-op.
 
 `LocalStorage` is the (only) in-repo implementation; `TableState`
 routes every manifest/commit/GC operation through it, so a cloud
-deployment swaps one object. Run files themselves are written by Ray
-Data's parquet writer against the same path namespace.
+deployment swaps one object. Every parquet file the engine writes into
+a table's ``runs_dir`` goes through `write_run` below.
 """
 
 from __future__ import annotations
 
 import os
 import uuid
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from ..schemas import FREE_TEXT_COLS
 
 
 class LocalStorage:
@@ -128,6 +133,29 @@ class LocalStorage:
 
     def remove(self, path: str) -> None:
         os.remove(path)
+
+
+def write_run(table: pa.Table, path: str) -> None:
+    """Write one run file (delta, base, erasure rewrite, view or derived
+    partial) under a unique tmp name, then ``os.replace`` it to `path`
+    (GC sweeps ``*.tmp*`` leftovers). Encoding follows the columns:
+    integer and timestamp columns are ``DELTA_BINARY_PACKED`` (sorted
+    keys, lsns and times shrink to bit-packed deltas), free-text columns
+    (`schemas.FREE_TEXT_COLS`) stay plain because every value is
+    unique and a dictionary only adds a page, and every other column,
+    low-cardinality strings included, keeps pyarrow's default
+    dictionary encoding. Readers need nothing: compression, row
+    groups, statistics and schema are pyarrow's zstd defaults."""
+    delta, dictionary = {}, []
+    for f in table.schema:
+        if pa.types.is_integer(f.type) or pa.types.is_timestamp(f.type):
+            delta[f.name] = "DELTA_BINARY_PACKED"
+        elif f.name not in FREE_TEXT_COLS:
+            dictionary.append(f.name)
+    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
+    pq.write_table(table, tmp, compression="zstd",
+                   use_dictionary=dictionary, column_encoding=delta)
+    os.replace(tmp, path)
 
 
 #: process-default storage; a cloud deployment swaps this (or passes
