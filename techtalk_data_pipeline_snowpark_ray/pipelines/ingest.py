@@ -30,6 +30,7 @@ compaction, snapshot read and lookup pays for the bytes stored.
 from __future__ import annotations
 
 import os
+import time
 import uuid
 from dataclasses import dataclass
 
@@ -49,8 +50,7 @@ from ..stages.apply import fold_table
 from ..stages.controls import resolve_with_controls, sorted_controls
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
-                                add_partition_cols, hash_strings_arrow,
-                                key_hash)
+                                add_partition_cols, hash_strings_arrow)
 from ..state.manifest import CommitConflict, Manifest, TableState
 from ..state.storage import write_run
 
@@ -77,8 +77,14 @@ class DirectApplier:
 
     Hot-path note: the whole per-batch fold runs in Arrow/numpy
     (`stages.apply.fold_table`: one lexsort over (key-hash, lsn,
-    absolute-rank) plus O(columns) gathers) -- repeated-key batches pay
-    no pandas groupby. Hash-groups where two DIFFERENT real keys
+    absolute-rank), then ONE chunk-wise filter gather per column of
+    the multi-segment scan -- a pyarrow 16 `ChunkedArray.take` would
+    concatenate every chunk first) -- repeated-key batches pay no
+    pandas groupby. The partitioner's key hash (`KEY_HASH_COL`) rides
+    through the fold and orders the run with one more gather per
+    column, on the fold's small single-chunk output, and no re-hash.
+    Each task reports its phases' process CPU (`TASK_PHASES`) in its
+    metrics row. Hash-groups where two DIFFERENT real keys
     collide on the 64-bit key hash (vanishing probability, checked
     explicitly) are re-folded by the exact dense key code inside
     `fold_table`, which orders by the REAL key columns; collisions are
@@ -121,33 +127,39 @@ class DirectApplier:
             .to_table(use_threads=False)
 
     def _apply_one(self, batch: pa.Table) -> pd.DataFrame:
+        t0 = time.process_time()
         for stage in self.pre_stages:   # manually fused normalize/partition
             batch = stage(batch)
         n = batch.num_rows
         if n == 0:
             return _empty_metrics()
-        cols = RUN_COLS_FIXED + self.payload_cols
+        # the partitioner's key hash rides through the fold (every row
+        # of a group carries the same one) and orders the run
+        out = batch.select(RUN_COLS_FIXED + self.payload_cols + [KEY_HASH_COL])
+        t1 = time.process_time()
         if self.fold:
-            kh = batch[KEY_HASH_COL].to_numpy(zero_copy_only=False)
-            out = fold_table(batch.select(cols), self.payload_cols, kh=kh,
+            out = fold_table(out, self.payload_cols,
+                             kh=batch[KEY_HASH_COL].to_numpy(
+                                 zero_copy_only=False),
                              barriers=self.barriers)
-        else:
-            out = batch.select(cols)
+        t2 = time.process_time()
         # order the run by (bucket, key-hash, lsn): pure-integer sort
         # that still co-locates each bucket's keys for read locality
         # (the user-visible (conv_id, turn_idx) ordering is produced by
         # compaction / snapshot resolution, not by run files)
-        okh = key_hash(out["conv_id"],
-                       out["turn_idx"].to_numpy(zero_copy_only=False))
         out = out.take(pa.array(np.lexsort((
-            out[schemas.LSN_COL].to_numpy(zero_copy_only=False), okh,
-            out[BUCKET_COL].to_numpy(zero_copy_only=False)))))
+            out[schemas.LSN_COL].to_numpy(zero_copy_only=False),
+            out[KEY_HASH_COL].to_numpy(zero_copy_only=False),
+            out[BUCKET_COL].to_numpy(zero_copy_only=False))))) \
+            .drop_columns([KEY_HASH_COL])
+        t3 = time.process_time()
 
         fname = f"delta-x{self.txn_id}-{uuid.uuid4().hex[:12]}.parquet"
         write_run(out, os.path.join(self.runs_dir, fname))
 
         derived_file = write_derived_partials(batch, self.derived_views,
                                               self.runs_dir, self.txn_id)
+        t4 = time.process_time()
 
         op_counts = dict(zip(*np.unique(
             pc.index_in(out[schemas.OP_COL], value_set=_COLLAPSED_OPS)
@@ -164,13 +176,24 @@ class DirectApplier:
             "min_lsn": int(pc.min(batch[schemas.LSN_COL]).as_py()),
             "max_lsn": int(pc.max(batch[schemas.LSN_COL]).as_py()),
             "derived_file": derived_file,
+            # process CPU ms per phase; `_apply_group` fills in the scan
+            "scan_ms": 0.0,
+            "prep_ms": (t1 - t0) * 1e3,
+            "fold_ms": (t2 - t1) * 1e3,
+            "order_ms": (t3 - t2) * 1e3,
+            "write_ms": (t4 - t3) * 1e3,
         }])
 
 
 @ray.remote
 def _apply_group(applier: DirectApplier, paths: list[str]) -> pd.DataFrame:
     """Scan one consecutive segment group and fold it, in one task."""
-    return applier._apply_one(applier._scan(paths))
+    t0 = time.process_time()
+    batch = applier._scan(paths)
+    scan_ms = (time.process_time() - t0) * 1e3
+    metrics = applier._apply_one(batch)
+    metrics["scan_ms"] = scan_ms
+    return metrics
 
 
 def _check_batch_intervals(metrics: pd.DataFrame) -> None:
@@ -203,6 +226,12 @@ def _check_batch_intervals(metrics: pd.DataFrame) -> None:
             "committed; orphan runs are GC-sweepable)")
 
 
+#: per-task process-CPU phases of an apply task's metrics row:
+#: segment scan; normalize, validate and partition; fold; run
+#: ordering; run and derived-partial writes
+TASK_PHASES = ("scan_ms", "prep_ms", "fold_ms", "order_ms", "write_ms")
+
+
 def _empty_metrics() -> pd.DataFrame:
     return pd.DataFrame({
         "file": pd.Series(dtype="object"), "events_in": pd.Series(dtype="int64"),
@@ -211,6 +240,7 @@ def _empty_metrics() -> pd.DataFrame:
         "min_lsn": pd.Series(dtype="int64"),
         "max_lsn": pd.Series(dtype="int64"),
         "derived_file": pd.Series(dtype="object"),
+        **{p: pd.Series(dtype="float64") for p in TASK_PHASES},
     })
 
 
@@ -670,6 +700,12 @@ def apply_tick(cfg: EngineConfig,
             "deletes": int(metrics["n_delete"].sum()),
             "lag": int(wal.high_watermark(cfg.wal_dir) - committed),
             "events_rejected": n_rejected,
+            # apply-task CPU per phase: the sum over tasks, and the
+            # slowest task's (a straggler shows as max close to sum)
+            "phases": {p: {"sum": round(float(metrics[p].sum()), 3),
+                           "max": round(float(metrics[p].max()), 3)
+                           if len(metrics) else 0.0}
+                       for p in TASK_PHASES},
         },
     ))
     return TickResult(manifest, int(metrics["events_in"].sum()),
@@ -1866,12 +1902,10 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
                             pa.array(np.full(n, lsn, np.int64)))
         t = t.append_column(schemas.OP_COL,
                             pa.array([schemas.OP_FULL] * n, pa.string()))
-        t = add_partition_cols(t, nb)
-        out = t.select(cols)
-        okh = key_hash(out["conv_id"],
-                       out["turn_idx"].to_numpy(zero_copy_only=False))
-        out = out.take(pa.array(np.lexsort((
-            okh, out[BUCKET_COL].to_numpy(zero_copy_only=False)))))
+        t = add_partition_cols(t, nb, include_key_hash=True)
+        out = t.select(cols).take(pa.array(np.lexsort((
+            t[KEY_HASH_COL].to_numpy(zero_copy_only=False),
+            t[BUCKET_COL].to_numpy(zero_copy_only=False)))))
         fname = f"delta-x{txn}-{uuid.uuid4().hex[:12]}.parquet"
         write_run(out, os.path.join(runs_dir, fname))
         m = _empty_metrics()

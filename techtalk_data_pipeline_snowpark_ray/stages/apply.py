@@ -23,11 +23,25 @@ duplicates which are byte-identical):
                       update after delete creates a fresh row)
   delete           -> state := tombstone
 
+A delete seeds nothing: a later partial update never inherits a value
+from it. The tombstone record itself keeps the delete event's own
+values (a changefeed exports e.g. its ``ts``); snapshot reads drop it.
+
 Collapsed-record ops are re-foldable: ``full`` acts like insert,
 ``partial`` like update, ``delete`` like delete. Tombstones survive
 until a full-bucket compaction; dropping them there is safe because the
 checkpoint offset guarantees no event with lsn <= committed can ever be
 re-applied.
+
+Gather rule: :func:`fold_table` picks ONE source row per output row and
+column (the group's tail row, or for a payload column whose tail is
+null the last non-null row of its final segment) and gathers each
+column once, as a chunk-wise ``filter`` over a row mask -- the rows are
+unique -- permuting the small result only where the rows are not
+ascending. The apply stage hands it one chunk per WAL segment, and on
+pyarrow 16 ``ChunkedArray.take`` concatenates every chunk on each call,
+so a take there copies the whole column before gathering a fraction of
+it.
 """
 
 from __future__ import annotations
@@ -107,12 +121,18 @@ def collapse_events(df: pd.DataFrame, payload_cols: list[str],
     d2 = df.loc[in_last].copy()
     codes2 = codes[in_last]
     had_barrier = (last_seg.to_numpy()[in_last] > 0)
+    is_tail = ~pd.Series(codes2).duplicated(keep="last").to_numpy()
+    # a delete seeds no later partial update (the sequential replay's
+    # semantics); only a tombstone that ends its group keeps its values
+    seed_del = (d2[op].to_numpy() == schemas.OP_DELETE) & ~is_tail
+    for c in payload_cols:
+        if d2.loc[seed_del, c].notna().any():
+            d2[c] = d2[c].mask(seed_del)
     # forward-fill the payload within the final segment of each key
     # (partial updates inherit earlier values; the segment never crosses
     # a delete/insert barrier, so no stale resurrection)
     d2[payload_cols] = d2.groupby(codes2, sort=False)[payload_cols].ffill()
 
-    is_tail = ~pd.Series(codes2).duplicated(keep="last").to_numpy()
     out = d2.loc[is_tail].copy()
     tail_had_barrier = had_barrier[is_tail]
     out_op = np.where(
@@ -154,13 +174,18 @@ def fold_table(batch: pa.Table, payload_cols: list[str],
     hypothesis differential tests (incl. forced hash collisions and
     null keys) and tests/test_collapse.py's collision unit test.
 
-    Shape (everything O(n log n) numpy + O(columns) arrow gathers, no
-    pandas): sort by (key-hash, lsn, absolute-rank), check the hash
+    Shape (everything O(n log n) numpy + one arrow gather per column,
+    no pandas): sort by (key-hash, lsn, absolute-rank), check the hash
     groups against the real keys, then run the segment-fold kernel
-    (:func:`_fold_sorted`). Groups whose 64-bit key hashes collide on
-    different REAL keys (vanishing probability, checked explicitly)
-    are re-sorted by an exact dense code of the key and go through
-    the same kernel.
+    (:func:`_fold_sorted`). Each output column is ONE chunk, gathered
+    once by a chunk-wise filter over its unique source rows (the
+    module's gather rule: on pyarrow 16 a ``ChunkedArray.take``
+    concatenates every chunk on each call). Columns other than the
+    key, lsn, op and payload columns (e.g. the partitioner's key hash)
+    pass through from the tail row. Groups whose 64-bit key hashes
+    collide on different REAL keys (vanishing probability, checked
+    explicitly) are re-sorted by an exact dense code of the key and go
+    through the same kernel.
 
     Same interval-partition precondition as collapse_events. With
     ``barriers`` (control-op epochs) the epoch is mixed into the
@@ -223,17 +248,19 @@ def _collided_groups(batch: pa.Table, order: np.ndarray,
     rep_pos = np.flatnonzero(~new_grp)
     if not len(rep_pos):
         return None
-    conv = batch["conv_id"]
-    a = conv.take(pa.array(order[rep_pos]))
-    b = conv.take(pa.array(order[rep_pos - 1]))
-    # null-safe compare: collapse_events groups null keys together
-    # (groupby dropna=False), so null == null is the SAME key;
-    # pc.equal alone would yield null there and crash the `&` below
-    same_conv = pc.or_(
-        pc.fill_null(pc.equal(a, b), False),
-        pc.and_(pc.is_null(a), pc.is_null(b))).to_numpy(zero_copy_only=False)
+    cur, prev = order[rep_pos], order[rep_pos - 1]
+    mask = np.zeros(batch.num_rows, dtype=bool)
+    mask[cur] = True
+    mask[prev] = True
+    at = np.cumsum(mask) - 1              # row -> its place in the gather
+    # dense conv_id code of those rows; a null conv_id encodes as a
+    # value of its own, because collapse_events groups null keys
+    # together (groupby dropna=False)
+    conv = _gather(batch.select(["conv_id"]), np.flatnonzero(mask)) \
+        .column(0).chunk(0).dictionary_encode(null_encoding="encode") \
+        .indices.to_numpy(zero_copy_only=False)
     turn = batch["turn_idx"].to_numpy(zero_copy_only=False)
-    same_key = same_conv & (turn[order[rep_pos]] == turn[order[rep_pos - 1]])
+    same_key = (conv[at[cur]] == conv[at[prev]]) & (turn[cur] == turn[prev])
     bad = rep_pos[~same_key]
     if not len(bad):
         return None
@@ -247,7 +274,7 @@ def _exact_key_code(batch: pa.Table, rows: np.ndarray,
                     epoch: np.ndarray | None) -> np.ndarray:
     """Dense int64 code of (conv_id, turn_idx[, epoch]) over `rows`:
     equal codes iff equal keys; a null conv_id is a value of its own."""
-    conv = batch["conv_id"].take(pa.array(rows))
+    conv = _gather(batch.select(["conv_id"]), rows).column(0)
     parts = [pc.index_in(conv, value_set=pc.unique(conv)).to_numpy(),
              batch["turn_idx"].to_numpy(zero_copy_only=False)[rows]]
     if epoch is not None:
@@ -261,6 +288,23 @@ def _exact_key_code(batch: pa.Table, rows: np.ndarray,
     return code
 
 
+def _gather(tbl: pa.Table, rows: np.ndarray) -> pa.Table:
+    """``tbl`` at UNIQUE `rows`, every column one chunk: a chunk-wise
+    filter over a row mask, then a permutation of the small result
+    only when `rows` is not ascending. On pyarrow 16 a
+    ``ChunkedArray.take`` concatenates every chunk on each call, so a
+    take over a many-segment scan copies the whole column first
+    (``Table.combine_chunks`` leaves a one-chunk column as it is)."""
+    mask = np.zeros(tbl.num_rows, dtype=bool)
+    mask[rows] = True
+    out = tbl.filter(pa.array(mask)).combine_chunks()
+    if len(rows) > 1 and bool(np.any(rows[1:] < rows[:-1])):
+        rank = np.empty(len(rows), dtype=np.int64)
+        rank[np.argsort(rows, kind="stable")] = np.arange(len(rows))
+        out = out.take(pa.array(rank))
+    return out
+
+
 def _fold_sorted(batch: pa.Table, payload_cols: list[str],
                  order: np.ndarray, gid: np.ndarray, lsn: np.ndarray,
                  codes: np.ndarray, is_rel: np.ndarray) -> pa.Table:
@@ -271,7 +315,13 @@ def _fold_sorted(batch: pa.Table, payload_cols: list[str],
     barrier (insert/full/delete -- rows before it can never influence
     the fold), and emits the group's LAST row with each payload column
     overridden by its last non-null value inside that final segment
-    (exactly what collapse_events' ffill-then-tail computes)."""
+    (exactly what collapse_events' ffill-then-tail computes). A delete
+    row supplies payload only to its own group's output, when it is
+    the tail: no later partial update inherits from it.
+
+    Output: one row per group in ascending tail-row order, every
+    column gathered ONCE from one source row per output row (see
+    :func:`_gather`)."""
     # dedup (group, lsn): keep the LAST of each run (highest
     # absolute-rank, then latest arrival -- the sort key)
     lsn_s = lsn[order]
@@ -284,7 +334,6 @@ def _fold_sorted(batch: pa.Table, payload_cols: list[str],
     grp = np.cumsum(ng) - 1
     idx = np.arange(m, dtype=np.int64)
     ends = np.append(starts[1:], m) - 1
-    last_rows = o2[ends]                         # original coords
 
     # final segment per group: from the LAST barrier row (insert/
     # full/delete resets state) to the group end; rows before it
@@ -292,38 +341,47 @@ def _fold_sorted(batch: pa.Table, payload_cols: list[str],
     last_bar = np.maximum.reduceat(
         np.where(~is_rel[o2], idx, np.int64(-1)), starts)
     in_last = idx >= np.maximum(last_bar, starts)[grp]
-    had_bar = last_bar >= 0
 
-    # emit groups in last-row order: a SORTED gather is measurably
-    # faster on wide string columns, and the run is sorted again
-    # downstream anyway
-    sig = np.argsort(last_rows, kind="stable")
-    vec = batch.take(pa.array(last_rows[sig]))
+    # emit groups in tail-row order, so the columns that come from
+    # the tail row are one ascending gather; `sig` maps each output
+    # row to its group
+    is_tail = np.zeros(len(codes), dtype=bool)
+    is_tail[o2[ends]] = True
+    tail = np.flatnonzero(is_tail)
+    group_of = np.empty(len(codes), dtype=np.int64)
+    group_of[o2[ends]] = np.arange(len(ends))
+    sig = group_of[tail]
+    is_del = codes == 2
     # op: delete if the group's final record is a delete; full when
     # any barrier fixed the row's absolute state; else partial
-    last_codes = codes[last_rows[sig]]
-    out_code = np.where(last_codes == 2, np.int32(2),
-                        np.where(had_bar[sig], np.int32(0), np.int32(1)))
-    vec = vec.set_column(vec.schema.get_field_index(schemas.OP_COL),
-                         schemas.OP_COL,
-                         _COLLAPSED_OPS.take(pa.array(out_code)))
+    out_code = np.where(is_del[tail], np.int32(2),
+                        np.where(last_bar[sig] >= 0, np.int32(0),
+                                 np.int32(1)))
+    own = {schemas.OP_COL: _COLLAPSED_OPS.take(pa.array(out_code))}
     # payload: last non-null value within the final segment (what
-    # collapse_events' groupwise ffill leaves on the tail row). A
-    # column only differs from the tail row where the tail is null
-    # and an earlier in-segment row is not (partial-update
-    # inheritance) -- columns with no such group skip the gather.
+    # collapse_events' groupwise ffill leaves on the tail row). Its
+    # source row differs from the tail only where the tail is null and
+    # an earlier in-segment row is not (partial-update inheritance);
+    # only such columns get a gather of their own. A delete seeds
+    # nothing: it can only be its group's tail
+    seeds = in_last & ~is_del[o2]
+    seeds[ends] = True
     for name in payload_cols:
         col = batch.column(name)
         valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        pos = np.where(valid[o2] & in_last, idx, np.int64(-1))
-        lastv = np.maximum.reduceat(pos, starts)
-        # lastv == ends: tail row itself non-null (value exact);
-        # lastv == -1: whole segment null, tail therefore null too
-        if bool(np.all((lastv == ends) | (lastv < 0))):
-            continue                     # tail row already exact
-        lastv = lastv[sig]
-        gather = o2[np.clip(lastv, 0, None)]
-        ind = pa.array(gather, mask=lastv < 0)   # null idx -> null
-        vec = vec.set_column(vec.schema.get_field_index(name), name,
-                             col.take(ind).combine_chunks())
-    return vec
+        if valid[tail].all():
+            continue                     # the tail row is exact
+        pos = np.where(valid[o2] & seeds, idx, np.int64(-1))
+        lastv = np.maximum.reduceat(pos, starts)[sig]
+        # lastv < 0: the whole segment is null, the tail row included
+        src = np.where(lastv >= 0, o2[lastv], tail)
+        if np.array_equal(src, tail):
+            continue
+        own[name] = _gather(batch.select([name]), src).column(0)
+    names = batch.column_names
+    rest = _gather(batch.select([c for c in names if c not in own]), tail)
+    fields = [pa.field(c, own[c].type) if c in own
+              else batch.schema.field(c) for c in names]
+    return pa.Table.from_arrays(
+        [own[c] if c in own else rest.column(c) for c in names],
+        schema=pa.schema(fields, metadata=batch.schema.metadata))

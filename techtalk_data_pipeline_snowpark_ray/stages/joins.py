@@ -394,17 +394,10 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     import pyarrow.compute as pc
 
     right_on = right_on or on
-    lt = dict(zip(left.schema().names, left.schema().types)).get(on)
-    rt = dict(zip(right.schema().names, right.schema().types)
-              ).get(right_on)
-    if lt is None or rt is None:
-        raise KeyError(f"bloom_semi_join: missing key column "
-                       f"{on!r}/{right_on!r}")
-    if _type_family(lt) != _type_family(rt):
-        raise TypeError(
-            f"bloom_semi_join: key columns {on!r} ({lt}) and "
-            f"{right_on!r} ({rt}) are different type families")
     right = right.materialize()     # consumed 3x below: count, bloom, route
+    rt = _executed_type(right, right_on)
+    if rt is None:
+        raise KeyError(f"bloom_semi_join: missing key column {right_on!r}")
     n_keys = right.count()
     proto = BloomFilter.sized_for(n_keys, bits_per_key)
 
@@ -444,6 +437,18 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
                   .append_column("_side", pa.array(
                       np.zeros(out.num_rows, np.int8)))
 
+    # executed, so the left key type comes from its blocks: only the
+    # Bloom-positive rows are held, which the exchange ships anyway
+    lf = left.map_batches(prefilter, batch_format="pyarrow",
+                          zero_copy_batch=True).materialize()
+    lt = _executed_type(lf, on)
+    if lt is None:
+        raise KeyError(f"bloom_semi_join: missing key column {on!r}")
+    if _type_family(lt) != _type_family(rt):
+        raise TypeError(
+            f"bloom_semi_join: key columns {on!r} ({lt}) and "
+            f"{right_on!r} ({rt}) are different type families")
+
     def right_route(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or right_on not in b.column_names:
             return pa.table({on: pa.array([], lt),
@@ -464,8 +469,6 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
                          "_side": pa.array(
                              np.ones(len(keys), np.int8))})
 
-    lf = left.map_batches(prefilter, batch_format="pyarrow",
-                          zero_copy_batch=True)
     rk = right.map_batches(right_route, batch_format="pyarrow",
                            zero_copy_batch=True)
 
@@ -503,6 +506,18 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     neg = left.map_batches(passthrough, batch_format="pyarrow",
                            zero_copy_batch=True)
     return neg.union(checked)
+
+
+def _executed_type(ds: ray.data.Dataset, col: str) -> pa.DataType | None:
+    """Type of `col` in an EXECUTED (materialized) dataset, read from
+    its blocks' metadata. `Dataset.schema()` on an unexecuted plan
+    re-runs it under `limit(1)`, and cancelling that run's in-flight
+    tasks can abort the Ray 2.49 driver on a core-worker
+    reference-count check; ``fetch_if_missing=False`` never runs it."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        return None
+    return dict(zip(schema.names, schema.types)).get(col)
 
 
 def _fits_int_type(col: "pa.ChunkedArray | pa.Array",

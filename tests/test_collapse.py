@@ -61,6 +61,30 @@ def test_update_after_delete_does_not_resurrect():
     assert r["text"] == "b" and pd.isna(r["role"]) and pd.isna(r["tool"])
 
 
+def test_delete_payload_never_seeds_a_later_partial():
+    """A later partial update after a delete starts from an empty row,
+    as in the sequential oracle (and as after a control tombstone): the
+    delete's payload seeds nothing. A tombstone that ends its key keeps
+    the delete event's own values, which a changefeed exports."""
+    import pyarrow as pa
+    from techtalk_data_pipeline_snowpark_ray.stages.apply import fold_table
+
+    df = frame(ev(1, "insert", text="a", tool="t0"),
+               ev(2, "delete", text="b"),
+               ev(3, "update", role="r"))
+    want = apply_events_oracle(df, PAYLOAD).iloc[0]
+    assert want["role"] == "r" and want["text"] is None
+    tomb = frame(ev(1, "insert", text="a"), ev(2, "delete", text="b"))
+    for fold in (lambda d: collapse_events(d, PAYLOAD),
+                 lambda d: fold_table(pa.Table.from_pandas(
+                     d, preserve_index=False), PAYLOAD).to_pandas()):
+        r = fold(df).iloc[0]
+        assert r["op"] == schemas.OP_FULL and r["role"] == "r"
+        assert pd.isna(r["text"]) and pd.isna(r["tool"])
+        r = fold(tomb).iloc[0]
+        assert r["op"] == schemas.OP_DELETE and r["text"] == "b"
+
+
 def test_out_of_order_lsn_lww():
     df = frame(ev(3, "update", text="late-wins"),
                ev(1, "insert", text="a"),

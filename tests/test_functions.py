@@ -579,6 +579,47 @@ def test_bloom_filter_and_bloom_semi_join():
         b[cols].sort_values(cols, ignore_index=True))
 
 
+def test_bloom_semi_join_reads_no_schema_of_an_unexecuted_plan(monkeypatch):
+    """`Dataset.schema()` on an unexecuted plan re-runs it under
+    `limit(1)`; cancelling that run can abort the Ray 2.49 driver. With
+    that call made to raise, a semi and an anti join on LAZY inputs
+    still run, and match broadcast_semi_join."""
+    import ray.data
+    from techtalk_data_pipeline_snowpark_ray.stages.joins import (
+        bloom_semi_join, broadcast_semi_join)
+
+    real_schema = ray.data.Dataset.schema
+
+    def executed_only(self, fetch_if_missing=True):
+        if not self._plan.has_computed_output():
+            raise AssertionError("schema() of an unexecuted plan")
+        return real_schema(self, fetch_if_missing)
+
+    rng = np.random.default_rng(5)
+    keys = rng.choice(2_000, size=300, replace=False).astype(np.int64)
+
+    def lazy(df):
+        return ray.data.from_pandas(df).map_batches(
+            lambda b: b, batch_format="pyarrow")
+
+    left = pd.DataFrame({"k": rng.integers(0, 2_000, 3_000).astype(np.int64),
+                         "v": np.arange(3_000)})
+    right = pd.DataFrame({"rk": keys})
+    monkeypatch.setattr(ray.data.Dataset, "schema", executed_only)
+    with pytest.raises(AssertionError, match="unexecuted"):
+        lazy(left).schema()
+    cols = ["k", "v"]
+    for anti in (False, True):
+        got = bloom_semi_join(lazy(left), lazy(right), on="k", right_on="rk",
+                              anti=anti).to_pandas()
+        want = broadcast_semi_join(ray.data.from_pandas(left),
+                                   set(keys.tolist()), on="k",
+                                   anti=anti).to_pandas()
+        pd.testing.assert_frame_equal(
+            got[cols].sort_values(cols, ignore_index=True),
+            want[cols].sort_values(cols, ignore_index=True))
+
+
 def test_ann_ivf_deterministic_and_decent_recall():
     brute = similarity.ann_topk_cosine(SF_TINY)
     for fn in (similarity.ann_topk_ivf, similarity.ann_topk_ivf_lloyd):

@@ -241,6 +241,69 @@ def test_fold_table_trailing_null_or_empty_key():
         pd.testing.assert_frame_equal(vec, ref, check_dtype=False)
 
 
+def _rechunk(tbl, rng):
+    """`tbl` cut into chunks at random boundaries, with empty chunks
+    and chunks that are slices of a larger array at a nonzero offset --
+    the shapes a multi-segment scan hands the fold."""
+    import pyarrow as pa
+    n = tbl.num_rows
+    cuts = sorted(set(rng.integers(0, n + 1, size=rng.integers(1, 8))
+                      .tolist()) | {0, n})
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        if rng.random() < 0.3:
+            pieces.append(tbl.slice(a, 0))
+        lo = max(a - 1, 0)                      # offset 1 when a > 0
+        pieces.append(tbl.slice(lo, b - lo).combine_chunks()
+                      .slice(a - lo))
+    pieces.append(tbl.slice(n, 0))
+    return pa.concat_tables(pieces)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 300),
+       p_dup=st.floats(0, 0.4), n_hash_buckets=st.sampled_from([0, 1, 3]),
+       with_barriers=st.booleans(), all_null=st.booleans())
+def test_fold_table_chunked_equals_one_chunk(seed, n, p_dup, n_hash_buckets,
+                                             with_barriers, all_null):
+    """The fold gathers each column chunk by chunk: one chaos stream
+    folded as one chunk and as many chunks gives equal tables, both
+    equal collapse_events, and every output column is one chunk. Covers
+    forced key-hash collisions (kh mod n_hash_buckets; 0 = the real
+    hash), barriers and an all-null payload column."""
+    import pyarrow as pa
+    from techtalk_data_pipeline_snowpark_ray.stages.apply import fold_table
+    from techtalk_data_pipeline_snowpark_ray.stages.partition import key_hash
+
+    df = _chaos_stream(seed, n, 12, 3, p_dup)
+    if all_null:
+        df["tool"] = None
+    rng = np.random.default_rng(seed + 3)
+    barriers = None
+    if with_barriers:
+        barriers = sorted(set(rng.integers(
+            0, int(df["lsn"].max()) + 1, size=2).tolist()))
+    schema = pa.schema([("lsn", pa.int64()), ("op", pa.string()),
+                        *schemas.table_schema(3)])
+    one = pa.Table.from_pandas(df[schema.names], schema=schema,
+                               preserve_index=False) \
+        .replace_schema_metadata(None)
+    kh = key_hash(one["conv_id"], one["turn_idx"].to_numpy())
+    if n_hash_buckets:
+        kh = kh % np.uint64(n_hash_buckets)
+    many = _rechunk(one, rng)
+    assert many.equals(one)
+    got_one = fold_table(one, PAYLOAD, kh=kh, barriers=barriers)
+    got_many = fold_table(many, PAYLOAD, kh=kh, barriers=barriers)
+    assert got_many.equals(got_one)
+    assert all(c.num_chunks == 1 for c in got_many.columns)
+    key = [(c, "ascending") for c in ("conv_id", "turn_idx", "lsn")]
+    ref = pa.Table.from_pandas(
+        collapse_events(df[schema.names], PAYLOAD, barriers=barriers),
+        schema=schema, preserve_index=False).replace_schema_metadata(None)
+    assert got_many.sort_by(key).equals(ref.sort_by(key))
+
+
 # ---- control ops: resolve_with_controls vs the sequential oracle ----
 
 _CONTROL_PREDICATES = [
@@ -271,11 +334,10 @@ def test_resolve_with_controls_equals_sequential_oracle(seed, n, p_dup, data):
         ControlOp, resolve_with_controls)
 
     df = _chaos_stream(seed, n, 8, 3, p_dup)
-    # the oracle's input contract: deletes carry only the key, as WAL
-    # delete events do, and equal-(key, lsn) records without an
+    # the oracle's input contract: equal-(key, lsn) records without an
     # absolute one are byte-identical re-deliveries (the chaos stream
-    # also degrades clones of relative records; keep their first copy)
-    df.loc[df["op"] == "delete", PAYLOAD] = None
+    # also degrades clones of relative records; keep their first copy).
+    # Deletes keep their random payload, which must seed nothing.
     key_lsn = ["conv_id", "turn_idx", "lsn"]
     rel = df["op"].isin(["update", "partial"])
     has_abs = (~rel).groupby([df[c] for c in key_lsn]).transform("any")

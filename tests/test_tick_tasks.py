@@ -93,3 +93,33 @@ def test_tick_refresh_and_compact_build_no_ray_data_plan(tmp_engine,
     assert inc.metrics["matview_refresh"]["mode"] == "incremental"
     assert_matches_oracle(cfg)
     assert_view_matches(cfg)
+
+
+def test_multi_segment_tick_run_order_and_phases(tmp_engine):
+    """One task folds a multi-segment scan (one chunk per segment):
+    its delta run is sorted by (bucket, key hash, lsn) -- the invariant
+    that bucket row-group pruning relies on -- with one record per key,
+    and the tick's manifest carries the apply tasks' phase CPU."""
+    import numpy as np
+
+    from techtalk_data_pipeline_snowpark_ray.stages.partition import key_hash
+
+    cfg = tmp_engine
+    write_wal(TINY, cfg.wal_dir, segment_rows=250)
+    segments = wal.list_segments(cfg.wal_dir)
+    assert len(ingest._segment_groups(segments, cfg)) == 1
+    res = ingest.apply_tick(cfg)
+    [run] = res.manifest.global_runs
+    t = pq.read_table(os.path.join(cfg.table_dir, "runs", run))
+    assert t.num_rows == res.records_written
+    kh = key_hash(t["conv_id"], t["turn_idx"].to_numpy())
+    assert len(np.unique(kh)) == t.num_rows
+    order = np.lexsort((t["lsn"].to_numpy(), kh, t["bucket"].to_numpy()))
+    assert (order == np.arange(t.num_rows)).all()
+
+    phases = res.manifest.metrics["phases"]
+    assert set(phases) == set(ingest.TASK_PHASES)
+    for p, v in phases.items():
+        assert set(v) == {"sum", "max"} and 0 <= v["max"] <= v["sum"], p
+    assert phases["fold_ms"]["sum"] > 0 and phases["scan_ms"]["sum"] > 0
+    assert_matches_oracle(cfg)
