@@ -48,6 +48,7 @@ from ..config import EngineConfig
 from ..sources import wal
 from ..stages.apply import fold_table
 from ..stages.controls import resolve_with_controls, sorted_controls
+from ..stages.exchange import split_by_route, split_fan_out
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
                                 add_partition_cols, hash_strings_arrow)
@@ -721,22 +722,32 @@ def apply_tick(cfg: EngineConfig,
 # 0.65 GB zstd at 32 cpus -- the sort, not the exchange, dominates);
 # the runs are already collapsed per task, so all the fold needs is
 # CO-LOCATION by the stored bucket key. A raw-Ray hash exchange does
-# exactly that: one task per file chunk splits its rows by bucket
-# (vectorized argsort + searchsorted, one object-store entry per
+# exactly that: one task per file chunk splits each file by bucket
+# through `stages.exchange.split_by_route` (one object-store entry per
 # (chunk, bucket)), one task per bucket concats its slices and folds.
-# Same data movement, no global sort: 5.5s on the same input. This is
-# the deliberate drop-below-Dataset case (a shared shuffle the Dataset
-# API only expresses as a sort); partitioning assumption: bucket =
-# H(key) % num_buckets is frozen per table (Manifest.num_buckets).
+# Every delta and base run is written sorted by bucket, so the split
+# finds a non-decreasing route and cuts zero-copy slices by range: no
+# argsort, no gather (a chunk of several files still copies each
+# bucket's slices once, into one contiguous table). Same data movement, no global sort: 5.5s on the
+# same input. This is the deliberate drop-below-Dataset case (a shared
+# shuffle the Dataset API only expresses as a sort); partitioning
+# assumption: bucket = H(key) % num_buckets is frozen per table
+# (Manifest.num_buckets).
 
 
-@ray.remote
 def _split_run_files(file_chunk: list[str], num_buckets: int,
                      columns: list[str] | None = None,
                      bucket_subset: list[int] | None = None,
-                     rebucket: bool = False):
+                     rebucket: bool = False) -> tuple[pa.Table, ...]:
     """Read a chunk of run files and return one Arrow table per bucket
-    (num_returns = len(bucket_subset) or num_buckets at the call site).
+    (per `bucket_subset` id when given, else per bucket). Each file
+    splits on its own and a bucket's slices concat in file order, so
+    rows reach the fold as a concat-then-stable-sort would order them.
+    Each bucket's table leaves as one chunk per column: a chunk of one
+    file stays a zero-copy slice, one of several files is copied once,
+    in order. Ray's Arrow serializer and the fold both pay per chunk,
+    and a bucket spread over many small delta runs (a live tail) cost
+    more that way than the copy.
     `columns` prunes the parquet scan; it is intersected per file with
     that file's schema (runs written before a column-add evolution lack
     the new column -- concat's promote null-fills it, same as the
@@ -744,37 +755,27 @@ def _split_run_files(file_chunk: list[str], num_buckets: int,
     (wave compaction: rows outside the subset are dropped here, so the
     object count shrinks by the wave factor). `rebucket` recomputes the
     bucket column from the key hash under THIS `num_buckets` (the
-    re-bucketing migration path) instead of trusting the stored one."""
-    from ..stages.partition import hash_strings_arrow
-
+    re-bucketing migration path) instead of trusting the stored one.
+    A stored bucket outside ``[0, num_buckets)`` raises."""
     # run files are sorted by bucket, so when only a bucket subset is
     # wanted (and the stored bucket column is trusted), a parquet
     # row-group filter skips the untouched ranges at the scan
     filters = None if rebucket or bucket_subset is None \
         else [(BUCKET_COL, "in", list(bucket_subset))]
-
-    def _read(p: str) -> pa.Table:
-        if columns is None:
-            return pq.read_table(p, filters=filters)
-        have = set(pq.read_schema(p).names)
-        return pq.read_table(p, columns=[c for c in columns if c in have],
-                             filters=filters)
-    tbl = pa.concat_tables([_read(p) for p in file_chunk],
-                           promote_options="default")
-    if rebucket:
-        nb = (hash_strings_arrow(tbl["conv_id"]) % np.uint64(num_buckets)) \
-            .astype(np.int32)
-        tbl = tbl.set_column(tbl.schema.get_field_index(BUCKET_COL),
+    per_file = []
+    for p in file_chunk:
+        have = pq.read_schema(p).names if columns is not None else None
+        t = pq.read_table(p, filters=filters, columns=None if have is None
+                          else [c for c in columns if c in have])
+        if rebucket:
+            nb = (hash_strings_arrow(t["conv_id"])
+                  % np.uint64(num_buckets)).astype(np.int32)
+            t = t.set_column(t.schema.get_field_index(BUCKET_COL),
                              BUCKET_COL, pa.array(nb, type=pa.int32()))
-    b = tbl[BUCKET_COL].to_numpy()
-    order = np.argsort(b, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    targets = np.arange(num_buckets, dtype=np.int64) \
-        if bucket_subset is None else np.asarray(bucket_subset, dtype=np.int64)
-    lo = np.searchsorted(b[order], targets, side="left")
-    hi = np.searchsorted(b[order], targets + 1, side="left")
-    parts = tuple(tbl.slice(l, h - l) for l, h in zip(lo, hi))
-    return parts if len(targets) > 1 else parts[0]
+        per_file.append(split_by_route(
+            t, t[BUCKET_COL].to_numpy(), num_buckets, bucket_subset))
+    return tuple(pa.concat_tables(parts, promote_options="default")
+                 .combine_chunks() for parts in zip(*per_file))
 
 
 @ray.remote
@@ -835,12 +836,9 @@ def _exchange_by_bucket(paths: list[str], num_buckets: int,
     if cur:
         chunks.append(cur)
     n_out = num_buckets if bucket_subset is None else len(bucket_subset)
-    outs = [_split_run_files.options(num_returns=n_out)
-            .remote(c, num_buckets, columns, bucket_subset, rebucket)
-            for c in chunks]
-    if n_out == 1:
-        outs = [[o] for o in outs]
-    return [list(refs) for refs in zip(*outs)]
+    return [list(refs) for refs in split_fan_out(
+        _split_run_files, chunks, n_out,
+        num_buckets, columns, bucket_subset, rebucket)]
 
 
 def _run_schema(version: int, payload: list[str]) -> pa.Schema:

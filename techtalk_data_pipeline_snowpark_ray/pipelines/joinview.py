@@ -43,7 +43,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -53,9 +52,8 @@ from ..stages.exchange import exchange_map_groups
 from ..stages.partition import hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
-from .matview import (MV_SEQ_COL, SMALL_VIEW_BYTES, _delta_files,
-                      _scan_affected, _state_cols, _view_bytes,
-                      merge_latest)
+from .matview import (MV_SEQ_COL, _delta_files, _scan_affected,
+                      _state_cols, merge_latest, read_keyed_view)
 
 JMV_PREFIX = "jmv:"
 _JMV_RE = re.compile(r"-sa(\d+)-sb(\d+)-x")
@@ -424,41 +422,15 @@ def _merge_jmv_part(runs_dir: str, fname_base: str,
                                   False), runs_dir, fname_base)
 
 
-@ray.remote
-def _merge_small_jview(paths: "list[str]") -> pa.Table:
-    tbl = pa.concat_tables([pq.read_table(p) for p in paths],
-                           promote_options="default")
-    return merge_latest(tbl, "conv_id")
-
-
 def read_join_matview(cfg_a: EngineConfig, name: str,
                       num_partitions: int | None = None
                       ) -> ray.data.Dataset:
     """Current rows of the join view (latest-wins across refresh
-    generations, tombstones dropped) — same read shape as keyed
-    matviews: measured-small single-task merge, else a routed hash
-    exchange."""
+    generations, tombstones dropped) — same read path as keyed
+    matviews (`matview.read_keyed_view`)."""
     view = JOIN_MATVIEWS[name]
     state = TableState(cfg_a.table_dir)
     m = state.load_latest()
-    paths = state.derived_paths(view.derived_key, m)
-    if not paths:
-        return ray.data.from_arrow(view.empty_result())
-    if num_partitions is None \
-            and _view_bytes(paths) <= SMALL_VIEW_BYTES:
-        return ray.data.from_arrow_refs(
-            [_merge_small_jview.remote(paths)])
-    P = num_partitions or min(32, m.num_buckets or cfg_a.num_buckets)
-    part = "_mv_part"
-
-    def add_part(t: pa.Table) -> pa.Table:
-        p = (hash_strings_arrow(t["conv_id"]) % np.uint64(P)) \
-            .astype(np.int64)
-        return t.append_column(part, pa.array(p))
-
-    ds = ray.data.read_parquet(paths) \
-        .map_batches(add_part, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    return exchange_map_groups(ds, part, P,
-                               lambda t: merge_latest(t, "conv_id"),
-                               batch_format="pyarrow")
+    return read_keyed_view(state.derived_paths(view.derived_key, m),
+                           "conv_id", view.empty_result(), num_partitions,
+                           m.num_buckets or cfg_a.num_buckets)

@@ -56,6 +56,7 @@ import ray.data
 from .. import schemas
 from ..config import EngineConfig
 from ..stages.controls import resolve_with_controls, sorted_controls
+from ..stages.exchange import split_by_route, split_fan_out
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
@@ -678,10 +679,37 @@ def _view_bytes(paths: list[str]) -> int:
 
 
 @ray.remote
-def _merge_small_view(paths: list[str], name: str) -> pa.Table:
+def _merge_small_view(paths: list[str], key: str) -> pa.Table:
     tbl = pa.concat_tables([pq.read_table(p) for p in paths],
                            promote_options="default")
-    return merge_latest(tbl, _view(name).key)
+    return merge_latest(tbl, key)
+
+
+@ray.remote
+def _merge_view_part(key: str, *slices: pa.Table) -> pa.Table:
+    return merge_latest(pa.concat_tables(slices, promote_options="default"),
+                        key)
+
+
+def read_keyed_view(paths: list[str], key: str, empty: pa.Table,
+                    num_partitions: int | None,
+                    num_buckets: int) -> ray.data.Dataset:
+    """Latest-wins rows of a keyed (or join) view's current `paths`,
+    tombstones dropped. A measured-small view merges in one task;
+    otherwise each file splits by hash(key) % P (the map side
+    `compact_view_sized` uses) and each partition merges in its own
+    task. An explicit `num_partitions` forces the exchange (test hook,
+    same as auto_join's forced-partitioned path). Every partition gets
+    a slice of every file, so all results share one schema."""
+    if not paths:
+        return ray.data.from_arrow(empty)
+    if num_partitions is None and _view_bytes(paths) <= SMALL_VIEW_BYTES:
+        return ray.data.from_arrow_refs([_merge_small_view.remote(paths,
+                                                                  key)])
+    P = num_partitions or min(32, num_buckets)
+    return ray.data.from_arrow_refs(
+        [_merge_view_part.remote(key, *slices)
+         for slices in _split_partitions(paths, P, key)])
 
 
 def read_matview(cfg: EngineConfig, name: str,
@@ -689,31 +717,12 @@ def read_matview(cfg: EngineConfig, name: str,
     """Dataset of the view's current rows (distributed latest-wins
     merge across refresh generations; measured-small views short-cut
     to a single-task merge)."""
-    from ..stages.exchange import exchange_map_groups
-
     view = _view(name)
     state = TableState(cfg.table_dir)
     m = state.load_latest()
-    paths = state.derived_paths(view.derived_key, m)
-    if not paths:
-        return ray.data.from_arrow(view.empty_result())
-    # explicit num_partitions forces the exchange (test hook, same as
-    # auto_join's forced-partitioned path)
-    if num_partitions is None and _view_bytes(paths) <= SMALL_VIEW_BYTES:
-        return ray.data.from_arrow_refs(
-            [_merge_small_view.remote(paths, name)])
-    P = num_partitions or min(32, m.num_buckets or cfg.num_buckets)
-    part = "_mv_part"
-
-    def add_part(t: pa.Table) -> pa.Table:
-        p = (hash_strings_arrow(t[view.key]) % np.uint64(P)).astype(np.int64)
-        return t.append_column(part, pa.array(p))
-
-    ds = ray.data.read_parquet(paths) \
-        .map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return exchange_map_groups(ds, part, P,
-                               lambda t: merge_latest(t, view.key),
-                               batch_format="pyarrow")
+    return read_keyed_view(state.derived_paths(view.derived_key, m),
+                           view.key, view.empty_result(), num_partitions,
+                           m.num_buckets or cfg.num_buckets)
 
 
 # -- grouped matviews --------------------------------------------------------
@@ -1336,20 +1345,18 @@ def _compact_partitions(paths: list[str]) -> int:
     return int(max(2, min(32, -(-_view_bytes(paths) // unit))))
 
 
-@ray.remote
-def _split_view_file(path: str, n: int, key: str | None):
+def _split_view_file(path: str, n: int,
+                     key: str | None) -> tuple[pa.Table, ...]:
     """Slices of one view run file routed by hash(key) % n (keyed
     views) or bucket % n (grouped views, key=None) — the map side of
-    the distributed compaction exchange."""
+    the distributed view exchange."""
     t = pq.read_table(path)
-    if t.num_rows == 0:
-        return tuple([t] * n)
     if key is None:
         part = t[MV_BUCKET_COL].to_numpy(zero_copy_only=False) \
             .astype(np.uint64) % np.uint64(n)
     else:
         part = hash_strings_arrow(t[key]) % np.uint64(n)
-    return tuple(t.filter(pa.array(part == i)) for i in range(n))
+    return split_by_route(t, part, n)
 
 
 def _split_partitions(paths: list[str], P: int,
@@ -1357,10 +1364,8 @@ def _split_partitions(paths: list[str], P: int,
     """Map side of a distributed view fold: each file splits into P
     routed slices in its own task (ONE read per file — reduce tasks
     compute their own seq watermarks from the slices); returns the
-    per-partition slice tuples. P >= 2 by _compact_partitions."""
-    outs = [_split_view_file.options(num_returns=P).remote(p, P, key)
-            for p in paths]
-    return list(zip(*outs))
+    per-partition slice tuples."""
+    return split_fan_out(_split_view_file, paths, P, P, key)
 
 
 @ray.remote

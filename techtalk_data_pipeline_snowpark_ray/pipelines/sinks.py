@@ -6,8 +6,8 @@ atomic ``_SUCCESS`` marker written after its data files. Re-running
 the same write:
 
   * lists finished buckets first (one readdir, no data reads);
-  * drops their rows at the FIRST map stage (vectorized mask -- rows
-    of finished buckets never enter the exchange);
+  * drops their rows at the split (only the missing buckets get
+    slices -- rows of finished buckets never enter the exchange);
   * writes only the missing buckets, each atomically (tmp + rename,
     marker last).
 
@@ -30,7 +30,7 @@ import ray
 import ray.data
 
 from ..functions.textstats import md5_hash64_series
-from ..stages.exchange import block_refs
+from ..stages.exchange import block_refs, split_block, split_fan_out
 
 SUCCESS = "_SUCCESS"
 
@@ -109,10 +109,6 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, key: str,
     todo = [b for b in range(num_buckets) if b not in done]
     if not todo:
         return {}
-    done_arr = np.zeros(num_buckets, dtype=bool)
-    for b in done:
-        done_arr[b] = True
-
     # raw hash exchange: one split task per input block, per-bucket
     # object returns, one writer task per missing bucket
     blocks = block_refs(ds)
@@ -125,37 +121,17 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, key: str,
                            for b in todo])
         return dict(zip(todo, written))
 
-    @ray.remote
-    def split(tbl: pa.Table):
-        from ray.data.block import BlockAccessor
-        tbl = BlockAccessor.for_block(tbl).to_arrow()  # pandas blocks too
-        if key not in tbl.column_names:
-            # SCHEMALESS empty block (e.g. a filter that matched
-            # nothing): every bucket gets an empty slice, which
-            # _write_bucket's num_rows filter drops
-            empties = tuple(pa.table({}) for _ in todo)
-            return empties if len(todo) > 1 else empties[0]
-        # arrow-native split (argsort + searchsorted + zero-copy
-        # slices): only the key column materializes for hashing, the
-        # payload never round-trips through pandas
+    def route(tbl: pa.Table) -> np.ndarray:
+        # the persisted layout: md5 of the key as a string, mod the
+        # bucket count (only the key column goes through pandas). The
+        # route is unsorted, so the split gathers each block once; it
+        # slices only the missing buckets, so rows of finished buckets
+        # never enter the exchange
         keys = tbl[key].to_pandas().astype(str)
-        b = (md5_hash64_series(keys)
-             % np.uint64(num_buckets)).astype(np.int64)
-        keep = ~done_arr[b]
-        tbl = tbl.filter(pa.array(keep))
-        b = b[keep]
-        order = np.argsort(b, kind="stable")
-        tbl = tbl.take(pa.array(order)).replace_schema_metadata(None)
-        bs = b[order]
-        lo = np.searchsorted(bs, np.asarray(todo), side="left")
-        hi = np.searchsorted(bs, np.asarray(todo) + 1, side="left")
-        tables = tuple(tbl.slice(l, h - l) for l, h in zip(lo, hi))
-        return tables if len(todo) > 1 else tables[0]
+        return md5_hash64_series(keys) % np.uint64(num_buckets)
 
-    outs = [split.options(num_returns=len(todo)).remote(r) for r in blocks]
-    if len(todo) == 1:
-        outs = [[o] for o in outs]
-    per_bucket = list(zip(*outs))
+    per_bucket = split_fan_out(split_block, blocks, len(todo), route,
+                               num_buckets, todo)
     written = ray.get([
         _write_bucket.remote(out_dir, b, *refs)
         for b, refs in zip(todo, per_bucket)])

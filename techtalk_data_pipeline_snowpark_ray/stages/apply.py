@@ -294,13 +294,21 @@ def _gather(tbl: pa.Table, rows: np.ndarray) -> pa.Table:
     only when `rows` is not ascending. On pyarrow 16 a
     ``ChunkedArray.take`` concatenates every chunk on each call, so a
     take over a many-segment scan copies the whole column first
-    (``Table.combine_chunks`` leaves a one-chunk column as it is)."""
-    mask = np.zeros(tbl.num_rows, dtype=bool)
-    mask[rows] = True
-    out = tbl.filter(pa.array(mask)).combine_chunks()
+    (``Table.combine_chunks`` leaves a one-chunk column as it is).
+    Rows covering the whole table are a permutation: nothing to filter,
+    and the permutation is its own rank."""
+    full = len(rows) == tbl.num_rows
+    if full:
+        out = tbl.combine_chunks()
+    else:
+        mask = np.zeros(tbl.num_rows, dtype=bool)
+        mask[rows] = True
+        out = tbl.filter(pa.array(mask)).combine_chunks()
     if len(rows) > 1 and bool(np.any(rows[1:] < rows[:-1])):
-        rank = np.empty(len(rows), dtype=np.int64)
-        rank[np.argsort(rows, kind="stable")] = np.arange(len(rows))
+        rank = rows
+        if not full:
+            rank = np.empty(len(rows), dtype=np.int64)
+            rank[np.argsort(rows, kind="stable")] = np.arange(len(rows))
         out = out.take(pa.array(rank))
     return out
 

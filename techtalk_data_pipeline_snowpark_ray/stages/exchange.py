@@ -7,33 +7,45 @@ vectorized reduce. ``Dataset.groupby(part).map_groups`` delivers that
 via a sort-based all-to-all -- measured ~7x slower than the exchange
 it actually needs (40s vs 5.5s at 27M rows; the global sort is pure
 overhead when the reduce re-sorts or doesn't care). This module is the
-exchange alone: split each materialized block by the part column
-(vectorized argsort + searchsorted, one object-store entry per
-(block, part)), then one task per partition concats its slices and
-applies the reduce. Output is a Dataset again (from_arrow_refs), so
-downstream stays lazy/streamed.
+exchange alone: split each source by its route, one object-store entry
+per (source, partition), then one task per partition concats its
+slices and applies the reduce. Output is a Dataset again
+(from_arrow_refs), so downstream stays lazy/streamed.
 
-Scale notes: object count is blocks x partitions (keep P at O(cores));
-peak object-store footprint equals the exchanged rows, same as any
-shuffle, and spills normally. The same shape reads run FILES instead
-of blocks in `pipelines.ingest._exchange_by_bucket`. On a cluster the
-object count per exchange stays bounded because the INPUT is bounded:
-compaction folds only the runs accumulated since the previous
-compaction (cadence is the lever), and query reduces exchange
-pre-combined partials, not raw rows. An exchange whose block count
-genuinely explodes (months of uncompacted ingest) should compact in
-waves of buckets instead -- trade G-fold re-reads for a G-fold object
-cut.
+Every exchange in the engine splits through ONE kernel,
+:func:`split_by_route`, fanned out by :func:`split_fan_out`: Dataset
+blocks here, run files in `pipelines.ingest._exchange_by_bucket`
+(snapshot reads, compaction, view refreshes), view files in
+`pipelines.matview._split_partitions` (view reads and compaction) and
+export blocks in `pipelines.sinks.write_partitioned`. A route that is
+already non-decreasing is cut into zero-copy slices by `searchsorted`:
+data partitioned by key group moves by range, never by a re-sort.
+Every delta and base run file is written sorted by bucket, so the
+stored-bucket split of a snapshot read or compaction neither sorts nor
+gathers. Any other route (hash routes of blocks and view files, a re-bucketing
+migration's recomputed buckets) is stable-argsorted and gathered once,
+column by column, without `ChunkedArray.take`.
+
+Scale notes: object count is sources x partitions (keep P at
+O(cores)); peak object-store footprint equals the exchanged rows, same
+as any shuffle, and spills normally. On a cluster the object count per
+exchange stays bounded because the INPUT is bounded: compaction folds
+only the runs accumulated since the previous compaction (cadence is
+the lever), and query reduces exchange pre-combined partials, not raw
+rows. An exchange whose source count genuinely explodes (months of
+uncompacted ingest) should compact in waves of buckets instead --
+trade G-fold re-reads for a G-fold object cut.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
+
+from .apply import _gather
 
 
 def block_refs(ds: ray.data.Dataset) -> list:
@@ -41,45 +53,68 @@ def block_refs(ds: ray.data.Dataset) -> list:
     `to_arrow_refs`, never re-run the plan under a `limit(1)` to fetch
     the schema -- cancelling that run's in-flight tasks can abort the
     Ray 2.49 driver on a core-worker reference-count check. A block may
-    be a pandas DataFrame; the consuming task converts it with
-    `BlockAccessor.for_block(b).to_arrow()`."""
+    be a pandas DataFrame; `split_block` converts it."""
     return [ref for bundle in ds.iter_internal_ref_bundles()
             for ref in bundle.block_refs]
 
 
-@ray.remote
-def _split_block(tbl: pa.Table, col: str, n: int):
-    if isinstance(tbl, pd.DataFrame):
-        # pandas blocks come from UDFs returning DataFrames, and Ray
-        # passes EMPTY source blocks through map stages without calling
-        # the UDF; normalize at the boundary with Ray's own conversion,
-        # which types an all-null column as `null` so that its slices
-        # still merge with typed slices of the same column
-        from ray.data.block import BlockAccessor
-        tbl = BlockAccessor.for_block(tbl).to_arrow()
-    # strip dict-valued (pandas) schema metadata so every emitted slice
-    # keeps a hashable schema -- Ray's block-schema dedup depends on it
-    tbl = tbl.replace_schema_metadata(None)
-    if tbl.num_rows == 0:
-        # Ray emits SCHEMALESS empty blocks for empty upstream batches
-        # (no part column to read); every partition gets an empty slice,
-        # which _reduce_part's num_rows filter then drops
-        return tuple([tbl] * n) if n > 1 else tbl
-    vals = tbl[col].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(vals, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    svals = vals[order]
-    # groupby(part).map_groups processes ANY part value; this exchange
-    # would silently drop out-of-range rows (searchsorted bounds cover
-    # only [0, n)), so a mis-sized partition count must fail loudly
-    if len(svals) and (svals[0] < 0 or svals[-1] >= n):
+def split_by_route(tbl: pa.Table, route, n: int,
+                   targets=None) -> tuple[pa.Table, ...]:
+    """One slice of `tbl` per target id (default ``0..n-1``): the rows
+    whose `route` value equals the target, in input order. A route
+    value outside ``[0, n)`` raises -- ``groupby(part).map_groups``
+    would process any value, so a mis-sized partition count must fail
+    loudly instead of dropping rows -- while a target outside it just
+    gets an empty slice. A non-decreasing route is sliced in place
+    (zero-copy); any other is stable-argsorted and gathered once."""
+    route = np.asarray(route).astype(np.int64, copy=False)
+    if len(route) and (route.min() < 0 or route.max() >= n):
         raise ValueError(
-            f"exchange part column {col!r} has values outside "
-            f"[0, {n}): min={svals[0]}, max={svals[-1]}")
-    bounds = np.searchsorted(svals, np.arange(n + 1))
-    parts = tuple(tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-                  for i in range(n))
-    return parts if n > 1 else parts[0]
+            f"exchange route has values outside [0, {n}): "
+            f"min={route.min()}, max={route.max()}")
+    if np.any(np.diff(route) < 0):
+        order = np.argsort(route, kind="stable")
+        tbl, route = _gather(tbl, order), route[order]
+    ids = np.arange(n) if targets is None \
+        else np.asarray(targets, dtype=np.int64)
+    lo = np.searchsorted(route, ids, side="left")
+    hi = np.searchsorted(route, ids + 1, side="left")
+    return tuple(tbl.slice(a, b - a) for a, b in zip(lo, hi))
+
+
+def split_block(block, route_of, n: int,
+                targets=None) -> tuple[pa.Table, ...]:
+    """`split_by_route` of one Ray block by ``route_of(table)``. A
+    pandas block (a UDF returned a DataFrame) converts with Ray's own
+    rule, which types an all-null column as `null` so its slices still
+    merge with typed slices of the same column. Dict-valued (pandas)
+    schema metadata is stripped so every slice keeps a hashable schema
+    -- Ray's block-schema dedup depends on it. An empty block may be
+    SCHEMALESS (Ray emits those for empty upstream batches), so it is
+    never routed: every target gets an empty slice, which the reduce
+    side's row-count filter drops."""
+    from ray.data.block import BlockAccessor
+    tbl = BlockAccessor.for_block(block).to_arrow() \
+        .replace_schema_metadata(None)
+    route = route_of(tbl) if tbl.num_rows else np.zeros(0, np.int64)
+    return split_by_route(tbl, route, n, targets)
+
+
+@ray.remote
+def _split_task(split, source, *args):
+    parts = split(source, *args)
+    return parts if len(parts) > 1 else parts[0]
+
+
+def split_fan_out(split, sources: list, n_out: int, *args) -> list[tuple]:
+    """Run ``split(source, *args)`` -- which returns `n_out` tables --
+    as one Ray task per source, each table its own object; returns one
+    tuple of refs per output (one ref per source, in source order)."""
+    outs = [_split_task.options(num_returns=n_out).remote(split, s, *args)
+            for s in sources]
+    if n_out == 1:
+        outs = [[o] for o in outs]
+    return list(zip(*outs))
 
 
 @ray.remote(num_returns=2)
@@ -124,16 +159,16 @@ def exchange_map_groups(ds: ray.data.Dataset, part_col: str,
     ``ds.groupby(part_col, num_partitions=P).map_groups(fn)`` minus the
     global sort (and minus the part column, unless kept). Partitions
     with zero rows are skipped, matching map_groups semantics."""
-    blocks = block_refs(ds)          # _split_block normalizes pandas ones
+    blocks = block_refs(ds)
     if not blocks:
         return ds
-    outs = [_split_block.options(num_returns=num_partitions)
-            .remote(b, part_col, num_partitions) for b in blocks]
-    if num_partitions == 1:
-        outs = [[o] for o in outs]
+    per_part = split_fan_out(
+        split_block, blocks, num_partitions,
+        lambda t: t[part_col].to_numpy(zero_copy_only=False),
+        num_partitions)
     drop = "" if keep_part_col else part_col
     pairs = [_reduce_part.remote(fn, drop, batch_format == "pandas",
-                                 *slices) for slices in zip(*outs)]
+                                 *slices) for slices in per_part]
     # None results (empty partitions) must not reach from_arrow_refs;
     # only the tiny row counts are fetched, never the tables. Empty
     # REDUCE results (non-empty input, 0-row output) are dropped too --

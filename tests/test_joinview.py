@@ -219,7 +219,7 @@ def test_join_view_distributed_compaction_identical(tmp_path, monkeypatch):
     exchange writing one base PER PARTITION — forced here by zeroing
     the gate; read-back and the incremental watermark must be
     unaffected."""
-    from techtalk_data_pipeline_snowpark_ray.pipelines import joinview, matview
+    from techtalk_data_pipeline_snowpark_ray.pipelines import matview
     from techtalk_data_pipeline_snowpark_ray.state.manifest import \
         TableState
 
@@ -239,7 +239,6 @@ def test_join_view_distributed_compaction_identical(tmp_path, monkeypatch):
     refresh_join_matview(A, B, "conv_drift")
     before = _view(A)
     monkeypatch.setattr(matview, "SMALL_VIEW_BYTES", 0)
-    monkeypatch.setattr(joinview, "SMALL_VIEW_BYTES", 0)
     ingest.compact(A)
     jfiles = TableState(A.table_dir).load_latest().derived["jmv:conv_drift"]
     assert len(jfiles) >= 2                 # per-partition bases
