@@ -4,14 +4,13 @@
 every implemented operator/pipeline from SURVEY.md §2 (plus the
 training-data extensions) to a callable over an sf_dir;
 ``oracle_sql()`` gives the DuckDB-equivalent SQL for the value-hash
-correctness gate. Only three entries are rows-only (genuinely
+correctness gate. Only one entry is rows-only (genuinely
 non-SQL-expressible): the Lloyd-trained IVF variant (recall
 pytest-gated; the seeded-LSH and fixed-centroid-IVF ANN queries are
-value-gated via 1:1 SQL mirrors of the approximation) and the two
-all-kinds fake-decoder multimodal plumbing variants (the REAL-codec
-image decode/resize queries are value-gated). Everything else --
-including the sketches (portable md5 fingerprint/SimHash), splits,
-packing, curation, and all CDC paths -- is value-hash-checked.
+value-gated via 1:1 SQL mirrors of the approximation). Everything
+else -- including the real-codec media queries, the sketches
+(portable md5 fingerprint/SimHash), splits, packing, curation, and
+all CDC paths -- is value-hash-checked.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ray.init()/ray.shutdown() here or in the library.
@@ -201,16 +200,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_topk_lsh": similarity.ann_topk_lsh,
         "ann_topk_ivf": similarity.ann_topk_ivf,
         "ann_topk_ivf_lloyd": similarity.ann_topk_ivf_lloyd,  # rows-only
-        # --- multimodal: REAL pure-numpy BMP/PNG codec on images
-        # (value-gated); audio/video decode stays the loud stub, so the
-        # all-kinds fake-decoder pipelines remain rows-only ---
+        # --- multimodal: REAL pure-numpy BMP/PNG, WAV and Y4M codecs
+        # (value-gated) ---
         "media_image_features": multimodal.media_image_features,
         "media_image_resized": multimodal.media_image_resized,
         "media_audio_features": multimodal.media_audio_features,
         "media_video_frame_features":
             multimodal.media_video_frame_features,
-        "multimodal_features": multimodal.multimodal_features,   # rows-only
-        "media_resized": multimodal.media_resized,               # rows-only
         "video_frame_samples": multimodal.video_frame_samples,
     }
 
@@ -1909,9 +1905,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT query_id, vec_id FROM ranked WHERE rk <= 10
             ORDER BY query_id, vec_id
         """,
-        # rows-only (non-SQL-expressible): multimodal_features /
-        # media_resized (all-kinds fake-decoder plumbing variants; the
-        # image REAL-codec paths above are the value-gated ones) and
-        # ann_topk_ivf_lloyd-style trained quantizers (recall
-        # pytest-gated)
+        # rows-only (non-SQL-expressible): ann_topk_ivf_lloyd-style
+        # trained quantizers (recall pytest-gated)
     }

@@ -1,6 +1,6 @@
 """Pure-numpy image codec: 8-bit grayscale BMP and PNG, stdlib-only
 (zlib for PNG deflate/CRC). This is the REAL decode kernel behind
-`multimodal.MediaDecoder(use_real_codec=True)` -- the container has no
+`multimodal.MediaDecoder` -- the container has no
 PIL/cv2, so the engine carries its own minimal codec for the formats
 its synthetic media uses; genuinely unsupported formats (JPEG, audio,
 video containers) remain the loudly-stubbed boundary.

@@ -10,8 +10,7 @@ video rows carry genuine Y4M/YUV4MPEG2 payloads parsed by
 `VideoFrameFeatures` (`functions/videocodec.py` -- the standard
 UNCOMPRESSED interchange container; compressed codecs like H.264 need
 an av library and fail loudly at the format check, never a silent
-fake). The deterministic fake decoder (`use_real_codec=False`) stays
-for plumbing tests across all kinds.
+fake).
 
 Schema:  media(media_id:int64, kind:string{image,audio,video},
                payload:binary, width:int32, height:int32, n_frames:int32)
@@ -28,10 +27,7 @@ decode pool is an actor pool (codec init once per actor).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
@@ -133,43 +129,26 @@ def media_dataset(sf_dir: str, kinds: tuple = KINDS) -> ray.data.Dataset:
 class MediaDecoder:
     """Actor-pool decode/feature-extract stage.
 
-    __init__ (once per actor) binds the codec; `use_real_codec=True`
-    decodes image payloads with the engine's pure-numpy BMP/PNG codec
-    and FAILS LOUDLY (NotImplementedError) on audio/video kinds, whose
-    codecs are the genuinely-stubbed boundary -- never a silent fake.
-    `use_real_codec=False` is the deterministic fake decoder for
-    plumbing tests across all kinds. `self.decoded_batches` proves
-    per-actor reuse.
+    __init__ (once per actor) binds the engine's pure-numpy BMP/PNG
+    codec, which decodes image payloads; audio/video kinds FAIL LOUDLY
+    (NotImplementedError) -- their real codecs are their own stages,
+    never a silent fake. `self.decoded_batches` proves per-actor
+    reuse.
     """
 
-    def __init__(self, use_real_codec: bool = False):
-        self.use_real_codec = use_real_codec
-        if use_real_codec:
-            from .imagecodec import decode_image
-            self._decode_image = decode_image      # codec bound once/actor
+    def __init__(self):
+        from .imagecodec import decode_image
+        self._decode_image = decode_image          # codec bound once/actor
         self.decoded_batches = 0
 
-    @staticmethod
-    def _fake_decode(payload: bytes, width: int, height: int) -> np.ndarray:
-        """Deterministic stand-in for decode: payload bytes -> pseudo
-        pixel grid seeded by the payload digest."""
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        seed = int.from_bytes(digest, "little")
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-
-    def _decode(self, kind: str, payload: bytes, width: int,
-                height: int) -> np.ndarray:
-        if self.use_real_codec:
-            if kind != "image":
-                raise NotImplementedError(
-                    f"MediaDecoder extracts PIXEL features; real {kind} "
-                    "payloads don't decode to a single pixel grid. Use "
-                    "the kind's own real codec stage (AudioFeatures / "
-                    "VideoFrameFeatures) -- filter to kind == 'image' "
-                    "here, or use the fake decoder for plumbing tests")
-            return self._decode_image(payload)
-        return self._fake_decode(payload, width, height)
+    def _decode(self, kind: str, payload: bytes) -> np.ndarray:
+        if kind != "image":
+            raise NotImplementedError(
+                f"MediaDecoder extracts PIXEL features; real {kind} "
+                "payloads don't decode to a single pixel grid. Use "
+                "the kind's own real codec stage (AudioFeatures / "
+                "VideoFrameFeatures) -- filter to kind == 'image' here")
+        return self._decode_image(payload)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         self.decoded_batches += 1
@@ -187,7 +166,7 @@ class MediaDecoder:
         pmin = np.empty(n, dtype=np.int64)
         pmax = np.empty(n, dtype=np.int64)
         for i, p in enumerate(payloads):   # per-item decode is inherent;
-            img = self._decode(kinds[i], p, int(widths[i]), int(heights[i]))
+            img = self._decode(kinds[i], p)
             means[i] = float(img.mean())   # the kernel itself is numpy
             stds[i] = float(img.std())
             n_bytes[i] = len(p)
@@ -215,27 +194,24 @@ class MediaResizer(MediaDecoder):
     a fixed target grid -> re-emit as a binary column (the standard
     normalize-dimensions step before batched model inference). Reuses
     the decoder lifecycle (codec bound once per actor, same loud-fail
-    guard for non-image kinds under the real codec); the resample
+    guard for non-image kinds); the resample
     itself is one vectorized fancy-index per item, no Python pixel
     loops. Output payloads are target_w*target_h bytes, so downstream
     batches are uniformly sized -- the property batched inference
     needs."""
 
-    def __init__(self, target_w: int = 16, target_h: int = 12,
-                 use_real_codec: bool = False):
-        super().__init__(use_real_codec=use_real_codec)
+    def __init__(self, target_w: int = 16, target_h: int = 12):
+        super().__init__()
         self.tw, self.th = int(target_w), int(target_h)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         self.decoded_batches += 1
-        widths = batch["width"].to_numpy(zero_copy_only=False)
-        heights = batch["height"].to_numpy(zero_copy_only=False)
         kinds = batch["kind"].to_pylist()
         payloads = batch["payload"].to_pylist()
         out = []
         checks = np.empty(len(payloads), dtype=np.int64)
         for i, p in enumerate(payloads):
-            img = self._decode(kinds[i], p, int(widths[i]), int(heights[i]))
+            img = self._decode(kinds[i], p)
             # nearest-neighbor index grids (vectorized resample)
             yi = (np.arange(self.th) * img.shape[0]) // self.th
             xi = (np.arange(self.tw) * img.shape[1]) // self.tw
@@ -252,20 +228,6 @@ class MediaResizer(MediaDecoder):
         })
 
 
-def media_resized(sf_dir: str, target_w: int = 16,
-                  target_h: int = 12) -> ray.data.Dataset:
-    """End-to-end resize pipeline over ALL kinds: synth media ->
-    actor-pool decode + nearest-neighbor resize to (target_w x
-    target_h). Fake decoder (audio/video have no real codec);
-    deterministic; rows-only oracle, exactness pinned by pytest."""
-    media = media_dataset(sf_dir)
-    return media.map_batches(
-        MediaResizer, batch_format="pyarrow", batch_size=512,
-        concurrency=2, zero_copy_batch=True,
-        fn_constructor_kwargs=dict(target_w=target_w, target_h=target_h,
-                                   use_real_codec=False)).sort("media_id")
-
-
 def media_image_features(sf_dir: str) -> ray.data.Dataset:
     """REAL-codec image pipeline: BMP/PNG payloads decode through the
     pure-numpy codec and emit integer pixel stats -- value-checkable in
@@ -273,8 +235,7 @@ def media_image_features(sf_dir: str) -> ray.data.Dataset:
     media = media_dataset(sf_dir, kinds=("image",))
     feats = media.map_batches(
         MediaDecoder, batch_format="pyarrow", batch_size=512,
-        concurrency=2, zero_copy_batch=True,
-        fn_constructor_kwargs=dict(use_real_codec=True))
+        concurrency=2, zero_copy_batch=True)
     return feats.select_columns(["media_id", "width", "height", "n_px",
                                  "pixel_sum", "pixel_min", "pixel_max"]) \
         .sort("media_id")
@@ -289,8 +250,7 @@ def media_image_resized(sf_dir: str, target_w: int = 16,
     res = media.map_batches(
         MediaResizer, batch_format="pyarrow", batch_size=512,
         concurrency=2, zero_copy_batch=True,
-        fn_constructor_kwargs=dict(target_w=target_w, target_h=target_h,
-                                   use_real_codec=True))
+        fn_constructor_kwargs=dict(target_w=target_w, target_h=target_h))
     return res.map_batches(
         lambda t: pa.table({
             "media_id": t["media_id"],
@@ -423,19 +383,6 @@ def frame_sample_batch(t: pa.Table, every_k: int = 5) -> pa.Table:
                  if len(counts) else np.array([], dtype=np.int64))
     return pa.table({"media_id": pa.array(rep_ids, pa.int64()),
                      "frame_idx": pa.array(frame_idx.astype(np.int64))})
-
-
-def multimodal_features(sf_dir: str) -> ray.data.Dataset:
-    """End-to-end media pipeline over ALL kinds: synth media table ->
-    actor-pool decode + feature extraction with the fake decoder
-    (audio/video have no real codec). Deterministic; rows-only oracle.
-    The image-only REAL-codec variant is `media_image_features`."""
-    media = media_dataset(sf_dir)
-    return media.map_batches(MediaDecoder, batch_format="pyarrow",
-                             batch_size=512,      # payload-sized batches
-                             concurrency=2, zero_copy_batch=True,
-                             fn_constructor_kwargs=dict(use_real_codec=False)
-                             ).sort("media_id")
 
 
 def video_frame_samples(sf_dir: str) -> ray.data.Dataset:

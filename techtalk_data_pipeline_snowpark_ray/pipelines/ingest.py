@@ -18,8 +18,8 @@ Snowflake's server-side machinery replaced by one write path:
 
 Delta runs land unbucketed (global runs); compaction folds them into
 per-bucket bases, and snapshot reads resolve across runs. Heavy data
-never reaches the driver: it touches only segment lists and a
-one-row-per-task metrics frame.
+never reaches the driver: it touches only segment lists and one
+metrics dict per task.
 
 Every run file goes through `state.storage.write_run`: zstd parquet
 whose integer and timestamp columns (bucket, turn_idx, lsn, ts) are
@@ -29,6 +29,7 @@ compaction, snapshot read and lookup pays for the bytes stored.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import uuid
@@ -48,10 +49,10 @@ from ..config import EngineConfig
 from ..sources import wal
 from ..stages.apply import fold_table
 from ..stages.controls import resolve_with_controls, sorted_controls
-from ..stages.exchange import split_by_route, split_fan_out
+from ..stages.exchange import block_refs, split_by_route, split_fan_out
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
-                                add_partition_cols, hash_strings_arrow)
+                                hash_strings_arrow)
 from ..state.manifest import CommitConflict, Manifest, TableState
 from ..state.storage import write_run
 
@@ -100,6 +101,9 @@ class DirectApplier:
     in a sibling batch — so pass-through re-partitions and lands the
     records verbatim; read-time LWW resolution (which needs no
     interval precondition) produces the exact state.
+
+    An apply returns one plain metrics dict (run file, counts, input
+    lsn range, phase CPU), or None for a batch with no rows.
     """
 
     def __init__(self, runs_dir: str, txn_id: str, payload_cols: list[str],
@@ -115,7 +119,7 @@ class DirectApplier:
         self.barriers = list(barriers) if barriers else None
         self.fold = fold
 
-    def __call__(self, batch: pa.Table) -> pd.DataFrame:
+    def __call__(self, batch: pa.Table) -> dict | None:
         return self._apply_one(batch)
 
     def _scan(self, paths: list[str]) -> pa.Table:
@@ -127,13 +131,13 @@ class DirectApplier:
                             schema=self.scan_schema) \
             .to_table(use_threads=False)
 
-    def _apply_one(self, batch: pa.Table) -> pd.DataFrame:
+    def _apply_one(self, batch: pa.Table) -> dict | None:
         t0 = time.process_time()
         for stage in self.pre_stages:   # manually fused normalize/partition
             batch = stage(batch)
         n = batch.num_rows
         if n == 0:
-            return _empty_metrics()
+            return None
         # the partitioner's key hash rides through the fold (every row
         # of a group carries the same one) and orders the run
         out = batch.select(RUN_COLS_FIXED + self.payload_cols + [KEY_HASH_COL])
@@ -158,14 +162,14 @@ class DirectApplier:
         fname = f"delta-x{self.txn_id}-{uuid.uuid4().hex[:12]}.parquet"
         write_run(out, os.path.join(self.runs_dir, fname))
 
-        derived_file = write_derived_partials(batch, self.derived_views,
-                                              self.runs_dir, self.txn_id)
+        derived_files = write_derived_partials(batch, self.derived_views,
+                                               self.runs_dir, self.txn_id)
         t4 = time.process_time()
 
         op_counts = dict(zip(*np.unique(
             pc.index_in(out[schemas.OP_COL], value_set=_COLLAPSED_OPS)
             .to_numpy(zero_copy_only=False), return_counts=True)))
-        return pd.DataFrame([{
+        return {
             "file": fname,
             "events_in": n, "records_out": out.num_rows,
             "n_full": int(op_counts.get(0, 0)),
@@ -176,28 +180,50 @@ class DirectApplier:
             # fold's interval precondition made checkable
             "min_lsn": int(pc.min(batch[schemas.LSN_COL]).as_py()),
             "max_lsn": int(pc.max(batch[schemas.LSN_COL]).as_py()),
-            "derived_file": derived_file,
+            "derived_files": derived_files,
             # process CPU ms per phase; `_apply_group` fills in the scan
             "scan_ms": 0.0,
             "prep_ms": (t1 - t0) * 1e3,
             "fold_ms": (t2 - t1) * 1e3,
             "order_ms": (t3 - t2) * 1e3,
             "write_ms": (t4 - t3) * 1e3,
-        }])
+        }
 
 
 @ray.remote
-def _apply_group(applier: DirectApplier, paths: list[str]) -> pd.DataFrame:
+def _apply_group(applier: DirectApplier, paths: list[str]) -> dict | None:
     """Scan one consecutive segment group and fold it, in one task."""
     t0 = time.process_time()
     batch = applier._scan(paths)
     scan_ms = (time.process_time() - t0) * 1e3
     metrics = applier._apply_one(batch)
-    metrics["scan_ms"] = scan_ms
+    if metrics is not None:
+        metrics["scan_ms"] = scan_ms
     return metrics
 
 
-def _check_batch_intervals(metrics: pd.DataFrame) -> None:
+@ray.remote
+def _apply_block(applier: DirectApplier, block,
+                 batch_rows: int) -> list[dict]:
+    """Apply one Ray Data block (Arrow, or pandas converted by Ray's
+    accessor) in slices of at most `batch_rows` rows."""
+    from ray.data.block import BlockAccessor
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    return [r for i in range(0, tbl.num_rows, batch_rows)
+            if (r := applier._apply_one(tbl.slice(i, batch_rows)))]
+
+
+def _apply_blocks(ds: ray.data.Dataset, applier: DirectApplier,
+                  batch_rows: int) -> list[dict]:
+    """Metrics dicts of `applier` over every block of `ds`, one plain
+    task per block."""
+    applier_ref = ray.put(applier)
+    return [r for rows in ray.get([
+        _apply_block.remote(applier_ref, b, batch_rows)
+        for b in block_refs(ds)]) for r in rows]
+
+
+def _check_batch_intervals(ranges) -> None:
     """Verify the direct-mode fold precondition: every batch's input
     lsn range [min, max] must be pairwise disjoint (boundary EQUALITY
     is allowed — a duplicate re-delivery, confined to reorder-slack
@@ -206,14 +232,14 @@ def _check_batch_intervals(metrics: pd.DataFrame) -> None:
     (key, lsn) dedup resolves). A violation means a segment group was
     not an lsn interval; the tick aborts BEFORE publish (its
     written runs are unreferenced orphans, GC-sweepable), so nothing
-    corrupt ever commits."""
-    if "min_lsn" not in metrics.columns or len(metrics) < 2:
+    corrupt ever commits. `ranges` holds one (min_lsn, max_lsn) pair
+    per batch; a pair with a None end (a batch with no lsn range) is
+    skipped."""
+    pairs = [(lo, hi) for lo, hi in ranges
+             if lo is not None and hi is not None]
+    if len(pairs) < 2:
         return
-    m = metrics.dropna(subset=["min_lsn", "max_lsn"])
-    if len(m) < 2:
-        return
-    lo = m["min_lsn"].to_numpy(dtype=np.int64)
-    hi = m["max_lsn"].to_numpy(dtype=np.int64)
+    lo, hi = np.array(pairs, dtype=np.int64).T
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     bad = np.flatnonzero(lo[1:] < hi[:-1])
@@ -233,40 +259,23 @@ def _check_batch_intervals(metrics: pd.DataFrame) -> None:
 TASK_PHASES = ("scan_ms", "prep_ms", "fold_ms", "order_ms", "write_ms")
 
 
-def _empty_metrics() -> pd.DataFrame:
-    return pd.DataFrame({
-        "file": pd.Series(dtype="object"), "events_in": pd.Series(dtype="int64"),
-        "records_out": pd.Series(dtype="int64"), "n_full": pd.Series(dtype="int64"),
-        "n_partial": pd.Series(dtype="int64"), "n_delete": pd.Series(dtype="int64"),
-        "min_lsn": pd.Series(dtype="int64"),
-        "max_lsn": pd.Series(dtype="int64"),
-        "derived_file": pd.Series(dtype="object"),
-        **{p: pd.Series(dtype="float64") for p in TASK_PHASES},
-    })
-
-
 from .derived import DERIVED_CONV_STATS, resolve_views  # noqa: E402
 
 
 def write_derived_partials(batch: pa.Table, view_names, runs_dir: str,
-                           txn_id: str) -> str | None:
+                           txn_id: str) -> dict[str, str]:
     """Write one additive partial file per registered derived view for
     this batch (see pipelines/derived.py). Written by the same task that
     applies the delta; all partials become visible only through the same
-    manifest publish as the main table (atomic multi-sink). Returns a
-    JSON {view: filename} string for the metrics row (None when no
-    views are configured)."""
-    import json
-
-    if not view_names:
-        return None
+    manifest publish as the main table (atomic multi-sink). Returns
+    {view: filename} for the metrics row."""
     out: dict[str, str] = {}
     for view in resolve_views(view_names):
         agg = view.partial(batch)
         fname = f"derived-{view.name}-x{txn_id}-{uuid.uuid4().hex[:12]}.parquet"
         write_run(agg, os.path.join(runs_dir, fname))
         out[view.name] = fname
-    return json.dumps(out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -561,6 +570,8 @@ def apply_tick(cfg: EngineConfig,
     UPDATE/DELETE ... WHERE table ops positioned at their lsn in the
     stream (``SampleCrud.scala:28-36,71-75`` parity); they are committed
     with the tick and act as epoch barriers for every fold from here on.
+    An op naming an unknown column or a value outside its column's type
+    family raises ValueError before anything is written.
 
     Returns None when there is nothing to consume (control-only ticks
     publish a manifest carrying just the new ops). Crash-safe: nothing
@@ -572,7 +583,10 @@ def apply_tick(cfg: EngineConfig,
     _check_bucket_layout(prev, cfg)
 
     new_controls = sorted_controls(control_ops)
+    run_schema = _run_schema(cfg.schema_version,
+                             schemas.payload_cols(cfg.schema_version))
     for op in new_controls:
+        op.check(run_schema)
         if op.lsn <= prev.committed_lsn:
             raise ValueError(
                 f"control op at lsn {op.lsn} <= committed_lsn "
@@ -652,31 +666,28 @@ def apply_tick(cfg: EngineConfig,
     # Groups come from the ALREADY-listed segments (re-listing would
     # race a live WAL writer).
     applier_ref = ray.put(applier)
-    frames = ray.get([_apply_group.remote(applier_ref, g)
-                      for g in _segment_groups(segments, cfg)])
-    frames = [f for f in frames if not f.empty]
-    metrics = pd.concat(frames, ignore_index=True) if frames \
-        else _empty_metrics()
-    _check_batch_intervals(metrics)
+    metrics = [r for r in ray.get([_apply_group.remote(applier_ref, g)
+                                   for g in _segment_groups(segments, cfg)])
+               if r is not None]
+    _check_batch_intervals([(r["min_lsn"], r["max_lsn"]) for r in metrics])
     # with quarantine active, a segment can be consumed while
     # contributing ZERO valid rows (every record diverted); the tick
     # must still publish so committed_seq advances past it -- returning
     # None here would re-read and re-quarantine the same segment
     # forever and stall every later segment behind it
-    if metrics.empty and cfg.bad_record_policy != "quarantine":
+    if not metrics and cfg.bad_record_policy != "quarantine":
         return None
 
     derived_appends: dict[str, list[str]] = {}
-    if view_names and "derived_file" in metrics.columns:
-        import json as _json
-        for blob in metrics["derived_file"].tolist():
-            if not blob:
-                continue
-            for view, fname in _json.loads(blob).items():
-                derived_appends.setdefault(view, []).append(fname)
+    for r in metrics:
+        for view, fname in r["derived_files"].items():
+            derived_appends.setdefault(view, []).append(fname)
 
-    committed = max(int(metrics["max_lsn"].max()) if len(metrics) else -1,
-                    max(s.hi for s in segments), prev.committed_lsn)
+    def total(k: str) -> int:
+        return sum(r[k] for r in metrics)
+
+    committed = max([r["max_lsn"] for r in metrics]
+                    + [s.hi for s in segments] + [prev.committed_lsn])
     n_rejected = 0
     if cfg.bad_record_policy == "quarantine":
         import glob as _glob
@@ -688,7 +699,7 @@ def apply_tick(cfg: EngineConfig,
     manifest = _publish_append_rebased(state, cfg, prev_version, prev, _AppendTxn(
         txn_id=txn,
         num_buckets=cfg.num_buckets,
-        global_appends=metrics["file"].dropna().tolist(),
+        global_appends=[r["file"] for r in metrics],
         derived_appends=derived_appends,
         new_control_ops=[c.to_dict() for c in new_controls],
         wal_consumed=[s.name for s in segments],
@@ -696,21 +707,22 @@ def apply_tick(cfg: EngineConfig,
         committed_lsn=committed,
         schema_version=cfg.schema_version,
         metrics={
-            "events_applied": int(metrics["events_in"].sum()),
-            "records_written": int(metrics["records_out"].sum()),
-            "deletes": int(metrics["n_delete"].sum()),
+            "events_applied": total("events_in"),
+            "records_written": total("records_out"),
+            "deletes": total("n_delete"),
             "lag": int(wal.high_watermark(cfg.wal_dir) - committed),
             "events_rejected": n_rejected,
             # apply-task CPU per phase: the sum over tasks, and the
             # slowest task's (a straggler shows as max close to sum)
-            "phases": {p: {"sum": round(float(metrics[p].sum()), 3),
-                           "max": round(float(metrics[p].max()), 3)
-                           if len(metrics) else 0.0}
+            "phases": {p: {"sum": round(sum((r[p] for r in metrics), 0.0),
+                                        3),
+                           "max": round(max((r[p] for r in metrics),
+                                            default=0.0), 3)}
                        for p in TASK_PHASES},
         },
     ))
-    return TickResult(manifest, int(metrics["events_in"].sum()),
-                      int(metrics["records_out"].sum()), len(segments))
+    return TickResult(manifest, total("events_in"), total("records_out"),
+                      len(segments))
 
 
 # --------------------------------------------------------------------------
@@ -1087,15 +1099,8 @@ def replicate_delta(cfg_src: EngineConfig, cfg_dst: EngineConfig,
         runs_dir=state.runs_dir, txn_id=txn,
         payload_cols=schemas.payload_cols(cfg_dst.schema_version),
         pre_stages=(normalizer, partitioner), fold=False)
-    metrics = ds.map_batches(applier, batch_format="pyarrow",
-                             batch_size=cfg_dst.direct_batch_rows,
-                             zero_copy_batch=True).to_pandas()
-    if "file" not in metrics.columns:
-        # a zero-block delta window (no new versions, or manifests that
-        # added no files) yields a columnless empty frame from Ray
-        return None
-    metrics = metrics.dropna(subset=["file"])
-    if metrics.empty:
+    metrics = _apply_blocks(ds, applier, cfg_dst.direct_batch_rows)
+    if not metrics:
         return None
     # committed_lsn stays the DESTINATION's own watermark: the source's
     # lsns are a different domain (importing them would poison the
@@ -1107,7 +1112,7 @@ def replicate_delta(cfg_src: EngineConfig, cfg_dst: EngineConfig,
     # destination (both are pure delta appends; LWW resolves by lsn)
     return _publish_append_rebased(state, cfg_dst, prev_version, prev, _AppendTxn(
         txn_id=txn, num_buckets=cfg_dst.num_buckets,
-        global_appends=metrics["file"].tolist(),
+        global_appends=[r["file"] for r in metrics],
         derived_appends={}, new_control_ops=[],
         wal_consumed=[], committed_seq=prev.committed_seq,
         committed_lsn=prev.committed_lsn,
@@ -1116,8 +1121,8 @@ def replicate_delta(cfg_src: EngineConfig, cfg_dst: EngineConfig,
         metrics={"replicated_from": {
                      "table_dir": cfg_src.table_dir,
                      "versions": [from_version, to_version]},
-                 "events_applied": int(metrics["events_in"].sum()),
-                 "records_written": int(metrics["records_out"].sum()),
+                 "events_applied": sum(r["events_in"] for r in metrics),
+                 "records_written": sum(r["records_out"] for r in metrics),
                  "lag": 0}))
 
 
@@ -1871,10 +1876,11 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
     semantic). Source columns go through the schema-registry
     projection (case-insensitive, cast, null-fill), so an older or
     differently-cased source lays down cleanly under the current
-    schema version. Streams batch-by-batch: each task writes one
-    sorted global run (direct-mode layout), only metrics rows reach
-    the driver, and nothing is visible until the single manifest
-    publish. Requires an empty table (no committed runs)."""
+    schema version. One plain task per source block writes one sorted
+    global run (direct-mode layout) per slice of at most
+    `direct_batch_rows` rows, only metrics dicts reach the driver, and
+    nothing is visible until the single manifest publish. Requires an
+    empty table (no committed runs)."""
     cfg.ensure_dirs()
     state = TableState(cfg.table_dir)
     prev_version, prev = state.load_latest_versioned()
@@ -1884,51 +1890,37 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
             "must be the first commit (import into a fresh table_dir, "
             "or compact+inspect before re-importing)")
     ds = ray.data.read_parquet(source) if isinstance(source, str) else source
-    target = schemas.table_schema(cfg.schema_version)
-    payload = schemas.payload_cols(cfg.schema_version)
     txn = state.new_txn()
-    runs_dir = state.runs_dir
-    nb = cfg.num_buckets
-    cols = RUN_COLS_FIXED + payload
-
-    def import_batch(batch: pa.Table) -> pd.DataFrame:
-        t = normalize_batch(batch, target)
-        n = t.num_rows
-        if n == 0:
-            return _empty_metrics()
-        t = t.append_column(schemas.LSN_COL,
-                            pa.array(np.full(n, lsn, np.int64)))
-        t = t.append_column(schemas.OP_COL,
-                            pa.array([schemas.OP_FULL] * n, pa.string()))
-        t = add_partition_cols(t, nb, include_key_hash=True)
-        out = t.select(cols).take(pa.array(np.lexsort((
-            t[KEY_HASH_COL].to_numpy(zero_copy_only=False),
-            t[BUCKET_COL].to_numpy(zero_copy_only=False)))))
-        fname = f"delta-x{txn}-{uuid.uuid4().hex[:12]}.parquet"
-        write_run(out, os.path.join(runs_dir, fname))
-        m = _empty_metrics()
-        m.loc[0] = {"file": fname, "events_in": n, "records_out": n,
-                    "n_full": n, "n_partial": 0, "n_delete": 0,
-                    "max_lsn": lsn, "derived_file": None}
-        return m
-
-    metrics = ds.map_batches(import_batch, batch_format="pyarrow",
-                             zero_copy_batch=True,
-                             batch_size=cfg.direct_batch_rows).to_pandas()
-    if "file" not in metrics.columns:
-        # a ZERO-BLOCK source yields a columnless empty frame; an
-        # empty bootstrap is still a legitimate first commit (table
-        # exists, tail CDC from here)
-        metrics = _empty_metrics()
+    # pass-through apply: every row is already one full record at `lsn`
+    applier = DirectApplier(
+        runs_dir=state.runs_dir, txn_id=txn,
+        payload_cols=schemas.payload_cols(cfg.schema_version),
+        pre_stages=(functools.partial(
+            _as_full_records, target=schemas.table_schema(cfg.schema_version),
+            lsn=lsn),
+            Partitioner(cfg.num_buckets, 1, None, include_key_hash=True)),
+        fold=False)
+    metrics = _apply_blocks(ds, applier, cfg.direct_batch_rows)
     return state.publish(expected_parent=prev_version, manifest=Manifest(
         txn_id=txn, committed_seq=prev.committed_seq, committed_lsn=lsn,
-        schema_version=cfg.schema_version, num_buckets=nb,
-        buckets={}, global_runs=sorted(metrics["file"].dropna()),
+        schema_version=cfg.schema_version, num_buckets=cfg.num_buckets,
+        buckets={}, global_runs=sorted(r["file"] for r in metrics),
         derived={}, wal_consumed=[],
         metrics={"bootstrap_import": True,
-                 "events_applied": int(metrics["events_in"].sum()),
-                 "records_written": int(metrics["records_out"].sum()),
+                 "events_applied": sum(r["events_in"] for r in metrics),
+                 "records_written": sum(r["records_out"] for r in metrics),
                  "lag": 0}))
+
+
+def _as_full_records(batch: pa.Table, target: pa.Schema,
+                     lsn: int) -> pa.Table:
+    """A bootstrap batch projected onto the table schema, each row a
+    full record at `lsn`."""
+    t = normalize_batch(batch, target)
+    n = t.num_rows
+    t = t.append_column(schemas.LSN_COL, pa.array(np.full(n, lsn, np.int64)))
+    return t.append_column(schemas.OP_COL,
+                           pa.array([schemas.OP_FULL] * n, pa.string()))
 
 
 def metrics_history(cfg: EngineConfig) -> pd.DataFrame:

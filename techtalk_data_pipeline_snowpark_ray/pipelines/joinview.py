@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -48,7 +47,7 @@ import ray
 import ray.data
 
 from ..config import EngineConfig
-from ..stages.exchange import exchange_map_groups
+from ..stages.exchange import block_refs, exchange_map_groups
 from ..stages.partition import hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
@@ -93,7 +92,7 @@ def _conv_drift_join(a: pa.Table, b: pa.Table) -> pa.Table:
     deltas — the table-comparison every dual-write / migration
     pipeline watches. FULL OUTER: a conv on one side only reports 0
     for the other."""
-    def stats(t: pa.Table, n_col: str, c_col: str) -> pd.DataFrame:
+    def stats(t: pa.Table, n_col: str, c_col: str) -> pa.Table:
         chars = pc.cast(pc.fill_null(pc.utf8_length(t["text"]), 0),
                         pa.int64())
         g = pa.table({"conv_id": t["conv_id"],
@@ -101,16 +100,16 @@ def _conv_drift_join(a: pa.Table, b: pa.Table) -> pa.Table:
                       c_col: chars})
         agg = pa.TableGroupBy(g, "conv_id").aggregate(
             [(n_col, "sum"), (c_col, "sum")])
-        return agg.rename_columns(["conv_id", n_col, c_col]).to_pandas()
+        return agg.rename_columns(["conv_id", n_col, c_col])
 
-    m = stats(a, "n_turns_a", "chars_a").merge(
-        stats(b, "n_turns_b", "chars_b"), on="conv_id", how="outer")
+    m = stats(a, "n_turns_a", "chars_a").join(
+        stats(b, "n_turns_b", "chars_b"), "conv_id",
+        join_type="full outer", use_threads=False)
+    cols = {"conv_id": m["conv_id"]}
     for c in ("n_turns_a", "chars_a", "n_turns_b", "chars_b"):
-        m[c] = m[c].fillna(0).astype(np.int64)
-    m["turn_diff"] = m["n_turns_a"] - m["n_turns_b"]
-    m = m.sort_values("conv_id", ignore_index=True)
-    return pa.Table.from_pandas(m, preserve_index=False) \
-        .replace_schema_metadata(None)
+        cols[c] = pc.fill_null(m[c], 0)
+    cols["turn_diff"] = pc.subtract(cols["n_turns_a"], cols["n_turns_b"])
+    return pa.table(cols).sort_by("conv_id")
 
 
 JOIN_MATVIEWS: dict[str, JoinMatView] = {}
@@ -175,14 +174,9 @@ def _jmv_watermark_native(state_a: TableState, cfg_b: EngineConfig,
 
 
 def _affected_keys(state: TableState, files: "list[str]") -> "set[str]":
-    if not files:
-        return set()
-    tabs = ray.get([_scan_affected.remote(
+    return {k for t in ray.get([_scan_affected.remote(
         os.path.join(state.runs_dir, f)) for f in files])
-    out: set[str] = set()
-    for t in tabs:
-        out.update(t["conv_id"].to_pylist())
-    return out
+        for k in t["conv_id"].to_pylist()}
 
 
 def _side_ds(cfg: EngineConfig, m: Manifest, view: JoinMatView,
@@ -300,39 +294,31 @@ def refresh_join_matview(cfg_a: EngineConfig, cfg_b: EngineConfig,
     join_fn = view.join
     fname_base = f"jmv-{view.name}-sa{cur_a}-sb{cur_b}-x{txn}"
     seq = cur_a
-    # explicit per-side schemas: an empty (or all-null) side column
-    # would otherwise infer as arrow `null` through pandas and break
-    # the join's typed kernels
-    sch_a = pa.schema([pa.field("conv_id", pa.string()),
-                       *[pa.field(c, schema.field(f"{c}__a").type)
-                         for c in src_a]])
-    sch_b = pa.schema([pa.field("conv_id", pa.string()),
-                       *[pa.field(c, schema.field(f"{c}__b").type)
-                         for c in src_b]])
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        a = g[g["_side"] == 0]
-        b = g[g["_side"] == 1]
-        a = a[["conv_id", *[f"{c}__a" for c in src_a]]] \
-            .rename(columns={f"{c}__a": c for c in src_a})
-        b = b[["conv_id", *[f"{c}__b" for c in src_b]]] \
-            .rename(columns={f"{c}__b": c for c in src_b})
-        joined = join_fn(
-            pa.Table.from_pandas(a, schema=sch_a, preserve_index=False),
-            pa.Table.from_pandas(b, schema=sch_b, preserve_index=False))
-        out = _state_cols(joined, seq, False)
-        fname = _write_jmv(out, runs_dir, fname_base)
-        res = {"file": [fname], "conv_id": [None]}
-        if incremental:               # joined keys back for tombstones
-            ids = joined["conv_id"].to_pylist()
-            res = {"file": [fname] + [None] * len(ids),
-                   "conv_id": [None] + ids}
-        return pd.DataFrame(res)
+    def side(g: pa.Table, tag: int, suffix: str,
+             src: tuple[str, ...]) -> pa.Table:
+        return g.filter(pc.equal(g["_side"], tag)) \
+            .select(["conv_id", *[f"{c}__{suffix}" for c in src]]) \
+            .rename_columns(["conv_id", *src])
 
-    meta = exchange_map_groups(ds, "part", P, fold).to_pandas()
-    files = meta["file"].dropna().tolist() if len(meta) else []
+    def fold(g: pa.Table) -> pa.Table:
+        joined = join_fn(side(g, 0, "a", src_a), side(g, 1, "b", src_b))
+        fname = _write_jmv(_state_cols(joined, seq, False), runs_dir,
+                           fname_base)
+        # one row per partition; the joined keys go back for the
+        # tombstones when incremental
+        ids = joined["conv_id"].combine_chunks() if incremental \
+            else pa.array([], pa.string())
+        return pa.table({"file": [fname],
+                         "conv_ids": pa.ListArray.from_arrays([0, len(ids)],
+                                                              ids)})
+
+    meta = ray.get(block_refs(exchange_map_groups(
+        ds, "part", P, fold, batch_format="pyarrow")))
+    files = [f for t in meta for f in t["file"].to_pylist()]
     if incremental:
-        joined_keys = set(meta["conv_id"].dropna()) if len(meta) else set()
+        joined_keys = {k for t in meta
+                       for k in pc.list_flatten(t["conv_ids"]).to_pylist()}
         gone = sorted(keys - joined_keys)
         if gone:
             dead = {"conv_id": pa.array(gone, pa.string())}

@@ -502,28 +502,27 @@ def _write_mv_file(tbl: pa.Table, runs_dir: str, view: MatView,
 
 
 def _inc_fold(view: MatView, payload: list[str], controls,
-              keys: list[str] | None, mv_seq: int, runs_dir: str, txn: str):
+              keys: "pa.Array | None", mv_seq: int, runs_dir: str,
+              txn: str):
     """Per-bucket fold of both refresh paths: filter the bucket's run
     rows to `keys`, LWW-resolve just those, re-aggregate, tombstone the
     vanished -- then write the view run file in-task (no driver hop for
     the rows). `keys=None` (full recompute) means every key, no filter
     and no tombstones; a bucket with no live rows then writes no file
     and returns None."""
-    key_set = None if keys is None else pa.array(keys, pa.string())
     agg_cols = [view.key, "turn_idx", *view.source_cols]
 
     def fold(tbl: "pa.Table | None") -> dict | None:
         live = view.empty_result()
         if tbl is not None and tbl.num_rows:
-            if key_set is not None:
-                tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=key_set))
+            if keys is not None:
+                tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=keys))
             resolved = resolve_with_controls(tbl, payload, controls,
                                              sort=False)
             if resolved.num_rows:
                 live = view.agg(resolved.select(agg_cols))
-        present = set(live[view.key].to_pylist()) if keys else set()
-        gone = pa.array([k for k in keys or () if k not in present],
-                        pa.string())
+        gone = pa.array([], pa.string()) if keys is None else keys.filter(
+            pc.invert(pc.is_in(keys, value_set=live[view.key])))
         if not live.num_rows and not len(gone):
             return None
         dead_cols = {view.key: gone}
@@ -584,12 +583,12 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
         pairs = pa.concat_tables(ray.get([
             _scan_affected.remote(os.path.join(state.runs_dir, f))
             for f in delta]))
-        conv = pairs[view.key].to_pandas().to_numpy(dtype=object)
-        buck = pairs[BUCKET_COL].to_numpy(zero_copy_only=False)
-        per_bucket: dict[int, set] = {}
-        for c, b in zip(conv, buck):
-            per_bucket.setdefault(int(b), set()).add(c)
-        keys_of = {b: sorted(per_bucket[b]) for b in sorted(per_bucket)}
+        # the sorted distinct keys of each affected bucket
+        per_bucket = pa.TableGroupBy(pairs, BUCKET_COL).aggregate(
+            [(view.key, "distinct")]).sort_by(BUCKET_COL)
+        keys_of = {b: ks.values.sort() for b, ks in zip(
+            per_bucket[BUCKET_COL].to_pylist(),
+            per_bucket[f"{view.key}_distinct"].combine_chunks())}
         subset = list(keys_of)
         # path-list pruning: bucketed run files are bucket-exclusive
         # (manifest.buckets), so only affected buckets' files are read;
@@ -618,7 +617,7 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
     if delta is not None:
         files = list(m.derived.get(view.derived_key, [])) + files
         stats = {"mode": "incremental",
-                 "affected_keys": int(len(conv)),
+                 "affected_keys": pairs.num_rows,
                  "affected_buckets": len(keys_of),
                  "tombstones": int(sum(mm["n_dead"] for mm in metas))}
     else:

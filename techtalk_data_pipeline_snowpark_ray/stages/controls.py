@@ -25,9 +25,14 @@ Mechanics (see also stages/apply.py):
     committed_lsn covers them.
 
 Predicates and assignments are a small declarative, JSON-serializable
-DSL (no pickled lambdas in the manifest): every function is a
-vectorized pandas kernel. The fold itself is Arrow; the state goes
-through pandas only while a control op is applied to it.
+DSL (no pickled lambdas in the manifest) run by `pyarrow.compute` on
+the folded Arrow state: a predicate is a mask where a null compare is
+False (SQL, also for ``ne``); assignments read the PRE-update columns
+and write back with ``if_else``. :meth:`ControlOp.check` rejects a
+value outside its column's type family before the op commits. Case
+maps are Arrow's one code point to one (``"ß"`` upper-cases to
+``"ẞ"``, not ``"SS"``). The pandas form of the DSL is the test
+oracle's (`state.oracle`).
 """
 
 from __future__ import annotations
@@ -35,60 +40,52 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schemas
 from .apply import fold_table
 
-def _cmp(fn):
-    """Comparison kernel tolerant of object columns holding None (a
-    payload column wiped by a control delete, or never set by partial
-    updates): on TypeError the column is coerced to the value's family
-    (numeric or string) and nulls compare False, matching SQL.
-
-    The explicit notna() AND is what enforces the SQL rule for ``ne``:
-    pandas evaluates ``NULL != v`` to True (so fillna never fires),
-    while SQL's three-valued logic excludes NULL rows from EVERY
-    comparison — without the mask a ``ne`` control would wrongly
-    update/delete all null-valued rows."""
-    def kernel(s, v):
-        cmp_s = s
-        try:
-            out = fn(cmp_s, v)
-        except TypeError:
-            cmp_s = pd.to_numeric(s, errors="coerce") \
-                if isinstance(v, (int, float, np.number)) \
-                else s.astype("string")
-            out = fn(cmp_s, v)
-        return pd.Series(out).fillna(False) & cmp_s.notna()
-    return kernel
-
-
 _PREDICATES = {
-    "eq": _cmp(lambda s, v: s == v),
-    "ne": _cmp(lambda s, v: s != v),
-    "lt": _cmp(lambda s, v: s < v),
-    "le": _cmp(lambda s, v: s <= v),
-    "gt": _cmp(lambda s, v: s > v),
-    "ge": _cmp(lambda s, v: s >= v),
-    "contains": lambda s, v: s.astype("string").str.contains(v, regex=False).fillna(False),
-    "startswith": lambda s, v: s.astype("string").str.startswith(v).fillna(False),
-    "startswith_lower": lambda s, v: s.astype("string").str.lower().str.startswith(v).fillna(False),
+    "eq": pc.equal,
+    "ne": pc.not_equal,
+    "lt": pc.less,
+    "le": pc.less_equal,
+    "gt": pc.greater,
+    "ge": pc.greater_equal,
+    "contains": pc.match_substring,
+    "startswith": pc.starts_with,
+    "startswith_lower": lambda c, v: pc.starts_with(pc.utf8_lower(c), v),
 }
+_STRING_PREDICATES = ("contains", "startswith", "startswith_lower")
 
 _ASSIGNMENTS = {
     # set a literal
-    "set": lambda df, spec: spec["value"],
+    "set": lambda t, spec: spec["value"],
     # string transforms of a (possibly different) column
-    "upper": lambda df, spec: df[spec["col"]].astype("string").str.upper(),
-    "lower": lambda df, spec: df[spec["col"]].astype("string").str.lower(),
-    "concat": lambda df, spec: df[spec["col"]].astype("string") + spec["value"],
-    # arithmetic on a column
-    "mul": lambda df, spec: df[spec["col"]] * spec["value"],
-    "add": lambda df, spec: df[spec["col"]] + spec["value"],
+    "upper": lambda t, spec: pc.utf8_upper(t[spec["col"]]),
+    "lower": lambda t, spec: pc.utf8_lower(t[spec["col"]]),
+    "concat": lambda t, spec: pc.binary_join_element_wise(
+        t[spec["col"]], spec["value"], ""),
+    # arithmetic on a column (overflow raises)
+    "mul": lambda t, spec: pc.multiply_checked(t[spec["col"]], spec["value"]),
+    "add": lambda t, spec: pc.add_checked(t[spec["col"]], spec["value"]),
 }
+
+
+_NUMBERS = {"int", "float"}
+
+
+def _family(t: pa.DataType) -> str:
+    """"string", "int", "float", or the type's own name (bool, null,
+    timestamp[us], ...)."""
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return "string"
+    if pa.types.is_integer(t):
+        return "int"
+    if pa.types.is_floating(t):
+        return "float"
+    return str(t)
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,46 @@ class ControlOp:
             if spec["fn"] not in _ASSIGNMENTS:
                 raise ValueError(f"unknown assignment fn {spec['fn']!r}")
 
+    def check(self, schema: pa.Schema) -> None:
+        """Raise ValueError unless every column the op names is in
+        `schema` and every value fits its column's type family: a
+        compare takes any number for a number column, and an int may be
+        written into a float column. A literal's family is inferred
+        (``pa.scalar(v).type``), never cast: a cast parses ``"3"`` into
+        an int."""
+        def fam(col: str) -> str:
+            if schema.get_field_index(col) == -1:
+                raise ValueError(f"control op at lsn {self.lsn}: unknown "
+                                 f"column {col!r}")
+            return _family(schema.field(col).type)
+
+        def lit(v) -> str:
+            return _family(pa.scalar(v).type)
+
+        def require(ok: bool, what: str, col: str) -> None:
+            if not ok:
+                raise ValueError(f"control op at lsn {self.lsn}: {what} "
+                                 f"does not fit column {col!r} ({fam(col)})")
+
+        p = self.predicate
+        col, val = fam(p["col"]), lit(p["value"])
+        require((col == val or {col, val} <= _NUMBERS)
+                and (p["fn"] not in _STRING_PREDICATES or col == "string"),
+                f"{p['fn']} {p['value']!r}", p["col"])
+        for out, spec in self.assignments.items():
+            if spec["fn"] == "set":
+                got = lit(spec["value"])            # "null" fits any column
+            elif spec["fn"] in ("mul", "add"):
+                pair = {fam(spec["col"]), lit(spec["value"])}
+                got = "int" if pair == {"int"} \
+                    else "float" if pair <= _NUMBERS else None
+            else:                                   # upper, lower, concat
+                got = "string" if fam(spec["col"]) == "string" \
+                    and lit(spec.get("value", "")) == "string" else None
+            require(got in (fam(out), "null")
+                    or (got, fam(out)) == ("int", "float"),
+                    f"{spec['fn']} {spec!r}", out)
+
     def to_dict(self) -> dict:
         return {"lsn": self.lsn, "kind": self.kind,
                 "predicate": dict(self.predicate),
@@ -131,9 +168,9 @@ def sorted_controls(controls) -> list[ControlOp]:
     return sorted(ops, key=lambda c: c.lsn)
 
 
-def apply_control(state: pd.DataFrame, op: ControlOp,
-                  payload_cols: list[str] | None = None) -> pd.DataFrame:
-    """Apply one control op to a folded state frame (vectorized).
+def apply_control(state: pa.Table, op: ControlOp,
+                  payload_cols: list[str] | None = None) -> pa.Table:
+    """Apply one control op to a folded state table.
 
     Tombstoned rows are invisible to the predicate; modified rows take
     lsn = op.lsn - 1 -- strictly AFTER everything the control read
@@ -143,36 +180,40 @@ def apply_control(state: pd.DataFrame, op: ControlOp,
     (key, lsn)-collide with that event and the dedup would silently
     drop one of the two. Control tombstones null their payload like
     WAL delete events do -- a later partial update's forward-fill must
-    find nothing to resurrect behind the delete barrier."""
-    if state.empty:
+    find nothing to resurrect behind the delete barrier. Every
+    assignment is computed from the PRE-update columns (SQL UPDATE
+    semantics): a later assignment never sees an earlier one's
+    result."""
+    if not state.num_rows:
         return state
-    live = state[schemas.OP_COL].to_numpy() != schemas.OP_DELETE
     pred = op.predicate
-    mask = _PREDICATES[pred["fn"]](state[pred["col"]], pred["value"])
-    mask = np.asarray(mask, dtype=bool) & live
-    if not mask.any():
+    mask = pc.and_(
+        pc.fill_null(_PREDICATES[pred["fn"]](state[pred["col"]],
+                                             pred["value"]), False),
+        pc.not_equal(state[schemas.OP_COL], schemas.OP_DELETE))
+    if not pc.any(mask).as_py():
         return state
-    state = state.copy()
+    names = state.column_names
     if op.kind == "delete":
-        state.loc[mask, schemas.OP_COL] = schemas.OP_DELETE
         wipe = payload_cols if payload_cols is not None else [
-            c for c in state.columns
+            c for c in names
             if c not in (*schemas.KEY_COLS, schemas.LSN_COL, schemas.OP_COL)]
-        state.loc[mask, list(wipe)] = None
+        new = {c: None for c in wipe if c in names}
+        new[schemas.OP_COL] = schemas.OP_DELETE
     else:
-        # every RHS evaluates against the PRE-update row (SQL UPDATE
-        # semantics): compute all values first, then assign -- a later
-        # assignment must not see an earlier one's result. RHS kernels
-        # run over the MATCHED rows only (the RHS never reads an
-        # unmatched row), so a narrow predicate over a wide bucket
-        # costs O(matches), not O(rows), per assignment.
-        sub = state.loc[mask]
-        vals = {col: _ASSIGNMENTS[spec["fn"]](sub, spec)
-                for col, spec in op.assignments.items()}
-        for col, val in vals.items():
-            # Series values carry sub's index, so .loc aligns exactly
-            state.loc[mask, col] = val
-    state.loc[mask, schemas.LSN_COL] = np.int64(op.lsn - 1)
+        new = {col: _ASSIGNMENTS[spec["fn"]](state, spec)
+               for col, spec in op.assignments.items() if col in names}
+    new[schemas.LSN_COL] = op.lsn - 1
+    for col, val in new.items():
+        i = state.schema.get_field_index(col)
+        old = state.column(i)
+        # a literal is broadcast to a column first: pyarrow 16's if_else
+        # of a string SCALAR over a sliced string chunk writes wrong bytes
+        val = pc.cast(val, old.type) \
+            if isinstance(val, (pa.Array, pa.ChunkedArray)) \
+            else pa.repeat(pa.scalar(val, old.type), len(old))
+        state = state.set_column(i, state.schema.field(i),
+                                 pc.if_else(mask, val, old))
     return state
 
 
@@ -206,13 +247,7 @@ def resolve_with_controls(tbl: pa.Table, payload_cols: list[str],
         # records from folding across a control position.
         state = epochs[0]
         for op, nxt in zip(controls, epochs[1:]):
-            if state.num_rows:
-                # the control DSL kernels are pandas: convert around
-                # them only, and back to the state's exact schema
-                out = apply_control(state.to_pandas(), op, payload_cols)
-                state = pa.Table.from_pandas(
-                    out, schema=state.schema, preserve_index=False) \
-                    .replace_schema_metadata(state.schema.metadata)
+            state = apply_control(state, op, payload_cols)
             if nxt.num_rows:
                 state = fold_table(pa.concat_tables([state, nxt]),
                                    payload_cols)

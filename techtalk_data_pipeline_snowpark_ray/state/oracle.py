@@ -5,7 +5,10 @@ applying change events in lsn order. The Ray engine's committed
 snapshot after full replay must equal the oracle row-by-row (per-turn
 text equality under stable (conv_id, turn_idx) ordering).
 
-Deliberately naive and independent of the engine's fold code.
+Deliberately naive and independent of the engine's fold code. It
+also carries the control-op DSL's pandas reference kernels
+(`PREDICATES`, `ASSIGNMENTS`), against which the engine's Arrow
+kernels (`stages.controls`) are checked.
 """
 
 from __future__ import annotations
@@ -14,6 +17,38 @@ import pandas as pd
 import pyarrow as pa
 
 from .. import schemas
+
+
+def _compare(fn):
+    """SQL comparison kernel: the column is read in the value's family
+    (string for a str value, numeric otherwise) and a null compares
+    False -- also for ``ne``, where pandas alone says ``NULL != v``."""
+    def kernel(s, v):
+        s = s.astype("string") if isinstance(v, str) else pd.to_numeric(s)
+        return (pd.Series(fn(s, v)).fillna(False) & s.notna()).astype(bool)
+    return kernel
+
+
+PREDICATES = {
+    "eq": _compare(lambda s, v: s == v),
+    "ne": _compare(lambda s, v: s != v),
+    "lt": _compare(lambda s, v: s < v),
+    "le": _compare(lambda s, v: s <= v),
+    "gt": _compare(lambda s, v: s > v),
+    "ge": _compare(lambda s, v: s >= v),
+    "contains": lambda s, v: s.astype("string").str.contains(v, regex=False).fillna(False),
+    "startswith": lambda s, v: s.astype("string").str.startswith(v).fillna(False),
+    "startswith_lower": lambda s, v: s.astype("string").str.lower().str.startswith(v).fillna(False),
+}
+
+ASSIGNMENTS = {
+    "set": lambda df, spec: spec["value"],
+    "upper": lambda df, spec: df[spec["col"]].astype("string").str.upper(),
+    "lower": lambda df, spec: df[spec["col"]].astype("string").str.lower(),
+    "concat": lambda df, spec: df[spec["col"]].astype("string") + spec["value"],
+    "mul": lambda df, spec: pd.to_numeric(df[spec["col"]]) * spec["value"],
+    "add": lambda df, spec: pd.to_numeric(df[spec["col"]]) + spec["value"],
+}
 
 
 def apply_events_oracle(events: pa.Table | pd.DataFrame,
@@ -27,7 +62,7 @@ def apply_events_oracle(events: pa.Table | pd.DataFrame,
     whole state exactly when the replay reaches its lsn (a control at
     lsn L runs before an event at the same lsn) -- the naive sequential
     definition the engine's epoch fold must reproduce."""
-    from ..stages.controls import _ASSIGNMENTS, _PREDICATES, sorted_controls
+    from ..stages.controls import sorted_controls
 
     if isinstance(events, pa.Table):
         df = events.to_pandas()
@@ -44,14 +79,14 @@ def apply_events_oracle(events: pa.Table | pd.DataFrame,
             # carries them too)
             row1 = pd.DataFrame([{**dict(zip(schemas.KEY_COLS, key)),
                                   **state[key]}])
-            if not bool(_PREDICATES[pred["fn"]](row1[pred["col"]],
+            if not bool(PREDICATES[pred["fn"]](row1[pred["col"]],
                                                 pred["value"]).iloc[0]):
                 continue
             if op.kind == "delete":
                 del state[key]
             else:
                 for col, spec in op.assignments.items():
-                    v = _ASSIGNMENTS[spec["fn"]](row1, spec)
+                    v = ASSIGNMENTS[spec["fn"]](row1, spec)
                     state[key][col] = v.iloc[0] if isinstance(v, pd.Series) else v
 
     state: dict[tuple, dict] = {}

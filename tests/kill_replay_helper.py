@@ -18,7 +18,12 @@ from techtalk_data_pipeline_snowpark_ray.config import EngineConfig  # noqa: E40
 from techtalk_data_pipeline_snowpark_ray.pipelines import ingest  # noqa: E402
 
 table_dir, wal_dir = sys.argv[1], sys.argv[2]
-cfg = EngineConfig(table_dir=table_dir, wal_dir=wal_dir, num_buckets=4)
+# one apply task per 2,000-row WAL segment: run files land one by one
+# long before the tick's single publish, so a kill at the first run
+# file is mid-tick (with one task, the gap between its run file and the
+# publish is a few ms)
+cfg = EngineConfig(table_dir=table_dir, wal_dir=wal_dir, num_buckets=4,
+                   direct_batch_rows=2_000)
 print("STARTING", flush=True)
 ingest.run_loop(cfg, stop_when_idle=True)
 print("FINISHED", flush=True)

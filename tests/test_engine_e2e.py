@@ -1492,12 +1492,11 @@ def test_batch_interval_check():
     """The direct-fold precondition checker: overlapping batch lsn
     ranges abort the tick; touching boundaries (a duplicate straddling
     a block split) are legal."""
-    ok = pd.DataFrame({"min_lsn": [0, 100, 200], "max_lsn": [99, 200, 300]})
-    ingest._check_batch_intervals(ok)          # boundary equality OK
-    bad = pd.DataFrame({"min_lsn": [0, 150], "max_lsn": [199, 400]})
+    ingest._check_batch_intervals([(0, 99), (100, 200), (200, 300)])
     with pytest.raises(RuntimeError, match="interval violation"):
-        ingest._check_batch_intervals(bad)
-    ingest._check_batch_intervals(pd.DataFrame({"a": [1]}))  # no cols: skip
+        ingest._check_batch_intervals([(0, 199), (150, 400)])
+    # a batch with no lsn range is skipped, even where it would overlap
+    ingest._check_batch_intervals([(0, 99), (None, None), (100, 200)])
 
 
 def test_direct_apply_many_tiny_segments_matches_oracle(tmp_engine):

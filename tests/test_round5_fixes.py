@@ -453,10 +453,11 @@ def test_cdc_apply_full_cleanup_safe(ray_session):
 def test_control_ne_predicate_skips_nulls():
     """SQL three-valued logic: `col != v` is NULL (no match) for NULL
     rows; pandas' != instead evaluates True there, so a 'ne' delete
-    used to tombstone every null-valued row."""
+    used to tombstone every null-valued row. The Arrow mask fills the
+    null compare with False."""
     from techtalk_data_pipeline_snowpark_ray.stages.controls import (
         ControlOp, apply_control)
-    state = pd.DataFrame({
+    state = pa.table({
         "conv_id": ["a", "b", "c"], "turn_idx": [0, 0, 0],
         "lsn": np.array([1, 2, 3], np.int64),
         "op": ["full", "full", "full"],
@@ -467,7 +468,7 @@ def test_control_ne_predicate_skips_nulls():
     op = ControlOp(lsn=10, kind="delete",
                    predicate={"col": "tool", "fn": "ne", "value": "search"})
     out = apply_control(state, op, ["role", "text", "tool"])
-    by = out.set_index("conv_id")["op"]
+    by = dict(zip(out["conv_id"].to_pylist(), out["op"].to_pylist()))
     assert by["a"] == "full"      # tool == 'search': not matched
     assert by["b"] == "full"      # tool NULL: SQL says no match
     assert by["c"] == "delete"    # tool == 'calc': matched
