@@ -17,7 +17,9 @@ Snowflake's server-side machinery replaced by one write path:
             -> _publish_append_rebased                    # txn commit U7
 
 Delta runs land unbucketed (global runs); compaction folds them into
-per-bucket bases, and snapshot reads resolve across runs. Heavy data
+per-bucket bases, and snapshot reads resolve across runs: each bucket's
+task reads its own bases and folds them with its slices of the delta
+runs, and a bucket that is one base alone is already resolved. Heavy data
 never reaches the driver: it touches only segment lists and one
 metrics dict per task.
 
@@ -48,7 +50,7 @@ from .. import schemas
 from ..config import EngineConfig
 from ..sources import wal
 from ..stages.apply import fold_table
-from ..stages.controls import resolve_with_controls, sorted_controls
+from ..stages.controls import resolve_stored, sorted_controls
 from ..stages.exchange import block_refs, split_by_route, split_fan_out
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
@@ -733,18 +735,21 @@ def apply_tick(cfg: EngineConfig,
 # SORT-based all-to-all over every run row (measured 40s for 27M rows /
 # 0.65 GB zstd at 32 cpus -- the sort, not the exchange, dominates);
 # the runs are already collapsed per task, so all the fold needs is
-# CO-LOCATION by the stored bucket key. A raw-Ray hash exchange does
-# exactly that: one task per file chunk splits each file by bucket
-# through `stages.exchange.split_by_route` (one object-store entry per
-# (chunk, bucket)), one task per bucket concats its slices and folds.
-# Every delta and base run is written sorted by bucket, so the split
-# finds a non-decreasing route and cuts zero-copy slices by range: no
-# argsort, no gather (a chunk of several files still copies each
-# bucket's slices once, into one contiguous table). Same data movement, no global sort: 5.5s on the
-# same input. This is the deliberate drop-below-Dataset case (a shared
-# shuffle the Dataset API only expresses as a sort); partitioning
-# assumption: bucket = H(key) % num_buckets is frozen per table
-# (Manifest.num_buckets).
+# CO-LOCATION by the stored bucket key. A bucket's base runs are
+# co-located by construction (`Manifest.buckets[b]` holds only bucket
+# b's rows), so the task that folds bucket b reads them itself. Only
+# the global (delta) runs, which hold every bucket, go through a
+# raw-Ray hash exchange: one task per file chunk splits each file by
+# bucket through `stages.exchange.split_by_route` (one object-store
+# entry per (chunk, bucket)), and each bucket's fold task concats its
+# base rows and its slices. Every delta run is written sorted by
+# bucket, so the split finds a non-decreasing route and cuts zero-copy
+# slices by range: no argsort, no gather (a chunk of several files
+# still copies each bucket's slices once, into one contiguous table).
+# Same data movement, no global sort: 5.5s on the same input. This is
+# the deliberate drop-below-Dataset case (a shared shuffle the Dataset
+# API only expresses as a sort); partitioning assumption: bucket =
+# H(key) % num_buckets is frozen per table (Manifest.num_buckets).
 
 
 def _split_run_files(file_chunk: list[str], num_buckets: int,
@@ -752,9 +757,11 @@ def _split_run_files(file_chunk: list[str], num_buckets: int,
                      bucket_subset: list[int] | None = None,
                      rebucket: bool = False) -> tuple[pa.Table, ...]:
     """Read a chunk of run files and return one Arrow table per bucket
-    (per `bucket_subset` id when given, else per bucket). Each file
-    splits on its own and a bucket's slices concat in file order, so
-    rows reach the fold as a concat-then-stable-sort would order them.
+    (per `bucket_subset` id when given, else per bucket). The chunk
+    holds global (delta) runs -- every file only under `rebucket`; a
+    bucket's base runs are read by its fold task. Each file splits on
+    its own and a bucket's slices concat in file order, so rows reach
+    the fold as a concat-then-stable-sort would order them.
     Each bucket's table leaves as one chunk per column: a chunk of one
     file stays a zero-copy slice, one of several files is copied once,
     in order. Ray's Arrow serializer and the fold both pay per chunk,
@@ -769,9 +776,11 @@ def _split_run_files(file_chunk: list[str], num_buckets: int,
     bucket column from the key hash under THIS `num_buckets` (the
     re-bucketing migration path) instead of trusting the stored one.
     A stored bucket outside ``[0, num_buckets)`` raises."""
-    # run files are sorted by bucket, so when only a bucket subset is
-    # wanted (and the stored bucket column is trusted), a parquet
-    # row-group filter skips the untouched ranges at the scan
+    # with a bucket subset (and a trusted stored bucket column) the scan
+    # drops the other buckets' rows. `write_run` leaves pyarrow's
+    # default row groups (up to 1,048,576 rows), so a run file is one
+    # group at these sizes and this is a row filter over the decoded
+    # file, not a skip of row groups by their footer statistics
     filters = None if rebucket or bucket_subset is None \
         else [(BUCKET_COL, "in", list(bucket_subset))]
     per_file = []
@@ -790,13 +799,50 @@ def _split_run_files(file_chunk: list[str], num_buckets: int,
                  .combine_chunks() for parts in zip(*per_file))
 
 
+def _read_base(path: str, bucket: int,
+               columns: list[str] | None) -> pa.Table:
+    """One base run of `bucket`, pruned to `columns` as the split prunes
+    a delta run. The base is read without routing, so its footer
+    statistics must show that the bucket column holds `bucket` alone:
+    anything else (a foreign row, a missing statistic) raises
+    ValueError before the rows are decoded. An empty base, which an
+    erasure can leave behind, has no statistics and reads as no
+    rows."""
+    with pq.ParquetFile(path) as f:
+        have = f.schema_arrow.names
+        md = f.metadata
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            if not rg.num_rows:
+                continue
+            s = rg.column(have.index(BUCKET_COL)).statistics \
+                if BUCKET_COL in have else None
+            seen = (s.min, s.max) if s is not None and s.has_min_max \
+                else None
+            if seen != (bucket, bucket):
+                raise ValueError(
+                    f"base run {os.path.basename(path)} of bucket {bucket} "
+                    f"may hold other buckets' rows: its bucket column's "
+                    f"footer (min, max) is {seen}")
+        return f.read(columns=None if columns is None
+                      else [c for c in columns if c in have])
+
+
 @ray.remote
-def _fold_bucket_refs(fn, *parts):
-    """Concat a bucket's exchanged slices and apply the fold callable."""
+def _fold_bucket_refs(fn, bucket: int, bases: list[str],
+                      columns: list[str] | None, *parts):
+    """Fold one bucket: read its base runs (`_read_base`), concat them
+    with its exchanged delta slices, in that order, and return
+    ``fn(group, lone_base)``. `group` is None when no input has rows;
+    `lone_base` is True when the rows are one base run's alone, which
+    compaction already resolved (`stages.controls.resolve_stored`)."""
+    base = [t for t in (_read_base(p, bucket, columns) for p in bases)
+            if t.num_rows]
     parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return fn(None)
-    return fn(pa.concat_tables(parts, promote_options="default"))
+    if not base and not parts:
+        return fn(None, False)
+    return fn(pa.concat_tables(base + parts, promote_options="default"),
+              len(base) == 1 and not parts)
 
 
 @ray.remote
@@ -822,24 +868,55 @@ def _bucket_rows_estimate(paths: list[str],
     return np.sum(hists, axis=0).astype(np.int64)
 
 
+def _stored_runs(state: TableState, m: Manifest,
+                 buckets: "set[int] | None" = None
+                 ) -> tuple[list[str], dict[int, list[str]]]:
+    """The run paths a stored-bucket read of `buckets` (default: every
+    bucket) covers -- those buckets' base runs, then every global run --
+    and each of those buckets' base paths."""
+    bases = {int(b): [os.path.join(state.runs_dir, f) for f in runs]
+             for b, runs in m.buckets.items()
+             if buckets is None or int(b) in buckets}
+    return [p for runs in bases.values() for p in runs] \
+        + [os.path.join(state.runs_dir, f) for f in m.global_runs], bases
+
+
 def _exchange_by_bucket(paths: list[str], num_buckets: int,
+                        bases: dict[int, list[str]],
                         target_chunk_bytes: int = 256 << 20,
                         columns: list[str] | None = None,
                         bucket_subset: list[int] | None = None,
-                        rebucket: bool = False) -> list[list]:
-    """Launch the split stage; returns per-bucket lists of table refs.
+                        rebucket: bool = False) -> list[tuple]:
+    """The one entry point of every stored-bucket read: `paths` is every
+    run file the read covers, base runs included. Returns, per bucket
+    (per `bucket_subset` id when given), the arguments of its
+    `_fold_bucket_refs` task after the fold callable: ``(bucket, its
+    base paths, columns, *its delta slice refs)``.
+
+    Bucket b's base runs (`bases[b]`, paths from `Manifest.buckets`)
+    are read by b's own fold task; only the other paths -- the global
+    runs -- cross the split stage, and a read with none launches no
+    split task. A `rebucket` migration, whose route is recomputed,
+    sends every path through the split.
 
     Chunk size targets ~2 chunks per core (bounded above so a chunk's
     decompressed rows stay in one worker's heap); object count is
     chunks x buckets, each entry a contiguous Arrow slice."""
-    total = sum(os.path.getsize(p) for p in paths)
+    bases = {} if rebucket else bases
+    owned = {p for runs in bases.values() for p in runs}
+    split = [p for p in paths if p not in owned]
+    ids = list(range(num_buckets)) if bucket_subset is None \
+        else list(bucket_subset)
+    if not split:
+        return [(b, bases.get(b, []), columns) for b in ids]
+    total = sum(os.path.getsize(p) for p in split)
     cpus = int(ray.cluster_resources().get("CPU", 8) or 8)
     target = max(8 << 20, min(target_chunk_bytes,
                               total // max(2 * cpus, 1) or total))
     chunks: list[list[str]] = []
     cur: list[str] = []
     size = 0
-    for p in paths:
+    for p in split:
         cur.append(p)
         size += os.path.getsize(p)
         if size >= target:
@@ -847,10 +924,10 @@ def _exchange_by_bucket(paths: list[str], num_buckets: int,
             cur, size = [], 0
     if cur:
         chunks.append(cur)
-    n_out = num_buckets if bucket_subset is None else len(bucket_subset)
-    return [list(refs) for refs in split_fan_out(
-        _split_run_files, chunks, n_out,
-        num_buckets, columns, bucket_subset, rebucket)]
+    return [(b, bases.get(b, []), columns, *refs)
+            for b, refs in zip(ids, split_fan_out(
+                _split_run_files, chunks, len(ids),
+                num_buckets, columns, bucket_subset, rebucket))]
 
 
 def _run_schema(version: int, payload: list[str]) -> pa.Schema:
@@ -871,7 +948,13 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
     """Dataset of the committed table state (LWW-resolved across runs).
 
     Grouping is by `bucket` (the stored layout key), which is stable
-    across ticks even when the hot-key salt set changes.
+    across ticks even when the hot-key salt set changes. One task per
+    bucket reads the bucket's base runs itself and folds them with its
+    slices of the global (delta) runs; only the delta rows cross the
+    split stage and the object store (`_exchange_by_bucket`). A bucket
+    whose only rows are one base run's, with no control op pending, is
+    returned as read: compaction wrote it resolved
+    (`stages.controls.resolve_stored`).
 
     `columns` (payload subset) pushes projection down to the run-file
     parquet scan: only key cols, lsn/op/bucket and the requested
@@ -884,25 +967,20 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
 
     `buckets` restricts the read to a subset of stored buckets (key
     pruning: only those buckets' base runs plus the uncompacted global
-    runs are scanned, and the exchange emits only those groups). Sound
+    runs are scanned, and only those buckets are folded). Sound
     because buckets partition keys exclusively — every record of a
     restricted key set lives inside its buckets' slices. This is the
-    skipping read under `read_conversation` (one bucket) and the
-    inverted-index search (index-hit buckets, matview.search_token).
+    skipping read under the inverted-index search (index-hit buckets,
+    matview.search_token).
     """
     state = TableState(cfg.table_dir)
     m = manifest or state.load_latest()
-    if buckets is None:
-        paths = state.run_paths(m)
-    else:
+    if buckets is not None:
         buckets = sorted({int(b) for b in buckets})
-        want = {str(b) for b in buckets}
-        paths = [os.path.join(state.runs_dir, f)
-                 for b, runs in m.buckets.items() if b in want
-                 for f in runs] \
-            + [os.path.join(state.runs_dir, f) for f in m.global_runs]
-        if not buckets:
-            paths = []
+    paths, bases = _stored_runs(
+        state, m, None if buckets is None else set(buckets))
+    if buckets == []:
+        paths = []
     payload = schemas.payload_cols(cfg.schema_version)
     if not paths:
         empty = schemas.table_schema(cfg.schema_version).empty_table()
@@ -929,14 +1007,16 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
 
     final_cols = [*schemas.KEY_COLS,
                   *(payload if columns is None else columns)]
-    # an empty bucket resolves a typed empty run through the same path
-    # (and thus schema) as an occupied one -- mismatched per-block
-    # schemas break unions
+    # an empty bucket resolves a typed empty run, in the scan's column
+    # order, through the same path (and thus schema) as an occupied one
+    # -- mismatched per-block schemas break unions
     empty_run = _run_schema(cfg.schema_version, payload).empty_table()
+    if scan_cols is not None:
+        empty_run = empty_run.select(scan_cols)
 
-    def resolve(group: "pa.Table | None") -> pa.Table:
-        out = resolve_with_controls(
-            empty_run if group is None else group, payload, controls)
+    def resolve(group: "pa.Table | None", lone_base: bool) -> pa.Table:
+        out = resolve_stored(empty_run if group is None else group,
+                             payload, controls, lone_base)
         return out.select(final_cols) if final_only else out
 
     # the exchange splits by the STORED layout: the manifest's bucket
@@ -944,11 +1024,10 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
     # re-bucketing migration would otherwise silently drop every row
     # whose bucket >= cfg.num_buckets)
     per_bucket = _exchange_by_bucket(paths, m.num_buckets or cfg.num_buckets,
-                                     columns=scan_cols,
+                                     bases, columns=scan_cols,
                                      bucket_subset=buckets)
-    refs = [_fold_bucket_refs.remote(resolve, *bucket_refs)
-            for bucket_refs in per_bucket]
-    return ray.data.from_arrow_refs(refs)
+    return ray.data.from_arrow_refs(
+        [_fold_bucket_refs.remote(resolve, *args) for args in per_bucket])
 
 
 def read_conversation(cfg: EngineConfig, conv_id: str,
@@ -957,14 +1036,21 @@ def read_conversation(cfg: EngineConfig, conv_id: str,
     final turns by scanning only its hash bucket -- the read-side
     payoff of the persisted `bucket = H(conv_id) % num_buckets`
     layout. Touches the bucket's base runs plus the not-yet-compacted
-    global runs, and within those the scan filter (bucket == b AND
-    conv_id == id) prunes parquet row groups via footer statistics
-    (runs are written sorted by bucket/key-hash precisely so point
-    predicates skip row groups). Cost is O(one bucket's bytes)
-    regardless of table size; at 100 TB with thousands of buckets
-    that is the difference between a serving query and a table scan.
-    Resolution (LWW fold + pending control ops + tombstone drop +
-    turn_idx ordering) is identical to `read_snapshot`."""
+    global runs, and keeps the rows that pass the scan filter
+    (bucket == b AND conv_id == id). `write_run` leaves pyarrow's
+    default row groups (up to 1,048,576 rows), so at today's run sizes
+    a file is one row group and the filter runs over its decoded rows;
+    the files' (bucket, key hash) order would let bigger files skip
+    row groups by their footer statistics. Cost is O(one bucket's
+    bytes) regardless of table size; at 100 TB with thousands of
+    buckets that is the difference between a serving query and a
+    table scan. Resolution (LWW fold + pending control ops + tombstone
+    drop + turn_idx ordering) is identical to `read_snapshot`,
+    including its lone-base rule: when the bucket's one base run is
+    the only file read and no control op is pending, its rows are
+    returned as read. With global runs present it stays one scan and
+    folds: a second scan to tell whether they hold the conversation
+    costs more than the fold."""
     import pyarrow.dataset as pads
 
     state = TableState(cfg.table_dir)
@@ -973,7 +1059,8 @@ def read_conversation(cfg: EngineConfig, conv_id: str,
     bucket = int(hash_strings_arrow(pa.array([conv_id], pa.string()))[0]
                  % np.uint64(nb))
     payload = schemas.payload_cols(cfg.schema_version)
-    files = list(m.buckets.get(str(bucket), [])) + list(m.global_runs)
+    bases = m.buckets.get(str(bucket), [])
+    files = list(bases) + list(m.global_runs)
     scan_schema = _run_schema(cfg.schema_version, payload)
     if files:
         flt = (pads.field(BUCKET_COL) == bucket) \
@@ -983,7 +1070,8 @@ def read_conversation(cfg: EngineConfig, conv_id: str,
             .to_table(filter=flt)
     else:
         t = scan_schema.empty_table()
-    out = resolve_with_controls(t, payload, sorted_controls(m.control_ops))
+    out = resolve_stored(t, payload, sorted_controls(m.control_ops),
+                         lone_base=len(bases) == 1 and not m.global_runs)
     return out.select([*schemas.KEY_COLS, *payload]).to_pandas()
 
 
@@ -1661,14 +1749,15 @@ def compact(cfg: EngineConfig, waves: int = 1,
 
     cols = RUN_COLS_FIXED + payload
 
-    def compact_bucket(group: "pa.Table | None",
+    def compact_bucket(group: "pa.Table | None", lone_base: bool,
                        shard: "int | None" = None) -> "dict | None":
         if group is None or group.num_rows == 0:
             return None
         bucket = group[BUCKET_COL][0].as_py()
         # the user-visible stable (conv_id, turn_idx) ordering lives in
         # the compacted base runs
-        out = resolve_with_controls(group.select(cols), payload, absorb)
+        out = resolve_stored(group.select(cols), payload, absorb,
+                             lone_base)
         sfx = "" if shard is None else f"-s{shard:02d}"
         fname = f"base-b{bucket:05d}{sfx}-x{txn}.parquet"
         write_run(out, os.path.join(runs_dir, fname))
@@ -1679,18 +1768,19 @@ def compact(cfg: EngineConfig, waves: int = 1,
         # (conv_id, turn_idx) determines the shard via a multiplicative
         # turn_idx hash, so every record of a key folds in exactly one
         # sub-task
-        def fold(group: "pa.Table | None") -> "dict | None":
+        def fold(group: "pa.Table | None",
+                 lone_base: bool) -> "dict | None":
             if group is None or group.num_rows == 0:
                 return None
             turn = group["turn_idx"].to_numpy(zero_copy_only=False) \
                 .astype(np.uint64)
             keep = (turn * np.uint64(2654435761)) % np.uint64(n_shards) \
                 == np.uint64(shard)
-            return compact_bucket(group.filter(pa.array(keep)),
+            return compact_bucket(group.filter(pa.array(keep)), lone_base,
                                   shard=shard)
         return fold
 
-    paths = state.run_paths(prev)
+    paths, bases = _stored_runs(state, prev)
     # hot-bucket salting gate: measured skew only; a rebucket migration
     # recomputes bucket routing, so stored-bucket estimates would lie —
     # skip salting there. Under the floor in total (footer row counts)
@@ -1708,20 +1798,19 @@ def compact(cfg: EngineConfig, waves: int = 1,
     metas = []
     for w in range(waves):
         subset = None if waves == 1 else list(range(w, cfg.num_buckets, waves))
-        per_bucket = _exchange_by_bucket(paths, cfg.num_buckets,
+        # a hot bucket's shard tasks each read the bucket's base runs
+        per_bucket = _exchange_by_bucket(paths, cfg.num_buckets, bases,
                                          bucket_subset=subset,
                                          rebucket=rebucket)
-        bucket_ids = subset if subset is not None \
-            else list(range(cfg.num_buckets))
         tasks = []
-        for b, refs in zip(bucket_ids, per_bucket):
-            if b in hot:
+        for args in per_bucket:
+            if args[0] in hot:
                 tasks += [_fold_bucket_refs.remote(sub_fold(s, n_shards),
-                                                   *refs)
+                                                   *args)
                           for s in range(n_shards)]
             else:
                 tasks.append(_fold_bucket_refs.remote(compact_bucket,
-                                                      *refs))
+                                                      *args))
         metas += [m for m in ray.get(tasks) if m]
 
     buckets: dict[str, list[str]] = {}

@@ -55,7 +55,7 @@ import ray.data
 
 from .. import schemas
 from ..config import EngineConfig
-from ..stages.controls import resolve_with_controls, sorted_controls
+from ..stages.controls import resolve_stored, sorted_controls
 from ..stages.exchange import split_by_route, split_fan_out
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
@@ -243,9 +243,11 @@ def _token_index_partial(t: pa.Table) -> pa.Table:
     agg = agg.select(["token", "conv_id_count",
                       "conv_id_count_distinct"]).rename_columns(
         ["token", "n_hits", "n_convs"])
-    # token-sorted partials give each index file tight parquet
-    # row-group stats, so token_buckets' `token ==` scan prunes row
-    # groups inside files, not just files
+    # token-sorted partials would give a multi-row-group index file
+    # tight per-group token stats for token_buckets' `token ==` scan to
+    # skip by; `write_run` keeps pyarrow's default groups (up to
+    # 1,048,576 rows), so at today's sizes a file is one group whose
+    # stats span its whole vocabulary, and the predicate filters rows
     return agg.sort_by("token")
 
 
@@ -333,9 +335,11 @@ def ann_probe_cells(query, nprobe: int) -> list[int]:
 
 def _ivf_index_partial(t: pa.Table) -> pa.Table:
     """IVF POSTING rows over the LIVE rows of one bucket: one row per
-    live turn carrying (cell, conv_id, turn_idx, e0..e9). Cell-sorted
-    so each index file's parquet row groups carry tight `cell` stats —
-    a probe read (`cell IN ...`) prunes row groups, not just files.
+    live turn carrying (cell, conv_id, turn_idx, e0..e9). Cell-sorted,
+    so an index file past pyarrow's default row-group size (1,048,576
+    rows, which `write_run` keeps) would give a probe read (`cell IN
+    ...`) per-group `cell` stats to skip by; below it a file is one
+    group and the probe is a row filter over the decoded file.
     Unembeddable rows (null text / zero vector) are not indexed;
     mirror the filter in any oracle. Updates/deletes retract their
     postings for free because partials re-derive from live rows."""
@@ -512,13 +516,13 @@ def _inc_fold(view: MatView, payload: list[str], controls,
     and returns None."""
     agg_cols = [view.key, "turn_idx", *view.source_cols]
 
-    def fold(tbl: "pa.Table | None") -> dict | None:
+    def fold(tbl: "pa.Table | None", lone_base: bool) -> dict | None:
         live = view.empty_result()
         if tbl is not None and tbl.num_rows:
             if keys is not None:
                 tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=keys))
-            resolved = resolve_with_controls(tbl, payload, controls,
-                                             sort=False)
+            resolved = resolve_stored(tbl, payload, controls, lone_base,
+                                      sort=False)
             if resolved.num_rows:
                 live = view.agg(resolved.select(agg_cols))
         gone = pa.array([], pa.string()) if keys is None else keys.filter(
@@ -543,7 +547,7 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
     committed version. Publishes one manifest (the refresh is itself a
     transaction); a no-op (already fresh, or an empty delta window)
     returns None."""
-    from .ingest import _exchange_by_bucket, _fold_bucket_refs
+    from .ingest import _exchange_by_bucket, _fold_bucket_refs, _stored_runs
 
     if name in GROUPED_MATVIEWS:
         return _refresh_grouped(cfg, GROUPED_MATVIEWS[name])
@@ -593,26 +597,22 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
         # path-list pruning: bucketed run files are bucket-exclusive
         # (manifest.buckets), so only affected buckets' files are read;
         # global (direct-mode) runs can hold any bucket and are always
-        # scanned — but they are sorted by bucket, so the exchange's
-        # row-group filter skips their untouched ranges too
-        want = {str(b) for b in subset}
-        paths = [os.path.join(state.runs_dir, f)
-                 for b, runs in m.buckets.items() if b in want
-                 for f in runs] \
-            + [os.path.join(state.runs_dir, f) for f in m.global_runs]
+        # scanned, and the split's scan filter drops their rows of
+        # other buckets (a row filter: a run file is one row group)
+        paths, bases = _stored_runs(state, m, set(subset))
     else:
         # -- full recompute: every bucket folds all of its keys --------
         keys_of = dict.fromkeys(range(num_buckets))
         subset = None
-        paths = state.run_paths(m)
-    exchanged = _exchange_by_bucket(paths, num_buckets, columns=scan_cols,
-                                    bucket_subset=subset)
+        paths, bases = _stored_runs(state, m)
+    exchanged = _exchange_by_bucket(paths, num_buckets, bases,
+                                    columns=scan_cols, bucket_subset=subset)
     metas = [mm for mm in ray.get([
         _fold_bucket_refs.remote(
             _inc_fold(view, pruned, controls, keys, cur, state.runs_dir,
                       txn),
-            *refs)
-        for keys, refs in zip(keys_of.values(), exchanged)]) if mm]
+            *args)
+        for keys, args in zip(keys_of.values(), exchanged)]) if mm]
     files = [mm["file"] for mm in metas]
     if delta is not None:
         files = list(m.derived.get(view.derived_key, [])) + files
@@ -740,11 +740,11 @@ def _grouped_fold(view: GroupedMatView, payload: list[str], controls,
     advances even when it resolved to zero live rows (otherwise stale
     partials from an older epoch would keep winning the read-side
     current-filter)."""
-    def fold(tbl: "pa.Table | None") -> dict:
+    def fold(tbl: "pa.Table | None", lone_base: bool) -> dict:
         partial = None
         if tbl is not None and tbl.num_rows:
-            resolved = resolve_with_controls(tbl, payload, controls,
-                                             sort=False)
+            resolved = resolve_stored(tbl, payload, controls, lone_base,
+                                      sort=False)
             if resolved.num_rows:
                 cols = [*schemas.KEY_COLS,
                         *[c for c in payload if c in
@@ -784,7 +784,7 @@ def _refresh_grouped(cfg: EngineConfig,
     """Grouped-view refresh: re-resolve and re-partial the AFFECTED
     buckets (all buckets on a full fallback); windowing rules shared
     with the keyed path."""
-    from .ingest import _exchange_by_bucket, _fold_bucket_refs
+    from .ingest import _exchange_by_bucket, _fold_bucket_refs, _stored_runs
 
     state = TableState(cfg.table_dir)
     cur, m = state.load_latest_versioned()
@@ -826,21 +826,17 @@ def _refresh_grouped(cfg: EngineConfig,
         # duck-typed: _scan_cols_for only touches source_cols, which
         # keyed and grouped views share
         _pruned, scan_cols = _scan_cols_for(view, payload, controls)
-        want = {str(b) for b in buckets}
-        paths = [os.path.join(state.runs_dir, f)
-                 for b, runs in m.buckets.items()
-                 if mode == "full" or b in want
-                 for f in runs] \
-            + [os.path.join(state.runs_dir, f) for f in m.global_runs]
+        paths, bases = _stored_runs(
+            state, m, None if mode == "full" else set(buckets))
         exchanged = _exchange_by_bucket(
-            paths, num_buckets, columns=scan_cols,
+            paths, num_buckets, bases, columns=scan_cols,
             bucket_subset=buckets)
         metas = ray.get([
             _fold_bucket_refs.remote(
                 _grouped_fold(view, _pruned, controls, b, cur,
                               state.runs_dir, txn),
-                *refs)
-            for b, refs in zip(buckets, exchanged)])
+                *args)
+            for b, args in zip(buckets, exchanged)])
         files += [mm["file"] for mm in metas]
 
     derived = {k: list(v) for k, v in m.derived.items()}
@@ -1052,8 +1048,10 @@ def token_buckets(cfg: EngineConfig, token: str,
     """Buckets whose CURRENT index epoch contains `token`, plus the
     stored bucket count — the SKIPPING read of the inverted index. The
     scan touches only the index files' (token, bucket, seq) columns
-    with a `token ==` parquet predicate (row groups prune on footer
-    stats), so the cost is index-sized, never table-sized.
+    with a `token ==` parquet predicate, so the cost is index-sized,
+    never table-sized. An index file is one row group at today's sizes
+    (`write_run` keeps pyarrow's 1,048,576-row default), so the
+    predicate filters decoded rows rather than skipping groups.
 
     Contract: the hit ids are in the layout of the index's LAST
     REFRESH. A caller pruning a snapshot read with them must compare
@@ -1251,8 +1249,10 @@ def search_ann(cfg: EngineConfig, query, k: int = 10, nprobe: int = 4,
     the incrementally-maintained IVF grouped matview: the query probes
     its `nprobe` nearest cells, the scan reads ONLY those cells'
     posting rows (parquet `cell IN` predicate over the cell-sorted
-    index files — row groups prune on footer stats, so cost is
-    probe-proportional, never index- or table-sized), a current-epoch
+    index files; each file is one row group at today's sizes, so the
+    predicate filters decoded rows and the cost is index-sized, never
+    table-sized -- files past 1,048,576 rows would skip groups by
+    their footer stats), a current-epoch
     filter drops superseded generations, and the candidates exact-rank
     by 6-decimal-rounded cosine with (conv_id, turn_idx) tie-break.
     Same freshness contract as token search: the index serves its last

@@ -19,7 +19,10 @@ Mechanics (see also stages/apply.py):
     read, view, query and compaction path calls) folds epoch 0, applies
     the first control to the folded state (vectorized mask + assignment
     kernels), LWW-merges epoch 1 on top, applies the second control,
-    ...; modified rows advance their lsn to the control's lsn;
+    ...; modified rows advance their lsn to the control's lsn. The one
+    input it is skipped for is a bucket that is one compacted base
+    alone with no op pending (:func:`resolve_stored`): compaction
+    already wrote that base as its resolve;
   * ops are committed in the table manifest (same atomic publish as the
     data) and absorbed -- then dropped -- by the first compaction whose
     committed_lsn covers them.
@@ -257,3 +260,17 @@ def resolve_with_controls(tbl: pa.Table, payload_cols: list[str],
         state = state.take(pc.sort_indices(state, sort_keys=[
             (k, "ascending") for k in schemas.KEY_COLS]))
     return state
+
+
+def resolve_stored(tbl: pa.Table, payload_cols: list[str],
+                   controls: list[ControlOp], lone_base: bool,
+                   sort: bool = True) -> pa.Table:
+    """:func:`resolve_with_controls` of one bucket's stored input. With
+    `lone_base` -- the bucket's only rows are those of one compacted
+    base run -- and no control op to apply, `tbl` is returned as read:
+    compaction wrote the base as its own resolve (one row per key, no
+    tombstone, sorted by (conv_id, turn_idx)), so a fold would return
+    the same rows."""
+    if lone_base and not controls:
+        return tbl
+    return resolve_with_controls(tbl, payload_cols, controls, sort=sort)

@@ -20,11 +20,14 @@ blocks here, run files in `pipelines.ingest._exchange_by_bucket`
 export blocks in `pipelines.sinks.write_partitioned`. A route that is
 already non-decreasing is cut into zero-copy slices by `searchsorted`:
 data partitioned by key group moves by range, never by a re-sort.
-Every delta and base run file is written sorted by bucket, so the
-stored-bucket split of a snapshot read or compaction neither sorts nor
-gathers. Any other route (hash routes of blocks and view files, a re-bucketing
-migration's recomputed buckets) is stable-argsorted and gathered once,
-column by column, without `ChunkedArray.take`.
+The stored-bucket exchange splits only the global (delta) runs, which
+hold every bucket and are written sorted by bucket, so it neither
+sorts nor gathers; a bucket's base runs hold that bucket alone and are
+read by its fold task without crossing the split or the object store.
+Any other route (hash routes of blocks and view files, a re-bucketing
+migration's recomputed buckets, which re-route base runs too) is
+stable-argsorted and gathered once, column by column, without
+`ChunkedArray.take`.
 
 Scale notes: object count is sources x partitions (keep P at
 O(cores)); peak object-store footprint equals the exchanged rows, same
