@@ -7,10 +7,14 @@ Reference parity: the one-stream-two-sinks transaction
 (``TopRestaurantsLast30Days.scala:38`` ``createOrReplaceView``): each
 view here is a *named* additive aggregate over the change stream --
 the apply task writes one partial file per view per batch, the manifest
-lists them under ``derived[view]``, and reading/compacting a view
+APPENDS them to ``derived[view]``, and reading/compacting a view
 sum-merges its partials. Because every partial becomes visible only
 through the manifest publish that also advances the stream offset, all
 views and the table are transactionally consistent with each other.
+These views count re-deliveries, so unlike the refreshed views of
+:mod:`.matview` (whose refresh replaces one file per bucket) they
+cannot be recomputed from the table: they stay append-model, and
+compaction is the only thing that merges their files.
 
 A view definition is two pieces:
   * ``partial(batch)``: raw change-record batch (before the fold) ->
@@ -28,9 +32,12 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 
 from .. import schemas
+from ..stages.exchange import split_by_route, split_fan_out
+from ..stages.partition import hash_strings_arrow
 from ..state.storage import write_run
 
 DERIVED_CONV_STATS = "conv_stats"
@@ -101,6 +108,17 @@ def resolve_views(names) -> list[DerivedView]:
     return out
 
 
+#: a view whose current files measure under this is read (matview) or
+#: compacted (here) in ONE task -- a measured-size gate (mirrors
+#: stages/joins.py's auto_join): a few-MB view never amortizes a task
+#: fan-out, while a big one must never concat in a single process.
+SMALL_VIEW_BYTES = 32 * 1024 * 1024
+
+
+def view_bytes(paths: "list[str]") -> int:
+    return sum(os.stat(p).st_size for p in paths)
+
+
 def _write_additive_base(tbl: pa.Table, runs_dir: str,
                          fname: str) -> str:
     write_run(tbl, os.path.join(runs_dir, fname))
@@ -111,26 +129,40 @@ def compact_additive_files(runs_dir: str, view_name: str,
                            files: "list[str]", txn: str) -> "list[str]":
     """Compaction hook for ADDITIVE derived views (called from
     ingest._compact_derived): merge a view's partial files into a base
-    set. Size-gated via matview.compact_view_sized (the shared driver):
-    a measured-small view merges in-process; past SMALL_VIEW_BYTES the
-    merge is a key-routed hash exchange writing one base per partition
-    — a conv_id-keyed counter view over 10^9 conversations must never
-    concat in a single process. Readers are indifferent (read_derived
-    group-merges whatever partials the manifest lists), and
-    per-partition bases are key-exclusive so the merge stays exact."""
-    from .matview import compact_view_sized
+    set. A measured-small view (SMALL_VIEW_BYTES) merges in-process;
+    past the gate the merge is a key-routed hash exchange, one task per
+    file splitting it by hash(key) and one task per partition writing
+    its base -- a conv_id-keyed counter view over 10^9 conversations
+    must never concat in a single process. Readers are indifferent
+    (read_derived group-merges whatever partials the manifest lists),
+    and per-partition bases are key-exclusive so the merge stays
+    exact."""
     spec = VIEWS[view_name]
-
-    def small(tbl: pa.Table) -> "list[str]":
+    paths = [os.path.join(runs_dir, f) for f in files]
+    size = view_bytes(paths)
+    if size <= SMALL_VIEW_BYTES:
+        tbl = pa.concat_tables([pq.read_table(p) for p in paths],
+                               promote_options="default")
         return [_write_additive_base(
             spec.merge_table(tbl), runs_dir,
             f"derived-{view_name}-base-x{txn}.parquet")]
-
-    return compact_view_sized(
-        runs_dir, files, spec.key, small,
-        lambda i, slices: _merge_additive_part.remote(
+    # one reducer per SMALL_VIEW_BYTES of input, capped so the object
+    # count stays bounded (tests force this path with a 0 gate)
+    n = int(max(2, min(32, -(-size // max(1, SMALL_VIEW_BYTES)))))
+    names = ray.get([
+        _merge_additive_part.remote(
             runs_dir, view_name,
-            f"derived-{view_name}-base-x{txn}p{i}.parquet", *slices))
+            f"derived-{view_name}-base-x{txn}p{i}.parquet", *slices)
+        for i, slices in enumerate(split_fan_out(
+            _split_view_file, paths, n, n, spec.key))])
+    return [f for f in names if f is not None]
+
+
+def _split_view_file(path: str, n: int, key: str) -> "tuple[pa.Table, ...]":
+    """Slices of one view file routed by hash(key) % n -- the map side
+    of the distributed view compaction."""
+    t = pq.read_table(path)
+    return split_by_route(t, hash_strings_arrow(t[key]) % np.uint64(n), n)
 
 
 @ray.remote

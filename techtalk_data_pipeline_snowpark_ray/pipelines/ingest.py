@@ -342,9 +342,11 @@ def _check_bucket_layout(prev: Manifest, cfg: EngineConfig) -> None:
 #     committed_seq, so their windows overlap -> duplicate application);
 #   * a winner that ADDED control ops vs a tick whose folds were
 #     collapsed without those barriers (epoch assignment would differ);
-#   * competing compactions / matview refreshes (both REWRITE file
-#     lists -- detected as a non-prefix change) and bucket-layout
-#     migrations (routing key changes under the loser's feet).
+#   * competing compactions (both REWRITE the table's run lists --
+#     detected as a non-prefix change) and bucket-layout migrations
+#     (routing key changes under the loser's feet).
+# A matview refresh replaces only its view's list, which compaction
+# never rewrites, so a compaction carries the winner's list as it is.
 
 
 def _op_keys(ops: list | None) -> set:
@@ -468,14 +470,16 @@ def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
                                 num_buckets: int,
                                 metrics: dict,
                                 rebucket: bool) -> Manifest:
-    """Publish a compaction, rebasing over concurrent APPEND winners:
-    the compaction folded the base manifest's frozen run list, so any
-    files a winner appended after it are simply carried forward on top
-    of the new bases. Winners that REWROTE lists (another compaction, a
-    matview refresh) or consumed absorbed-op territory do not commute
-    and raise. A `rebucket` migration never rebases: the routing key
-    itself changed, so concurrent appends under the old layout would
-    land mis-bucketed next to the new bases."""
+    """Publish a compaction, rebasing over concurrent winners that
+    commute with it: the compaction folded the base manifest's frozen
+    run list, so any files a winner appended after it are simply
+    carried forward on top of the new bases, and view lists it did not
+    rewrite (a matview refresh's replaced list) are carried as the
+    winner left them. Winners that REWROTE a list this compaction
+    rewrote (another compaction) or consumed absorbed-op territory do
+    not commute and raise. A `rebucket` migration never rebases: the
+    routing key itself changed, so concurrent appends under the old
+    layout would land mis-bucketed next to the new bases."""
     import json as _json
 
     base = prev                   # the manifest whose runs were folded
@@ -484,10 +488,11 @@ def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
     def _manifest_on(parent: Manifest) -> Manifest:
         """This compaction's manifest rebuilt on `parent` (== base on
         the first attempt): my bases + every file a winner appended
-        AFTER the base snapshot (per-bucket / global / per-view tails),
-        ops = my keeps + winner additions. Always derived from the
-        ORIGINAL base products, so repeated rebases never double-count
-        an earlier winner's tail."""
+        AFTER the base snapshot (per-bucket / global / compacted-view
+        tails), every other view list as `parent` has it, ops = my
+        keeps + winner additions. Always derived from the ORIGINAL base
+        products, so repeated rebases never double-count an earlier
+        winner's tail."""
         buckets = {b: list(v) for b, v in my_buckets.items()}
         for b, runs in parent.buckets.items():
             tail = runs[len(base.buckets.get(b, [])):]
@@ -495,10 +500,10 @@ def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
                 buckets.setdefault(b, []).extend(tail)
         derived = {v: list(f) for v, f in my_derived.items()}
         for v, files in parent.derived.items():
-            tail = files[len(base.derived.get(v, [])):] \
-                if v in base.derived or v in derived else list(files)
-            if tail:
-                derived.setdefault(v, []).extend(tail)
+            if v in my_derived:
+                derived[v] += files[len(base.derived.get(v, [])):]
+            else:
+                derived[v] = list(files)
         ops = [d for d in parent.control_ops
                if _json.dumps(d, sort_keys=True) not in absorbed] \
             if parent is not base else list(keep_ops)
@@ -524,9 +529,9 @@ def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
             if attempt >= cfg.commit_retries or rebucket:
                 raise
             new_version, new_prev = state.load_latest_versioned()
-            # winners must be pure appends over the base this
-            # compaction folded: every base list a prefix, no op
-            # removed, layout unchanged
+            # winners must be pure appends to every list this
+            # compaction folded: each a prefix, no op removed, layout
+            # unchanged
             if new_prev.num_buckets != base.num_buckets \
                     and base.num_buckets:
                 raise CommitConflict(
@@ -535,14 +540,14 @@ def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
                     or any(not _is_prefix(runs,
                                           new_prev.buckets.get(b, []))
                            for b, runs in base.buckets.items()) \
-                    or any(not _is_prefix(files,
+                    or any(not _is_prefix(base.derived[v],
                                           new_prev.derived.get(v, []))
-                           for v, files in base.derived.items()):
+                           for v in my_derived):
                 raise CommitConflict(
                     "concurrent transaction rewrote run lists this "
-                    "compaction folded (competing compaction, matview "
-                    "refresh or migration); not rebasable -- re-run "
-                    "compaction from the new state")
+                    "compaction folded (competing compaction or "
+                    "migration); not rebasable -- re-run compaction "
+                    "from the new state")
             if _op_keys(base.control_ops) - _op_keys(new_prev.control_ops):
                 raise CommitConflict(
                     "concurrent transaction removed control ops this "
@@ -830,19 +835,29 @@ def _read_base(path: str, bucket: int,
 
 @ray.remote
 def _fold_bucket_refs(fn, bucket: int, bases: list[str],
-                      columns: list[str] | None, *parts):
+                      columns: list[str] | None, *parts, n_other: int = 0):
     """Fold one bucket: read its base runs (`_read_base`), concat them
     with its exchanged delta slices, in that order, and return
     ``fn(group, lone_base)``. `group` is None when no input has rows;
     `lone_base` is True when the rows are one base run's alone, which
-    compaction already resolved (`stages.controls.resolve_stored`)."""
+    compaction already resolved (`stages.controls.resolve_stored`).
+    The last `n_other` parts are another table's slices re-routed to
+    this bucket (a join view's B side); they concat apart and reach fn
+    as a third argument."""
+    parts, other = parts[:len(parts) - n_other], parts[len(parts) - n_other:]
     base = [t for t in (_read_base(p, bucket, columns) for p in bases)
             if t.num_rows]
-    parts = [p for p in parts if p.num_rows]
-    if not base and not parts:
-        return fn(None, False)
-    return fn(pa.concat_tables(base + parts, promote_options="default"),
-              len(base) == 1 and not parts)
+    group = _concat_rows(base + list(parts))
+    lone_base = len(base) == 1 and not any(p.num_rows for p in parts)
+    if n_other:
+        return fn(group, lone_base, _concat_rows(list(other)))
+    return fn(group, lone_base)
+
+
+def _concat_rows(tables: list) -> "pa.Table | None":
+    tables = [t for t in tables if t.num_rows]
+    return pa.concat_tables(tables, promote_options="default") \
+        if tables else None
 
 
 @ray.remote
@@ -930,6 +945,23 @@ def _exchange_by_bucket(paths: list[str], num_buckets: int,
                 num_buckets, columns, bucket_subset, rebucket))]
 
 
+def _pruned_scan(columns, payload: list[str],
+                 controls) -> tuple[list[str], list[str]]:
+    """(pruned payload, parquet scan columns) of a read that needs the
+    payload `columns`: those plus whatever pending control ops read or
+    write, with the key, lsn, op and bucket columns the fold needs."""
+    need = set(columns)
+    for c in controls:
+        need.add(c.predicate["col"])
+        for out_col, spec in c.assignments.items():
+            need.add(out_col)
+            if "col" in spec:
+                need.add(spec["col"])
+    pruned = [c for c in payload if c in need]
+    return pruned, [*schemas.KEY_COLS, schemas.LSN_COL, schemas.OP_COL,
+                    BUCKET_COL, *pruned]
+
+
 def _run_schema(version: int, payload: list[str]) -> pa.Schema:
     """Column layout of a run file (RUN_COLS_FIXED + `payload`), typed
     by the table schema at `version`."""
@@ -994,16 +1026,7 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
         unknown = [c for c in columns if c not in payload]
         if unknown:
             raise ValueError(f"unknown payload columns {unknown}")
-        need = set(columns)
-        for c in controls:
-            need.add(c.predicate["col"])
-            for out_col, spec in c.assignments.items():
-                need.add(out_col)
-                if "col" in spec:
-                    need.add(spec["col"])
-        payload = [c for c in payload if c in need]
-        scan_cols = [*schemas.KEY_COLS, schemas.LSN_COL, schemas.OP_COL,
-                     BUCKET_COL, *payload]
+        payload, scan_cols = _pruned_scan(columns, payload, controls)
 
     final_cols = [*schemas.KEY_COLS,
                   *(payload if columns is None else columns)]
@@ -1368,8 +1391,8 @@ def _erase_from_file(path: str, out_path: str, conv_ids: "list[str]"
     if not hit:
         return None
     t = pq.read_table(path, use_threads=False)
-    # null-keyed rows (matview epoch markers) are NOT the erased keys:
-    # keep them (a null membership would filter-drop otherwise)
+    # a null key is not an erased key: keep its rows (a null
+    # membership would filter-drop them otherwise)
     kept = t.filter(pc.fill_null(
         pc.invert(pc.is_in(t["conv_id"], value_set=keys)), True))
     write_run(kept, out_path)
@@ -1665,40 +1688,16 @@ def read_derived(cfg: EngineConfig, view: str = DERIVED_CONV_STATS,
 
 
 def _compact_derived(state: TableState, prev: Manifest, txn: str) -> dict[str, list[str]]:
-    """Fold each derived view's partials into a base set (one file, or
-    one per hash partition for views past the distribution gate)."""
-    from .derived import compact_additive_files
+    """Fold each ADDITIVE derived view's partials into a base set (one
+    file, or one per hash partition for views past the distribution
+    gate). Refreshed views (``mv:``/``gmv:``/``jmv:``) already hold one
+    file per bucket, which their refresh replaces; compaction leaves
+    them as they are."""
+    from .derived import VIEWS, compact_additive_files
 
-    from .matview import GMV_PREFIX, MV_PREFIX, compact_gmv_files, \
-        compact_mv_files
-
-    out: dict[str, list[str]] = {}
-    for view, files in prev.derived.items():
-        if not files:
-            continue
-        if view.startswith(MV_PREFIX):
-            # materialized views are LWW-versioned, not additive: fold
-            # latest-wins (tombstones fall away with the rows they mask)
-            out[view] = compact_mv_files(state.runs_dir, view, files,
-                                         txn)
-            continue
-        if view.startswith(GMV_PREFIX):
-            # grouped matviews: keep each bucket's newest epoch
-            out[view] = compact_gmv_files(state.runs_dir, view, files,
-                                          txn)
-            continue
-        if view.startswith("jmv:"):
-            # cross-table join views: latest-wins fold preserving the
-            # two-sided (versionA, versionB) refresh watermark
-            from .joinview import compact_jmv_files
-            out[view] = compact_jmv_files(state.runs_dir, view, files,
-                                          txn)
-            continue
-        # additive views: size-gated associative merge (key-routed
-        # exchange past SMALL_VIEW_BYTES — see derived.py)
-        out[view] = compact_additive_files(state.runs_dir, view, files,
-                                           txn)
-    return out
+    return {view: compact_additive_files(state.runs_dir, view, files, txn)
+            for view, files in prev.derived.items()
+            if files and view in VIEWS}
 
 
 def compact(cfg: EngineConfig, waves: int = 1,

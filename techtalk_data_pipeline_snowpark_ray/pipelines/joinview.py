@@ -3,39 +3,34 @@ independently-ingesting CDC tables, maintained incrementally.
 
 The reference chains tables by recomputing derived joins from scratch
 every tick (`DQOrderPaidMoreThanPrice.scala:20-53` reads both sides
-whole); at lake scale a tick touches a tiny key set, so the refresh
-here is **delta-proportional on BOTH sides**:
+whole); here the refresh has the shape of :mod:`.matview`'s, with table
+A's buckets as the view's buckets:
 
-  1. affected keys = distinct ``conv_id`` in the run files either
-     table added since the view's last refreshed (versionA, versionB)
-     pair (column-pruned scans, delta-sized);
-  2. ONLY those keys re-resolve — on each side independently
-     bucket-pruned under that side's OWN layout (the two tables may
-     have different bucket counts; the join key hash is layout-free);
-  3. the resolved key slices of both sides co-partition by key hash,
-     each partition joins its keys vectorized (FULL OUTER per key),
-     and the result lands as LWW-versioned view run files (keys that
-     vanished from both sides get tombstones) committed by ONE
-     manifest publish on the PRIMARY (A) table.
+  1. affected buckets = A's buckets of the distinct ``conv_id`` in the
+     run files either table added since the view's last refreshed
+     (versionA, versionB) pair (`matview._scan_affected`; B's keys are
+     re-bucketed under A's bucket count);
+  2. each affected bucket's `_fold_bucket_refs` task resolves that
+     bucket of BOTH tables -- A's stored bucket, and B's rows re-routed
+     to it by `_exchange_by_bucket(..., rebucket=True)` under A's
+     bucket count, so the two tables may have different layouts -- and
+     joins them (FULL OUTER per key) into one file
+     ``jmv-<name>-b<B>-sa<VA>-sb<VB>-x<txn>-...``, even an empty one;
+  3. one manifest publish on the PRIMARY (A) table puts each new file
+     in place of its bucket's entry in ``derived["jmv:<name>"]``.
 
-The view file names carry BOTH source versions
-(``jmv-<name>-sa<VA>-sb<VB>-x<txn>``), so the next refresh windows
+The file names carry BOTH source versions, so the next refresh windows
 each side separately; any non-delta-expressible event on either side
 (first refresh, compaction, re-bucketing, rollback, erasure, control
-ops) falls back to a full recompute, reusing matview._delta_files'
-rules per side. `_mv_seq` for the latest-wins read merge is the A
-version the refresh committed (strictly increasing: every refresh
-publishes a new A version).
-
-Read side and tombstone semantics are shared with
-:mod:`.matview` (`merge_latest`, measured-small single-task gate).
+ops) falls back to a full recompute of every bucket, reusing
+matview._delta_files' rules per side. Reads concatenate the current
+files (`matview.read_view_files`): each bucket owns its keys.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import uuid
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,13 +41,13 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .. import schemas
 from ..config import EngineConfig
-from ..stages.exchange import block_refs, exchange_map_groups
-from ..stages.partition import hash_strings_arrow
+from ..stages.controls import sorted_controls
 from ..state.manifest import Manifest, TableState
-from ..state.storage import write_run
-from .matview import (MV_SEQ_COL, _delta_files, _scan_affected,
-                      _state_cols, merge_latest, read_keyed_view)
+from .matview import (_affected, _bucket_live, _delta_files,
+                      _publish_refresh, _scan_affected, _write_view_file,
+                      read_view_files)
 
 JMV_PREFIX = "jmv:"
 _JMV_RE = re.compile(r"-sa(\d+)-sb(\d+)-x")
@@ -65,9 +60,9 @@ class JoinMatView:
     ``join`` is a vectorized whole-relation transform: given the live
     resolved rows of ANY complete key set from side A and side B
     (columns ``conv_id`` + the side's source cols), return exactly one
-    row per key present on EITHER side. It runs per co-partition
-    (key-exclusive on both sides), so results need no cross-task
-    merge."""
+    row per key present on EITHER side. It runs per bucket of table A,
+    with B's rows routed by the same key hash (key-exclusive on both
+    sides), so results need no cross-task merge."""
     name: str
     source_cols_a: tuple[str, ...]
     source_cols_b: tuple[str, ...]
@@ -122,15 +117,6 @@ JOIN_MATVIEWS["conv_drift"] = JoinMatView(
     join=_conv_drift_join)
 
 
-def _write_jmv(tbl: pa.Table, runs_dir: str, fname_base: str) -> str:
-    """Atomic parquet publish of one join-view file (the jmv analogue
-    of matview._write_mv_file; name carries the -sa/-sb watermark via
-    fname_base)."""
-    fname = f"{fname_base}-{uuid.uuid4().hex[:12]}.parquet"
-    write_run(tbl, os.path.join(runs_dir, fname))
-    return fname
-
-
 def _last_join_refreshed(m: Manifest, view: JoinMatView
                          ) -> "tuple[int, int] | None":
     """(versionA, versionB) of the newest view file, from the
@@ -173,84 +159,17 @@ def _jmv_watermark_native(state_a: TableState, cfg_b: EngineConfig,
             == os.path.realpath(cfg_b.table_dir))
 
 
-def _affected_keys(state: TableState, files: "list[str]") -> "set[str]":
-    return {k for t in ray.get([_scan_affected.remote(
-        os.path.join(state.runs_dir, f)) for f in files])
-        for k in t["conv_id"].to_pylist()}
-
-
-def _side_ds(cfg: EngineConfig, m: Manifest, view: JoinMatView,
-             side: int, keys: "set[str] | None", P: int,
-             schema: pa.Schema) -> ray.data.Dataset:
-    """One table's resolved (conv_id + source cols) as a Dataset in
-    the UNION schema (both sides' source columns suffixed __a/__b, the
-    other side's as typed nulls): restricted to the affected keys when
-    incremental (bucket-pruned under THIS side's own layout, then a
-    vectorized membership filter), streamed whole on the fallback.
-    Rows carry `part` = key hash % P, layout-free so both sides
-    co-partition identically regardless of their bucket counts."""
-    from .ingest import read_snapshot
-
-    src = view.source_cols_a if side == 0 else view.source_cols_b
-    buckets = None
-    key_arr = None
-    if keys is not None:
-        nb = m.num_buckets or cfg.num_buckets
-        key_arr = pa.array(sorted(keys), pa.string())
-        kh = hash_strings_arrow(key_arr)
-        buckets = sorted({int(b) for b in (kh % np.uint64(nb))})
-    ds = read_snapshot(cfg, manifest=m, columns=list(src),
-                       buckets=buckets)
-
-    def prep(t: pa.Table) -> pa.Table:
-        if key_arr is not None:
-            t = t.filter(pc.is_in(t["conv_id"], value_set=key_arr))
-        cols = {"conv_id": t["conv_id"]}
-        part = (hash_strings_arrow(t["conv_id"]) % np.uint64(P)) \
-            .astype(np.int64) if t.num_rows else \
-            np.array([], np.int64)
-        cols["part"] = pa.array(part, pa.int64())
-        cols["_side"] = pa.array(np.full(t.num_rows, side, np.int8))
-        for f in schema:
-            if f.name in ("conv_id", "part", "_side"):
-                continue
-            base, tag = f.name.rsplit("__", 1)
-            mine = (tag == "a") == (side == 0)
-            cols[f.name] = pc.cast(t[base], f.type) if mine \
-                else pa.nulls(t.num_rows, f.type)
-        return pa.table(cols).cast(schema)
-
-    return ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
-def _union_schema(view: JoinMatView, m_a: Manifest, m_b: Manifest,
-                  cfg_a: EngineConfig, cfg_b: EngineConfig) -> pa.Schema:
-    from .. import schemas
-
-    def typ(cfg, m, c):
-        t = schemas.table_schema(m.schema_version or cfg.schema_version)
-        return t.field(c).type
-
-    fields = [pa.field("conv_id", pa.string()),
-              pa.field("part", pa.int64()),
-              pa.field("_side", pa.int8())]
-    fields += [pa.field(f"{c}__a", typ(cfg_a, m_a, c))
-               for c in view.source_cols_a]
-    fields += [pa.field(f"{c}__b", typ(cfg_b, m_b, c))
-               for c in view.source_cols_b]
-    return pa.schema(fields)
-
-
 def refresh_join_matview(cfg_a: EngineConfig, cfg_b: EngineConfig,
                          name: str) -> "Manifest | None":
     """Bring the join view up to BOTH tables' latest committed
     versions; commits on table A. Returns None when already fresh.
-    The join itself is distributed in both modes: the two sides
-    co-partition by key hash through the raw exchange and each
-    partition joins its keys vectorized, writing its view file
-    in-task — the driver only ever sees file names plus (incremental
-    mode) the affected/joined key sets, never table-sized data."""
+    Each affected A bucket (every bucket on a full fallback) folds both
+    sides and joins them in one task, writing its view file in-task --
+    the calling process only ever sees file names and the
+    affected-bucket set, never table-sized data."""
+    from .ingest import (_exchange_by_bucket, _fold_bucket_refs,
+                         _pruned_scan, _stored_runs)
+
     view = JOIN_MATVIEWS[name]
     state_a, state_b = TableState(cfg_a.table_dir), TableState(cfg_b.table_dir)
     cur_a, m_a = state_a.load_latest_versioned()
@@ -264,8 +183,16 @@ def refresh_join_matview(cfg_a: EngineConfig, cfg_b: EngineConfig,
     if last is not None and last[0] >= cur_a and last[1] >= cur_b:
         return None                      # already fresh: idempotent
 
-    keys: "set[str] | None" = None
-    mode, reason = "full", "first-refresh"
+    nb = m_a.num_buckets or cfg_a.num_buckets
+    stats = {"view": view.derived_key, "source_version": cur_a,
+             # realpath at MINT time: a relative table_dir recorded
+             # verbatim would resolve against whatever cwd the CHECK
+             # later runs from, misreading a native stamp as foreign
+             # and silently degrading every refresh to mode="full"
+             "source_b": {"table_dir": os.path.realpath(cfg_b.table_dir),
+                          "version": cur_b}}
+    buckets = None
+    reason = "first-refresh"
     if last is not None:
         la, lb = last
         delta_a, reason_a = ([], "") if la >= cur_a else \
@@ -275,148 +202,68 @@ def refresh_join_matview(cfg_a: EngineConfig, cfg_b: EngineConfig,
         if delta_a is not None and delta_b is not None:
             if not delta_a and not delta_b:
                 return None
-            keys = _affected_keys(state_a, delta_a) \
-                | _affected_keys(state_b, delta_b)
-            mode = "incremental"
+            buckets, n_keys = _affected(
+                [_scan_affected.remote(os.path.join(state_a.runs_dir, f))
+                 for f in delta_a]
+                + [_scan_affected.remote(os.path.join(state_b.runs_dir, f),
+                                         nb) for f in delta_b])
+            if not buckets:
+                return None
+            stats.update(mode="incremental", affected_buckets=len(buckets),
+                         affected_keys=n_keys)
         else:
             reason = reason_a if delta_a is None else reason_b
+    if buckets is None:
+        stats.update(mode="full", reason=reason, affected_buckets=nb,
+                     affected_keys=None)
 
-    P = max(1, min(len(keys), 16)) if keys is not None \
-        else max(1, min(32,
-                        int(ray.cluster_resources().get("CPU", 8) or 8)))
-    schema = _union_schema(view, m_a, m_b, cfg_a, cfg_b)
-    ds = _side_ds(cfg_a, m_a, view, 0, keys, P, schema).union(
-        _side_ds(cfg_b, m_b, view, 1, keys, P, schema))
-    txn = state_a.new_txn()
-    runs_dir = state_a.runs_dir
-    incremental = keys is not None
-    src_a, src_b = view.source_cols_a, view.source_cols_b
-    join_fn = view.join
-    fname_base = f"jmv-{view.name}-sa{cur_a}-sb{cur_b}-x{txn}"
-    seq = cur_a
+    def side(cfg: EngineConfig, m: Manifest, src: tuple[str, ...]):
+        """(one table's bucket resolver, its scan columns)"""
+        version = m.schema_version or cfg.schema_version
+        controls = sorted_controls(m.control_ops)
+        payload, scan_cols = _pruned_scan(
+            src, schemas.payload_cols(version), controls)
+        cols = ["conv_id", *src]
+        return (lambda group, lone_base: _bucket_live(
+            group, payload, controls, lone_base, cols, version)), scan_cols
 
-    def side(g: pa.Table, tag: int, suffix: str,
-             src: tuple[str, ...]) -> pa.Table:
-        return g.filter(pc.equal(g["_side"], tag)) \
-            .select(["conv_id", *[f"{c}__{suffix}" for c in src]]) \
-            .rename_columns(["conv_id", *src])
+    live_a, scan_a = side(cfg_a, m_a, view.source_cols_a)
+    live_b, scan_b = side(cfg_b, m_b, view.source_cols_b)
+    schema = view.empty_result().schema
+    runs_dir, txn = state_a.runs_dir, state_a.new_txn()
 
-    def fold(g: pa.Table) -> pa.Table:
-        joined = join_fn(side(g, 0, "a", src_a), side(g, 1, "b", src_b))
-        fname = _write_jmv(_state_cols(joined, seq, False), runs_dir,
-                           fname_base)
-        # one row per partition; the joined keys go back for the
-        # tombstones when incremental
-        ids = joined["conv_id"].combine_chunks() if incremental \
-            else pa.array([], pa.string())
-        return pa.table({"file": [fname],
-                         "conv_ids": pa.ListArray.from_arrays([0, len(ids)],
-                                                              ids)})
+    def fold(bucket: int):
+        stem = f"jmv-{view.name}-b{bucket}-sa{cur_a}-sb{cur_b}-x{txn}"
 
-    meta = ray.get(block_refs(exchange_map_groups(
-        ds, "part", P, fold, batch_format="pyarrow")))
-    files = [f for t in meta for f in t["file"].to_pylist()]
-    if incremental:
-        joined_keys = {k for t in meta
-                       for k in pc.list_flatten(t["conv_ids"]).to_pylist()}
-        gone = sorted(keys - joined_keys)
-        if gone:
-            dead = {"conv_id": pa.array(gone, pa.string())}
-            for n, t in view.agg_fields:
-                dead[n] = pa.nulls(len(gone), t)
-            files.append(_write_jmv(_state_cols(pa.table(dead), seq,
-                                                True),
-                                    runs_dir, fname_base))
-        if not files:
-            return None               # nothing changed after resolve
-    if mode == "full" and not files:
-        # a legitimately-EMPTY view (all keys deleted on both sides)
-        # must still commit a watermark-bearing file: with no file the
-        # (sa, sb) watermark is lost and every later call would re-run
-        # a full refresh and publish a fresh commit forever, breaking
-        # the idle contract joinview_step/run_continuous rely on
-        files = [_write_jmv(
-            _state_cols(view.empty_result(), seq, False),
-            runs_dir, fname_base)]
+        def fn(group_a: "pa.Table | None", lone_base: bool,
+               group_b: "pa.Table | None" = None) -> str:
+            a, b = live_a(group_a, lone_base), live_b(group_b, False)
+            out = view.join(a, b).cast(schema) if a.num_rows or b.num_rows \
+                else view.empty_result()
+            return _write_view_file(out, runs_dir, stem)
+        return fn
 
-    files = files if mode == "full" \
-        else [*m_a.derived.get(view.derived_key, []), *files]
-    derived = {k: list(v) for k, v in m_a.derived.items()}
-    derived[view.derived_key] = files
-    stats = {"mode": mode, "affected_keys": len(keys or ()),
-             # realpath at MINT time: a relative table_dir recorded
-             # verbatim would resolve against whatever cwd the CHECK
-             # later runs from, misreading a native stamp as foreign
-             # and silently degrading every refresh to mode="full"
-             "source_b": {"table_dir": os.path.realpath(cfg_b.table_dir),
-                          "version": cur_b}}
-    if mode == "full":
-        stats["reason"] = reason
-    return state_a.publish(expected_parent=cur_a, manifest=Manifest(
-        txn_id=txn, committed_seq=m_a.committed_seq,
-        committed_lsn=m_a.committed_lsn,
-        schema_version=m_a.schema_version,
-        num_buckets=m_a.num_buckets,
-        buckets={k: list(v) for k, v in m_a.buckets.items()},
-        global_runs=list(m_a.global_runs),
-        derived=derived,
-        control_ops=m_a.control_ops,
-        wal_consumed=[],
-        metrics={"matview_refresh": {"view": view.derived_key,
-                                     "source_version": cur_a, **stats}}))
+    paths_a, bases_a = _stored_runs(state_a, m_a,
+                                    None if buckets is None else set(buckets))
+    per_a = _exchange_by_bucket(paths_a, nb, bases_a, columns=scan_a,
+                                bucket_subset=buckets)
+    # B's whole table, re-routed to A's buckets (its bases hold rows of
+    # any A bucket, so they cross the split too)
+    paths_b, _ = _stored_runs(state_b, m_b)
+    per_b = _exchange_by_bucket(paths_b, nb, {}, columns=scan_b,
+                                bucket_subset=buckets, rebucket=True)
+    files = ray.get([
+        _fold_bucket_refs.remote(
+            fold(a[0]), *a, *b[3:], n_other=len(b) - 3)
+        for a, b in zip(per_a, per_b)])
+    return _publish_refresh(state_a, cur_a, m_a, txn, view.derived_key,
+                            files, buckets is None, stats)
 
 
-def compact_jmv_files(runs_dir: str, view_key: str, files: "list[str]",
-                      txn: str) -> "list[str]":
-    """Compaction hook (ingest._compact_derived): fold a join view's
-    refresh generations into one latest-wins base (tombstones fall
-    away with the rows they mask). The base file name carries the MAX
-    (versionA, versionB) watermark so the next refresh still windows
-    both sides from where the view actually is."""
-    name = view_key[len(JMV_PREFIX):]
-    pairs = []
-    for f in files:
-        mm = _JMV_RE.search(f)
-        if mm is None:
-            raise ValueError(f"unparseable join-view run file {f!r}")
-        pairs.append((int(mm.group(1)), int(mm.group(2))))
-    sa, sb = max(pairs)
-    from .matview import compact_view_sized
-
-    def small(tbl: pa.Table) -> "list[str]":
-        seq = int(pc.max(tbl[MV_SEQ_COL]).as_py()) if tbl.num_rows else 0
-        out = _state_cols(merge_latest(tbl, "conv_id"), seq, False)
-        return [_write_jmv(out, runs_dir,
-                           f"jmv-{name}-sa{sa}-sb{sb}-x{txn}")]
-
-    return compact_view_sized(
-        runs_dir, files, "conv_id", small,
-        lambda i, slices: _merge_jmv_part.remote(
-            runs_dir, f"jmv-{name}-sa{sa}-sb{sb}-x{txn}p{i}", *slices))
-
-
-@ray.remote
-def _merge_jmv_part(runs_dir: str, fname_base: str,
-                    *slices: pa.Table) -> "str | None":
-    """Seq stamp = the partition's own max (see matview._merge_mv_part
-    for why per-partition stamps preserve latest-wins)."""
-    tbl = pa.concat_tables(slices, promote_options="default")
-    if tbl.num_rows == 0:
-        return None
-    seq = int(pc.max(tbl[MV_SEQ_COL]).as_py())
-    return _write_jmv(_state_cols(merge_latest(tbl, "conv_id"), seq,
-                                  False), runs_dir, fname_base)
-
-
-def read_join_matview(cfg_a: EngineConfig, name: str,
-                      num_partitions: int | None = None
-                      ) -> ray.data.Dataset:
-    """Current rows of the join view (latest-wins across refresh
-    generations, tombstones dropped) — same read path as keyed
-    matviews (`matview.read_keyed_view`)."""
+def read_join_matview(cfg_a: EngineConfig, name: str) -> ray.data.Dataset:
+    """Current rows of the join view: its per-bucket files
+    concatenated (`matview.read_view_files`)."""
     view = JOIN_MATVIEWS[name]
-    state = TableState(cfg_a.table_dir)
-    m = state.load_latest()
-    return read_keyed_view(state.derived_paths(view.derived_key, m),
-                           "conv_id", view.empty_result(), num_partitions,
-                           m.num_buckets or cfg_a.num_buckets)
+    return read_view_files(
+        TableState(cfg_a.table_dir).derived_paths(view.derived_key),
+        view.empty_result())

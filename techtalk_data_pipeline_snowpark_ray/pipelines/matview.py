@@ -1,46 +1,49 @@
-"""Materialized aggregate views over the RESOLVED table state, with
-retraction-aware incremental refresh (incremental view maintenance).
+"""Materialized aggregate views over the RESOLVED table state.
 
-Reference parity: ``TopRestaurantsLast30Days.scala:38`` registers a
-derived VIEW that the continuous DAG recomputes from scratch every
-tick. The additive sinks in :mod:`.derived` already cover the
-*append-only counter* shape; this module covers the other half of the
-reference's view story: an aggregate over the table's CURRENT state,
-where an update must be net-zero and a delete must RETRACT its
-contribution. Recomputing that from the full snapshot per tick is the
-reference's (fine at demo scale) approach; at 10^10 events a tick
-touches a tiny fraction of keys, so the refresh here is
-**delta-proportional**:
+Reference parity: ``TopRestaurantsLast30Days.scala:38`` re-creates a
+derived VIEW on every run (``createOrReplaceView``). The additive sinks
+in :mod:`.derived` cover the *append-only counter* shape; this module
+covers the other half of the reference's view story: an aggregate over
+the table's CURRENT state, where an update must be net-zero and a
+delete must RETRACT its contribution.
 
-  1. affected keys = distinct ``conv_id`` in the run files added since
-     the view's last refreshed manifest version (column-pruned scan of
-     just ``conv_id``/``bucket`` — delta-sized, not table-sized);
-  2. re-resolve ONLY those keys, bucket-pruned: the run-file exchange
-     reads only the affected buckets' slices and filters each to the
-     affected key set before the LWW fold (retraction handling is free:
-     the fold simply re-derives each affected key's aggregate from its
-     current live rows — no +1/−1 bookkeeping to corrupt);
-  3. write the refreshed rows as an LWW-versioned view run file
-     (``_mv_seq`` = source manifest version; keys whose live rows
-     vanished get tombstone rows ``_mv_dead``) and commit it by manifest
-     publish under ``derived["mv:<name>"]`` — the same atomic commit
-     point as everything else, so the view is always consistent with
-     exactly one table version.
+A view is a per-bucket file set, and a refresh REPLACES files, the way
+a Delta Lake commit adds and removes immutable files:
 
-Full-recompute fallback (window not delta-expressible): first refresh,
-a compaction or re-bucketing inside the window (both rewrite file
-history), or a control-op change (controls reach keys the delta never
-names). The fallback runs the same per-bucket fold over every bucket
-and every key (no key filter, no tombstones) and replaces the view's
-file set wholesale.
+  1. affected buckets = the buckets of the distinct ``conv_id`` in the
+     run files added since the view's last refreshed manifest version
+     (`_scan_affected`, a column-pruned scan of just
+     ``conv_id``/``bucket`` -- delta-sized, not table-sized);
+  2. each affected bucket's `_fold_bucket_refs` task resolves the WHOLE
+     bucket (LWW fold), applies the view's per-bucket aggregate
+     (`MatView.agg`, `GroupedMatView.partial`) and writes exactly one
+     file ``mv-<name>-b<B>-s<V>-x<txn>-...``, even an empty one;
+  3. one manifest publish puts each new file in place of its bucket's
+     entry in ``derived["mv:<name>"]`` (``gmv:`` for grouped views) --
+     the same atomic commit point as everything else, so the view is
+     always consistent with exactly one table version. Older manifests
+     keep the replaced files until GC, as for table runs.
 
-Reads merge the view's run files latest-``_mv_seq``-wins per key and
-drop tombstones — a routed hash exchange, never a driver-side fold.
+Retraction is free: a bucket's rows are re-derived from its live rows,
+never incremented. Full-recompute fallback (window not
+delta-expressible): first refresh, a compaction over unrefreshed deltas
+or re-bucketing (both rewrite file history), a rollback, an erasure, or
+a control-op change (controls reach keys the delta never names). It
+folds every bucket and replaces every entry.
+
+Reads concatenate the current files. A keyed view's bucket owns its
+keys, so the concat is the view; a grouped view's partials merge across
+buckets by its ``merge_spec`` group-by. The ``s<V>`` stamps are the
+refresh watermark, carried inside the manifest: the newest is the table
+version the view was last refreshed against, and because every
+refreshed bucket writes a file, a view whose rows were all deleted
+keeps it. Compaction leaves view files alone.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import uuid
 from dataclasses import dataclass
 from typing import Callable
@@ -56,17 +59,13 @@ import ray.data
 from .. import schemas
 from ..config import EngineConfig
 from ..stages.controls import resolve_stored, sorted_controls
-from ..stages.exchange import split_by_route, split_fan_out
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
+from .derived import SMALL_VIEW_BYTES, view_bytes
 
 MV_PREFIX = "mv:"
 GMV_PREFIX = "gmv:"
-MV_SEQ_COL = "_mv_seq"
-MV_DEAD_COL = "_mv_dead"
-MV_MARKER_COL = "_mv_marker"
-MV_BUCKET_COL = "_mv_bucket"
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class MatView:
     key: str
     #: payload columns the aggregate reads (projection pushdown)
     source_cols: tuple[str, ...]
-    #: output columns (name, arrow type) — fixes the tombstone schema
+    #: output columns (name, arrow type) -- fixes the view file schema
     agg_fields: tuple[tuple[str, pa.DataType], ...]
     agg: Callable[[pa.Table], pa.Table]
 
@@ -96,6 +95,11 @@ class MatView:
         for n, t in self.agg_fields:
             cols[n] = pa.array([], t)
         return pa.table(cols)
+
+    def of_bucket(self, live: pa.Table) -> pa.Table:
+        """The view rows of one bucket's live resolved rows."""
+        return self.agg(live.select([self.key, "turn_idx",
+                                     *self.source_cols]))
 
 
 def _conv_live_stats_agg(t: pa.Table) -> pa.Table:
@@ -125,17 +129,17 @@ MATVIEWS["conv_live_stats"] = MatView(
     agg=_conv_live_stats_agg)
 
 
+
 @dataclass(frozen=True)
 class GroupedMatView:
     """An aggregate over the resolved table grouped by a NON-partition
     column (role, tool, ...): per-key exclusivity cannot localize these,
-    so the state is per-(bucket, group) PARTIAL rows. A refresh
-    re-resolves each affected bucket wholesale (bucket-proportional,
-    not key-proportional — the partial depends on every live row of the
-    bucket) and replaces that bucket's partials; reads merge the
-    current partials across buckets with the associative merge_spec.
-    Retraction is free for the same reason as keyed views: partials are
-    re-derived from live rows, never incremented.
+    so a bucket's file holds PARTIAL rows, one per group present in the
+    bucket. A refresh re-partials each affected bucket wholesale and
+    replaces that bucket's file; reads merge the current partials across
+    buckets with the associative merge_spec. Retraction is free for the
+    same reason as keyed views: partials are re-derived from live rows,
+    never incremented.
     """
     name: str
     group_cols: tuple[str, ...]
@@ -160,6 +164,22 @@ class GroupedMatView:
             cols[c] = pa.array([], pa.int64())
         return pa.table(cols)
 
+    def of_bucket(self, live: pa.Table) -> pa.Table:
+        """The partial rows of one bucket's live resolved rows."""
+        return self.partial(live.select([*schemas.KEY_COLS,
+                                         *self.source_cols]))
+
+    def merge(self, partials: pa.Table) -> pa.Table:
+        """The view rows: `partials` merged per group by merge_spec (a
+        null group member is one group)."""
+        if partials.num_rows == 0:
+            return self.empty_result()
+        agg = pa.TableGroupBy(partials, list(self.group_cols)).aggregate(
+            list(self.merge_spec))
+        return agg.select(
+            [*self.group_cols,
+             *[f"{c}_{fn}" for c, fn in self.merge_spec]]).rename_columns(
+            [*self.group_cols, *[c for c, _fn in self.merge_spec]])
 
 def _role_live_stats_partial(t: pa.Table) -> pa.Table:
     """Per-role stats of the LIVE rows (null roles — reachable via an
@@ -375,11 +395,22 @@ def _view(name: str) -> MatView:
 
 # -- refresh bookkeeping -----------------------------------------------------
 
-def _last_refreshed(m: Manifest, view: MatView) -> int | None:
-    """Source manifest version of the view's newest run file, parsed
-    from the self-describing file names (``mv-<name>-s<V>-...``) — the
+_BUCKET_RE = re.compile(r"-b(\d+)-s")
+
+
+def _file_bucket(fname: str) -> int:
+    """The bucket a view file holds, from its name (``...-b<B>-s...``)."""
+    mm = _BUCKET_RE.search(fname)
+    if mm is None:
+        raise ValueError(f"unparseable view file name {fname!r}")
+    return int(mm.group(1))
+
+
+def _last_refreshed(m: Manifest,
+                    view: "MatView | GroupedMatView") -> int | None:
+    """Source manifest version of the view's newest file, parsed from
+    the self-describing file names (``mv-<name>-b<B>-s<V>-...``) — the
     state travels inside the manifest, nothing sidecar."""
-    import re
     best: int | None = None
     for f in m.derived.get(view.derived_key, ()):
         mm = re.search(r"-s(\d+)-x", f)
@@ -388,7 +419,6 @@ def _last_refreshed(m: Manifest, view: MatView) -> int | None:
         v = int(mm.group(1))
         best = v if best is None else max(best, v)
     return best
-
 
 def _watermark_native(state: TableState, view_name: str,
                       last: int) -> bool:
@@ -463,99 +493,86 @@ def _delta_files(state: TableState, last: int, cur_m: Manifest,
     return out, ""
 
 
+
 @ray.remote
-def _scan_affected(path: str) -> pa.Table:
+def _scan_affected(path: str, num_buckets: int | None = None) -> pa.Table:
     """Distinct (key, bucket) pairs of one delta run file — the only
     columns read; output is collapsed per file, so driver traffic is
-    O(distinct keys in the delta), never O(delta rows)."""
+    O(distinct keys in the delta), never O(delta rows). `num_buckets`
+    re-derives the bucket from the key hash under that count (another
+    table's layout, as a join view reads its B side)."""
     t = pq.read_table(path, columns=["conv_id", BUCKET_COL])
+    if num_buckets is not None:
+        nb = hash_strings_arrow(t["conv_id"]) % np.uint64(num_buckets)
+        t = t.set_column(t.schema.get_field_index(BUCKET_COL), BUCKET_COL,
+                         pa.array(nb.astype(np.int32)))
     return pa.TableGroupBy(t, ["conv_id", BUCKET_COL]).aggregate([])
 
 
-def _scan_cols_for(view: MatView, payload: list[str],
-                   controls) -> tuple[list[str], list[str]]:
-    """(pruned payload, parquet scan columns) — the view's sources plus
-    whatever pending control ops read/write (mirrors read_snapshot's
-    pruning contract)."""
-    need = set(view.source_cols)
-    for c in controls:
-        need.add(c.predicate["col"])
-        for out_col, spec in c.assignments.items():
-            need.add(out_col)
-            if "col" in spec:
-                need.add(spec["col"])
-    pruned = [c for c in payload if c in need]
-    scan = [*schemas.KEY_COLS, schemas.LSN_COL, schemas.OP_COL,
-            BUCKET_COL, *pruned]
-    return pruned, scan
+def _affected(scans: list) -> tuple[list[int], int]:
+    """(sorted affected buckets, affected keys) of `_scan_affected`
+    refs, counted over the distinct pairs of all of them."""
+    pairs = pa.TableGroupBy(pa.concat_tables(ray.get(scans)),
+                            ["conv_id", BUCKET_COL]).aggregate([])
+    return sorted(set(pairs[BUCKET_COL].to_pylist())), pairs.num_rows
 
 
-def _state_cols(tbl: pa.Table, mv_seq: int, dead: bool) -> pa.Table:
-    n = tbl.num_rows
-    return tbl.append_column(
-        MV_SEQ_COL, pa.array(np.full(n, mv_seq, np.int64))).append_column(
-        MV_DEAD_COL, pa.array(np.full(n, dead, bool)))
+def _bucket_live(group: "pa.Table | None", payload: list[str], controls,
+                 lone_base: bool, cols: list[str],
+                 version: int) -> pa.Table:
+    """One bucket's live resolved rows, projected to `cols`; a bucket
+    with no input resolves to a typed empty table."""
+    if group is None:
+        return schemas.table_schema(version).empty_table().select(cols)
+    return resolve_stored(group, payload, controls, lone_base,
+                          sort=False).select(cols)
 
 
-def _write_mv_file(tbl: pa.Table, runs_dir: str, view: MatView,
-                   mv_seq: int, txn: str) -> str:
-    fname = (f"mv-{view.name}-s{mv_seq}-x{txn}-"
-             f"{uuid.uuid4().hex[:12]}.parquet")
+def _write_view_file(tbl: pa.Table, runs_dir: str, stem: str) -> str:
+    fname = f"{stem}-{uuid.uuid4().hex[:12]}.parquet"
     write_run(tbl, os.path.join(runs_dir, fname))
     return fname
 
 
-def _inc_fold(view: MatView, payload: list[str], controls,
-              keys: "pa.Array | None", mv_seq: int, runs_dir: str,
-              txn: str):
-    """Per-bucket fold of both refresh paths: filter the bucket's run
-    rows to `keys`, LWW-resolve just those, re-aggregate, tombstone the
-    vanished -- then write the view run file in-task (no driver hop for
-    the rows). `keys=None` (full recompute) means every key, no filter
-    and no tombstones; a bucket with no live rows then writes no file
-    and returns None."""
-    agg_cols = [view.key, "turn_idx", *view.source_cols]
-
-    def fold(tbl: "pa.Table | None", lone_base: bool) -> dict | None:
-        live = view.empty_result()
-        if tbl is not None and tbl.num_rows:
-            if keys is not None:
-                tbl = tbl.filter(pc.is_in(tbl[view.key], value_set=keys))
-            resolved = resolve_stored(tbl, payload, controls, lone_base,
-                                      sort=False)
-            if resolved.num_rows:
-                live = view.agg(resolved.select(agg_cols))
-        gone = pa.array([], pa.string()) if keys is None else keys.filter(
-            pc.invert(pc.is_in(keys, value_set=live[view.key])))
-        if not live.num_rows and not len(gone):
-            return None
-        dead_cols = {view.key: gone}
-        for nname, t in view.agg_fields:
-            dead_cols[nname] = pa.nulls(len(gone), t)
-        out = pa.concat_tables([_state_cols(live, mv_seq, False),
-                                _state_cols(pa.table(dead_cols), mv_seq,
-                                            True)])
-        fname = _write_mv_file(out, runs_dir, view, mv_seq, txn)
-        return {"file": fname, "n_live": live.num_rows,
-                "n_dead": len(gone)}
-
-    return fold
+def _publish_refresh(state: TableState, cur: int, m: Manifest, txn: str,
+                     view_key: str, files: list[str], full: bool,
+                     stats: dict) -> Manifest:
+    """Commit a refresh on `m` (strict CAS on `cur`): each new file
+    takes its bucket's place in ``derived[view_key]``, and a full
+    refresh replaces every entry, so the list holds one file per
+    bucket."""
+    new = {_file_bucket(f) for f in files}
+    keep = [] if full else [f for f in m.derived.get(view_key, [])
+                            if _file_bucket(f) not in new]
+    derived = {k: list(v) for k, v in m.derived.items()}
+    derived[view_key] = sorted(keep + files, key=_file_bucket)
+    return state.publish(expected_parent=cur, manifest=Manifest(
+        txn_id=txn, committed_seq=m.committed_seq,
+        committed_lsn=m.committed_lsn,
+        schema_version=m.schema_version,
+        num_buckets=m.num_buckets,
+        buckets={k: list(v) for k, v in m.buckets.items()},
+        global_runs=list(m.global_runs),
+        derived=derived,
+        control_ops=m.control_ops,
+        wal_consumed=[],
+        metrics={"matview_refresh": stats}))
 
 
 def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
-    """Bring the named view (keyed or grouped) up to the table's latest
-    committed version. Publishes one manifest (the refresh is itself a
-    transaction); a no-op (already fresh, or an empty delta window)
-    returns None."""
-    from .ingest import _exchange_by_bucket, _fold_bucket_refs, _stored_runs
+    """Bring the named view (keyed, grouped or index) up to the table's
+    latest committed version: re-fold every affected bucket (every
+    bucket on a full fallback) into one file each and publish them in
+    one manifest (the refresh is itself a transaction). A no-op
+    (already fresh, or an empty delta window) returns None."""
+    from .ingest import (_exchange_by_bucket, _fold_bucket_refs,
+                         _pruned_scan, _stored_runs)
 
-    if name in GROUPED_MATVIEWS:
-        return _refresh_grouped(cfg, GROUPED_MATVIEWS[name])
-    view = _view(name)
-    if view.key != "conv_id":
-        # the lake layout is bucketed by conv_id: both the per-bucket
-        # key-exclusivity the agg relies on and the incremental bucket
-        # pruning assume the view key IS the partition key
+    view = GROUPED_MATVIEWS.get(name) or _view(name)
+    if isinstance(view, MatView) and view.key != "conv_id":
+        # the lake layout is bucketed by conv_id: the per-bucket
+        # key-exclusivity the agg relies on assumes the view key IS the
+        # partition key
         raise ValueError(f"matview key must be the partition key "
                          f"'conv_id', got {view.key!r}")
     state = TableState(cfg.table_dir)
@@ -568,104 +585,90 @@ def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
     if last is not None and last >= cur:
         return None                      # already fresh: idempotent
 
-    payload = schemas.payload_cols(m.schema_version or cfg.schema_version)
-    controls = sorted_controls(m.control_ops)
-    txn = state.new_txn()
+    delta, reason = (None, "first-refresh") if last is None \
+        else _delta_files(state, last, m, cur)
     num_buckets = m.num_buckets or cfg.num_buckets
-
-    delta: list[str] | None = None
-    reason = "first-refresh"
-    if last is not None:
-        delta, reason = _delta_files(state, last, m, cur)
-
-    if delta is not None and not delta:
-        return None                      # version moved, table data didn't
-
-    pruned, scan_cols = _scan_cols_for(view, payload, controls)
-    if delta is not None:
-        # -- incremental: affected keys -> bucket-pruned re-resolve ----
-        pairs = pa.concat_tables(ray.get([
+    stats = {"view": name, "source_version": cur}
+    if delta is None:
+        buckets = None
+        stats.update(mode="full", reason=reason,
+                     affected_buckets=num_buckets, affected_keys=None)
+    else:
+        if not delta:
+            return None                  # version moved, table data didn't
+        buckets, n_keys = _affected([
             _scan_affected.remote(os.path.join(state.runs_dir, f))
-            for f in delta]))
-        # the sorted distinct keys of each affected bucket
-        per_bucket = pa.TableGroupBy(pairs, BUCKET_COL).aggregate(
-            [(view.key, "distinct")]).sort_by(BUCKET_COL)
-        keys_of = {b: ks.values.sort() for b, ks in zip(
-            per_bucket[BUCKET_COL].to_pylist(),
-            per_bucket[f"{view.key}_distinct"].combine_chunks())}
-        subset = list(keys_of)
-        # path-list pruning: bucketed run files are bucket-exclusive
-        # (manifest.buckets), so only affected buckets' files are read;
-        # global (direct-mode) runs can hold any bucket and are always
-        # scanned, and the split's scan filter drops their rows of
-        # other buckets (a row filter: a run file is one row group)
-        paths, bases = _stored_runs(state, m, set(subset))
-    else:
-        # -- full recompute: every bucket folds all of its keys --------
-        keys_of = dict.fromkeys(range(num_buckets))
-        subset = None
-        paths, bases = _stored_runs(state, m)
-    exchanged = _exchange_by_bucket(paths, num_buckets, bases,
-                                    columns=scan_cols, bucket_subset=subset)
-    metas = [mm for mm in ray.get([
-        _fold_bucket_refs.remote(
-            _inc_fold(view, pruned, controls, keys, cur, state.runs_dir,
-                      txn),
-            *args)
-        for keys, args in zip(keys_of.values(), exchanged)]) if mm]
-    files = [mm["file"] for mm in metas]
-    if delta is not None:
-        files = list(m.derived.get(view.derived_key, [])) + files
-        stats = {"mode": "incremental",
-                 "affected_keys": pairs.num_rows,
-                 "affected_buckets": len(keys_of),
-                 "tombstones": int(sum(mm["n_dead"] for mm in metas))}
-    else:
-        stats = {"mode": "full", "reason": reason}
+            for f in delta])
+        if not buckets:
+            return None
+        stats.update(mode="incremental", affected_buckets=len(buckets),
+                     affected_keys=n_keys)
 
-    derived = {k: list(v) for k, v in m.derived.items()}
-    derived[view.derived_key] = files
-    return state.publish(expected_parent=cur, manifest=Manifest(
-        txn_id=txn, committed_seq=m.committed_seq,
-        committed_lsn=m.committed_lsn,
-        schema_version=m.schema_version,
-        num_buckets=m.num_buckets,
-        buckets={k: list(v) for k, v in m.buckets.items()},
-        global_runs=list(m.global_runs),
-        derived=derived,
-        control_ops=m.control_ops,
-        wal_consumed=[],
-        metrics={"matview_refresh": {"view": name, "source_version": cur,
-                                     **stats}}))
+    version = m.schema_version or cfg.schema_version
+    controls = sorted_controls(m.control_ops)
+    payload, scan_cols = _pruned_scan(
+        view.source_cols, schemas.payload_cols(version), controls)
+    cols = [*schemas.KEY_COLS, *view.source_cols]
+    schema = view.empty_result().schema
+    runs_dir, txn = state.runs_dir, state.new_txn()
+
+    def fold(bucket: int):
+        stem = f"mv-{name}-b{bucket}-s{cur}-x{txn}"
+
+        def fn(group: "pa.Table | None", lone_base: bool) -> str:
+            live = _bucket_live(group, payload, controls, lone_base, cols,
+                                version)
+            out = view.of_bucket(live).cast(schema) if live.num_rows \
+                else view.empty_result()
+            return _write_view_file(out, runs_dir, stem)
+        return fn
+
+    # path-list pruning: base runs are bucket-exclusive
+    # (manifest.buckets), so only the affected buckets' bases are read;
+    # global runs can hold any bucket and are always split
+    paths, bases = _stored_runs(state, m,
+                                None if buckets is None else set(buckets))
+    files = ray.get([
+        _fold_bucket_refs.remote(fold(args[0]), *args)
+        for args in _exchange_by_bucket(paths, num_buckets, bases,
+                                        columns=scan_cols,
+                                        bucket_subset=buckets)])
+    return _publish_refresh(state, cur, m, txn, view.derived_key, files,
+                            delta is None, stats)
 
 
 # -- read side ---------------------------------------------------------------
 
-def merge_latest(tbl: pa.Table, key: str,
-                 keep_dead: bool = False) -> pa.Table:
-    """Latest-``_mv_seq``-wins per key (the last row of a (key, seq)
-    tie, in input order), sorted by key, seq/dead columns dropped.
-    Tombstones mask older rows and are then dropped unless
-    `keep_dead`. A null key is one key."""
-    tbl = tbl.take(pc.sort_indices(
-        tbl, [(key, "ascending"), (MV_SEQ_COL, "ascending")]))
-    if tbl.num_rows > 1:
-        k = tbl[key].combine_chunks()
-        cur, nxt = k[:-1], k[1:]
-        last = pc.and_not(pc.fill_null(pc.not_equal(cur, nxt), True),
-                          pc.and_(pc.is_null(cur), pc.is_null(nxt)))
-        tbl = tbl.filter(pa.concat_arrays([last, pa.array([True])]))
-    if not keep_dead:
-        tbl = tbl.filter(pc.invert(tbl[MV_DEAD_COL]))
-    return tbl.drop_columns([MV_SEQ_COL, MV_DEAD_COL])
+def _concat_files(paths: list[str]) -> pa.Table:
+    return pa.concat_tables([pq.read_table(p) for p in paths],
+                            promote_options="default")
 
 
-#: a view whose current files measure under this merges in ONE Ray
-#: task instead of an exchange — a measured-size serving-latency gate
-#: (mirrors stages/joins.py's auto_join): the exchange's fixed task
-#: fan-out costs ~1 s that a few-MB view never amortizes, while a
-#: big view takes the distributed path untouched.
-SMALL_VIEW_BYTES = 32 * 1024 * 1024
+@ray.remote
+def _read_files(paths: list[str]) -> pa.Table:
+    return _concat_files(paths)
+
+
+def read_view_files(paths: list[str], empty: pa.Table) -> ray.data.Dataset:
+    """Rows of a keyed (or join) view's current files, concatenated:
+    each bucket's file owns that bucket's keys, so there is nothing to
+    merge. A measured-small view is read in one task, a larger one in
+    one task per file."""
+    if not paths:
+        return ray.data.from_arrow(empty)
+    groups = [paths] if view_bytes(paths) <= SMALL_VIEW_BYTES \
+        else [[p] for p in paths]
+    return ray.data.from_arrow_refs([_read_files.remote(g)
+                                     for g in groups])
+
+
+def read_matview(cfg: EngineConfig, name: str) -> ray.data.Dataset:
+    """Dataset of a keyed view's current rows."""
+    view = _view(name)
+    state = TableState(cfg.table_dir)
+    return read_view_files(state.derived_paths(view.derived_key),
+                           view.empty_result())
+
 
 #: sentinel standing in for a NULL group member through Ray's sort
 #: shuffle (which cannot order null keys); \x00 prefix keeps it out of
@@ -673,309 +676,48 @@ SMALL_VIEW_BYTES = 32 * 1024 * 1024
 _NULL_GROUP = "\x00__mv_null_group__"
 
 
-def _view_bytes(paths: list[str]) -> int:
-    return sum(os.stat(p).st_size for p in paths)
-
-
-@ray.remote
-def _merge_small_view(paths: list[str], key: str) -> pa.Table:
-    tbl = pa.concat_tables([pq.read_table(p) for p in paths],
-                           promote_options="default")
-    return merge_latest(tbl, key)
-
-
-@ray.remote
-def _merge_view_part(key: str, *slices: pa.Table) -> pa.Table:
-    return merge_latest(pa.concat_tables(slices, promote_options="default"),
-                        key)
-
-
-def read_keyed_view(paths: list[str], key: str, empty: pa.Table,
-                    num_partitions: int | None,
-                    num_buckets: int) -> ray.data.Dataset:
-    """Latest-wins rows of a keyed (or join) view's current `paths`,
-    tombstones dropped. A measured-small view merges in one task;
-    otherwise each file splits by hash(key) % P (the map side
-    `compact_view_sized` uses) and each partition merges in its own
-    task. An explicit `num_partitions` forces the exchange (test hook,
-    same as auto_join's forced-partitioned path). Every partition gets
-    a slice of every file, so all results share one schema."""
-    if not paths:
-        return ray.data.from_arrow(empty)
-    if num_partitions is None and _view_bytes(paths) <= SMALL_VIEW_BYTES:
-        return ray.data.from_arrow_refs([_merge_small_view.remote(paths,
-                                                                  key)])
-    P = num_partitions or min(32, num_buckets)
-    return ray.data.from_arrow_refs(
-        [_merge_view_part.remote(key, *slices)
-         for slices in _split_partitions(paths, P, key)])
-
-
-def read_matview(cfg: EngineConfig, name: str,
-                 num_partitions: int | None = None) -> ray.data.Dataset:
-    """Dataset of the view's current rows (distributed latest-wins
-    merge across refresh generations; measured-small views short-cut
-    to a single-task merge)."""
-    view = _view(name)
-    state = TableState(cfg.table_dir)
-    m = state.load_latest()
-    return read_keyed_view(state.derived_paths(view.derived_key, m),
-                           view.key, view.empty_result(), num_partitions,
-                           m.num_buckets or cfg.num_buckets)
-
-
-# -- grouped matviews --------------------------------------------------------
-
-@ray.remote
-def _scan_buckets(path: str) -> np.ndarray:
-    """Distinct bucket ids of one delta run file (bucket column only)."""
-    t = pq.read_table(path, columns=[BUCKET_COL])
-    return np.unique(t[BUCKET_COL].to_numpy(zero_copy_only=False))
-
-
-def _grouped_fold(view: GroupedMatView, payload: list[str], controls,
-                  bucket: int, mv_seq: int, runs_dir: str, txn: str):
-    """Per-bucket fold: resolve the WHOLE bucket, derive its partial
-    rows, and ALWAYS emit a marker row so the bucket's refresh epoch
-    advances even when it resolved to zero live rows (otherwise stale
-    partials from an older epoch would keep winning the read-side
-    current-filter)."""
-    def fold(tbl: "pa.Table | None", lone_base: bool) -> dict:
-        partial = None
-        if tbl is not None and tbl.num_rows:
-            resolved = resolve_stored(tbl, payload, controls, lone_base,
-                                      sort=False)
-            if resolved.num_rows:
-                cols = [*schemas.KEY_COLS,
-                        *[c for c in payload if c in
-                          set(view.source_cols)]]
-                partial = view.partial(resolved.select(cols))
-        if partial is None:
-            # typed empty input: non-string source cols (ts, ...) must
-            # keep their lake types or the partial's kernels break
-            base = schemas.table_schema()
-            partial = view.partial(pa.table(
-                {c: pa.array([], base.field(c).type
-                             if c in base.names else pa.string())
-                 for c in (*schemas.KEY_COLS, *view.source_cols)}))
-        n = partial.num_rows
-        out = partial.append_column(
-            MV_BUCKET_COL, pa.array(np.full(n, bucket, np.int32)))
-        out = _state_cols(out, mv_seq, False)
-        out = out.append_column(MV_MARKER_COL,
-                                pa.array(np.zeros(n, bool)))
-        # the epoch marker row: group cols null, merge cols null
-        marker = {c: pa.nulls(1, out.schema.field(c).type)
-                  for c in out.column_names}
-        marker[MV_BUCKET_COL] = pa.array([bucket], pa.int32())
-        marker[MV_SEQ_COL] = pa.array([mv_seq], pa.int64())
-        marker[MV_DEAD_COL] = pa.array([False])
-        marker[MV_MARKER_COL] = pa.array([True])
-        out = pa.concat_tables([out, pa.table(marker)
-                               .cast(out.schema)])
-        fname = _write_mv_file(out, runs_dir, view, mv_seq, txn)
-        return {"file": fname, "n_rows": n}
-
-    return fold
-
-
-def _refresh_grouped(cfg: EngineConfig,
-                     view: GroupedMatView) -> Manifest | None:
-    """Grouped-view refresh: re-resolve and re-partial the AFFECTED
-    buckets (all buckets on a full fallback); windowing rules shared
-    with the keyed path."""
-    from .ingest import _exchange_by_bucket, _fold_bucket_refs, _stored_runs
-
-    state = TableState(cfg.table_dir)
-    cur, m = state.load_latest_versioned()
-    if cur is None:
-        return None
-    last = _last_refreshed(m, view)
-    if last is not None and not _watermark_native(state, view.name, last):
-        last = None                      # foreign (cloned) stamps
-    if last is not None and last >= cur:
-        return None
-
-    payload = schemas.payload_cols(m.schema_version or cfg.schema_version)
-    controls = sorted_controls(m.control_ops)
-    txn = state.new_txn()
-    num_buckets = m.num_buckets or cfg.num_buckets
-
-    delta: list[str] | None = None
-    reason = "first-refresh"
-    if last is not None:
-        delta, reason = _delta_files(state, last, m, cur)
-    if delta is not None and not delta:
-        return None
-
-    if delta is not None:
-        buck_arrays = ray.get([
-            _scan_buckets.remote(os.path.join(state.runs_dir, f))
-            for f in delta])
-        buckets = sorted(int(b) for b in
-                         np.unique(np.concatenate(buck_arrays))) \
-            if buck_arrays else []
-        mode = "incremental"
-    else:
-        buckets = list(range(num_buckets))
-        mode = "full"
-
-    files = [] if mode == "full" \
-        else list(m.derived.get(view.derived_key, []))
-    if buckets:
-        # duck-typed: _scan_cols_for only touches source_cols, which
-        # keyed and grouped views share
-        _pruned, scan_cols = _scan_cols_for(view, payload, controls)
-        paths, bases = _stored_runs(
-            state, m, None if mode == "full" else set(buckets))
-        exchanged = _exchange_by_bucket(
-            paths, num_buckets, bases, columns=scan_cols,
-            bucket_subset=buckets)
-        metas = ray.get([
-            _fold_bucket_refs.remote(
-                _grouped_fold(view, _pruned, controls, b, cur,
-                              state.runs_dir, txn),
-                *args)
-            for b, args in zip(buckets, exchanged)])
-        files += [mm["file"] for mm in metas]
-
-    derived = {k: list(v) for k, v in m.derived.items()}
-    derived[view.derived_key] = files
-    stats = {"mode": mode, "affected_buckets": len(buckets)}
-    if mode == "full":
-        stats["reason"] = reason
-    return state.publish(expected_parent=cur, manifest=Manifest(
-        txn_id=txn, committed_seq=m.committed_seq,
-        committed_lsn=m.committed_lsn,
-        schema_version=m.schema_version,
-        num_buckets=m.num_buckets,
-        buckets={k: list(v) for k, v in m.buckets.items()},
-        global_runs=list(m.global_runs),
-        derived=derived,
-        control_ops=m.control_ops,
-        wal_consumed=[],
-        metrics={"matview_refresh": {"view": view.name,
-                                     "source_version": cur, **stats}}))
-
-
-@ray.remote
-def _read_bucket_seq(path: str) -> pa.Table:
-    return pq.read_table(path, columns=[MV_BUCKET_COL, MV_SEQ_COL])
-
-
-def _bucket_epochs(paths: list[str]) -> dict[int, int]:
-    """bucket -> newest refresh seq across the view's files. Reads just
-    the (bucket, seq) columns; output is num_buckets-sized (tiny).
-    Many files (the uncompacted-backlog shape the distributed
-    compaction path exists for) read in parallel tasks."""
-    if len(paths) > 8:
-        tables = ray.get([_read_bucket_seq.remote(p) for p in paths])
-    else:
-        tables = [pq.read_table(p, columns=[MV_BUCKET_COL, MV_SEQ_COL])
-                  for p in paths]
-    epoch = pa.concat_tables(tables)
-    bmax = pa.TableGroupBy(epoch, MV_BUCKET_COL).aggregate(
-        [(MV_SEQ_COL, "max")])
-    return {int(b): int(s) for b, s in
-            zip(bmax[MV_BUCKET_COL].to_pylist(),
-                bmax[f"{MV_SEQ_COL}_max"].to_pylist())}
-
-
-def _filter_current(tbl: pa.Table, cur_seq: dict[int, int],
-                    keep_markers: bool) -> pa.Table:
-    """Keep each bucket's newest-epoch rows (superseded partials and —
-    unless kept — epoch markers drop)."""
-    b = tbl[MV_BUCKET_COL].to_numpy(zero_copy_only=False).astype(np.int64)
-    s = tbl[MV_SEQ_COL].to_numpy(zero_copy_only=False)
-    # dense epoch lookup (bucket ids are small ints): one gather
-    # instead of a per-row Python dict probe. A bucket present in the
-    # rows but absent from cur_seq is an invariant violation (cur_seq
-    # is computed over the SAME file set) — fail loudly rather than
-    # silently matching against the -1 sentinel and dropping the rows.
-    epoch = np.full(int(b.max()) + 1 if b.size else 1, -1, np.int64)
-    for bk, sq in cur_seq.items():
-        if bk < epoch.size:
-            epoch[bk] = sq
-    if b.size and bool(np.any(epoch[b] < 0)):
-        missing = sorted(set(b[epoch[b] < 0].tolist()))[:5]
-        raise AssertionError(
-            f"_filter_current: buckets {missing} have rows but no "
-            f"epoch in cur_seq — epoch map and row set diverged")
-    keep = s == epoch[b]
-    if not keep_markers:
-        keep &= ~tbl[MV_MARKER_COL].to_numpy(zero_copy_only=False)
-    return tbl.filter(pa.array(keep))
-
-
 @ray.remote
 def _merge_small_gview(paths: list[str], name: str) -> pa.Table:
-    """Single-task merge of a measured-small grouped view (same gate
-    rationale as `_merge_small_view`)."""
-    view = GROUPED_MATVIEWS[name]
-    cur = _bucket_epochs(paths)
-    tbl = pa.concat_tables([pq.read_table(p) for p in paths],
-                           promote_options="default")
-    t = _filter_current(tbl, cur, keep_markers=False).drop_columns(
-        [MV_BUCKET_COL, MV_SEQ_COL, MV_DEAD_COL, MV_MARKER_COL])
-    if t.num_rows == 0:
-        return view.empty_result()
-    agg = pa.TableGroupBy(t, list(view.group_cols)).aggregate(
-        [(c, fn) for c, fn in view.merge_spec])
-    return agg.select(
-        [*view.group_cols,
-         *[f"{c}_{fn}" for c, fn in view.merge_spec]]).rename_columns(
-        [*view.group_cols, *[c for c, _fn in view.merge_spec]])
+    return GROUPED_MATVIEWS[name].merge(_concat_files(paths))
 
 
 def read_grouped_matview(cfg: EngineConfig, name: str,
                          force_distributed: bool = False
                          ) -> ray.data.Dataset:
-    """Current rows of a grouped view: distributed merge of the
-    buckets' current partials (the epoch map is the only driver-side
-    state — num_buckets entries, broadcast to the filter stage; the
-    partial rows themselves stream through the groupby). Measured-small
-    views short-cut to a single-task merge; `force_distributed` is the
-    test hook for the exchange path."""
+    """Current rows of a grouped view: the buckets' current partials
+    merged per group by the view's merge_spec. A measured-small view
+    merges in one task; a larger one streams its files through Ray
+    Data's distributed groupby. `force_distributed` is the test hook
+    for that path."""
     from ray.data.aggregate import Max, Min, Sum
 
     view = GROUPED_MATVIEWS[name]
-    state = TableState(cfg.table_dir)
-    m = state.load_latest()
-    paths = state.derived_paths(view.derived_key, m)
+    paths = TableState(cfg.table_dir).derived_paths(view.derived_key)
     if not paths:
         return ray.data.from_arrow(view.empty_result())
-    if not force_distributed and _view_bytes(paths) <= SMALL_VIEW_BYTES:
+    if not force_distributed and view_bytes(paths) <= SMALL_VIEW_BYTES:
         return ray.data.from_arrow_refs(
             [_merge_small_gview.remote(paths, name)])
-    cur_ref = ray.put(_bucket_epochs(paths))
+    if not sum(pq.read_metadata(p).num_rows for p in paths):
+        return ray.data.from_arrow(view.empty_result())
     want = view.empty_result().schema
     str_groups = [c for c in view.group_cols
                   if pa.types.is_string(want.field(c).type)]
 
-    def keep_current(t: pa.Table) -> pa.Table:
-        from ..stages.joins import fetch_broadcast
-        out = _filter_current(t, fetch_broadcast(cur_ref),
-                              keep_markers=False)
-        out = out.drop_columns([MV_BUCKET_COL, MV_SEQ_COL,
-                                MV_DEAD_COL, MV_MARKER_COL])
+    def encode(t: pa.Table) -> pa.Table:
         # Ray's sort-based group shuffle cannot order null keys; a null
         # group member (e.g. "no tool") is legitimate view state, so
         # sentinel-encode it through the exchange and restore after
         for c in str_groups:
-            out = out.set_column(out.schema.get_field_index(c), c,
-                                 pc.fill_null(out[c], _NULL_GROUP))
-        return out
+            t = t.set_column(t.schema.get_field_index(c), c,
+                             pc.fill_null(t[c], _NULL_GROUP))
+        return t
 
     aggs = {"sum": Sum, "max": Max, "min": Min}
-    # materialize the filtered partials: they are (groups x buckets)
-    # rows — far smaller than the raw files — and both the emptiness
-    # probe and the groupby then share ONE scan instead of re-running
-    # the read+filter lineage twice
-    ds = ray.data.read_parquet(paths) \
-        .map_batches(keep_current, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
-    if ds.count() == 0:
-        return ray.data.from_arrow(view.empty_result())
+    ds = ray.data.read_parquet(paths)
+    if str_groups:
+        ds = ds.map_batches(encode, batch_format="pyarrow",
+                            zero_copy_batch=True)
     key = view.group_cols[0] if len(view.group_cols) == 1 \
         else list(view.group_cols)
     out = ds.groupby(key).aggregate(
@@ -1001,55 +743,16 @@ def read_grouped_matview(cfg: EngineConfig, name: str,
                            zero_copy_batch=True)
 
 
-@ray.remote
-def _merge_gmv_part(runs_dir: str, view_name: str, cur_seq: dict,
-                    txn: str, *slices: pa.Table) -> str | None:
-    """Reduce side for grouped views: current-epoch filter of one
-    bucket partition's slices, written in-task."""
-    view = GROUPED_MATVIEWS[view_name]
-    tbl = pa.concat_tables(slices, promote_options="default")
-    if tbl.num_rows == 0:
-        return None
-    out = _filter_current(tbl, cur_seq, keep_markers=True)
-    if out.num_rows == 0:
-        return None
-    seq = int(pc.max(out[MV_SEQ_COL]).as_py())
-    return _write_mv_file(out, runs_dir, view, seq, txn)
-
-
-def compact_gmv_files(runs_dir: str, view_key: str, files: list[str],
-                      txn: str) -> list[str]:
-    """Compaction hook for grouped views: keep only each bucket's
-    current epoch (markers included — they carry the epoch for buckets
-    whose partial set is empty). Size-gated like the keyed path: small
-    folds into one base in-process; a large view (the token index over
-    a big corpus) folds as a bucket-routed exchange, one base per
-    partition, never one whole-view concat."""
-    name = view_key[len(GMV_PREFIX):]
-    view = GROUPED_MATVIEWS[name]
-    cur_seq = _bucket_epochs([os.path.join(runs_dir, f) for f in files])
-
-    def small(tbl: pa.Table) -> list[str]:
-        out = _filter_current(tbl, cur_seq, keep_markers=True)
-        seq = int(pc.max(out[MV_SEQ_COL]).as_py()) if out.num_rows else 0
-        return [_write_mv_file(out, runs_dir, view, seq, txn)]
-
-    return compact_view_sized(
-        runs_dir, files, None, small,
-        lambda i, slices: _merge_gmv_part.remote(
-            runs_dir, name, cur_seq, f"{txn}p{i}", *slices))
-
-
 # -- inverted-index search ----------------------------------------------------
 
 def token_buckets(cfg: EngineConfig, token: str,
                   name: str = "token_index",
                   m: "Manifest | None" = None) -> "tuple[list[int], int]":
-    """Buckets whose CURRENT index epoch contains `token`, plus the
-    stored bucket count — the SKIPPING read of the inverted index. The
-    scan touches only the index files' (token, bucket, seq) columns
-    with a `token ==` parquet predicate, so the cost is index-sized,
-    never table-sized. An index file is one row group at today's sizes
+    """Buckets whose current index file contains `token`, plus the
+    stored bucket count — the SKIPPING read of the inverted index. Each
+    bucket's file is scanned for its `token` column alone with a
+    `token ==` parquet predicate, so the cost is index-sized, never
+    table-sized. An index file is one row group at today's sizes
     (`write_run` keeps pyarrow's 1,048,576-row default), so the
     predicate filters decoded rows rather than skipping groups.
 
@@ -1059,26 +762,19 @@ def token_buckets(cfg: EngineConfig, token: str,
     does, pinning one manifest via `m` across the guard, the lookups
     and the read); after a rebucket migration the pair (old-layout
     ids, new bucket count) is not coherent for pruning."""
-    import pyarrow.dataset as pads
-
     view = GROUPED_MATVIEWS[name]
     state = TableState(cfg.table_dir)
     if m is None:
         m = state.load_latest()
-    nb = m.num_buckets or cfg.num_buckets
-    paths = state.derived_paths(view.derived_key, m)
-    if not paths:
+    files = m.derived.get(view.derived_key, [])
+    if not files:
         raise ValueError(
             f"index {name!r} has never been refreshed on this table; "
             f"run refresh_matview(cfg, {name!r}) first")
-    cur = _bucket_epochs(paths)
-    t = pads.dataset(paths, format="parquet").to_table(
-        columns=[MV_BUCKET_COL, MV_SEQ_COL],
-        filter=pads.field("token") == token)
-    b = t[MV_BUCKET_COL].to_numpy(zero_copy_only=False)
-    s = t[MV_SEQ_COL].to_numpy(zero_copy_only=False)
-    hit = sorted({int(x) for x, e in zip(b, s) if cur[int(x)] == e})
-    return hit, nb
+    hit = sorted(_file_bucket(f) for f in files if pq.read_table(
+        os.path.join(state.runs_dir, f), columns=["token"],
+        filters=[("token", "==", token)]).num_rows)
+    return hit, m.num_buckets or cfg.num_buckets
 
 
 def search_token(cfg: EngineConfig, token: str,
@@ -1252,47 +948,27 @@ def search_ann(cfg: EngineConfig, query, k: int = 10, nprobe: int = 4,
     index files; each file is one row group at today's sizes, so the
     predicate filters decoded rows and the cost is index-sized, never
     table-sized -- files past 1,048,576 rows would skip groups by
-    their footer stats), a current-epoch
-    filter drops superseded generations, and the candidates exact-rank
-    by 6-decimal-rounded cosine with (conv_id, turn_idx) tie-break.
+    their footer stats), and the candidates exact-rank by
+    6-decimal-rounded cosine with (conv_id, turn_idx) tie-break.
     Same freshness contract as token search: the index serves its last
-    refreshed state."""
+    refreshed state, which after a rebucket migration is still the
+    old layout's file set until the next refresh."""
     import pyarrow.dataset as pads
 
     view = GROUPED_MATVIEWS[name]
-    state = TableState(cfg.table_dir)
-    m = state.load_latest()
-    paths = state.derived_paths(view.derived_key, m)
+    paths = TableState(cfg.table_dir).derived_paths(view.derived_key)
     if not paths:
         raise ValueError(
             f"index {name!r} has never been refreshed on this table; "
             f"run refresh_matview(cfg, {name!r}) first")
-    cur = _bucket_epochs(paths)
-    # sized by the LARGEST bucket id the index files carry, not the
-    # manifest's current count: after a rebucket migration the
-    # not-yet-refreshed index legitimately holds old-layout ids and
-    # must keep serving its last refreshed state (token_buckets' dict
-    # handles the same state; this is its vectorized equivalent)
-    nb = max(m.num_buckets or cfg.num_buckets,
-             max(cur.keys(), default=-1) + 1)
-    cur_arr = np.full(nb, -1, np.int64)
-    for bk, sq in cur.items():
-        cur_arr[int(bk)] = sq
     probes = ann_probe_cells(query, nprobe)
     q = np.asarray(query, np.float64)
     qn = q / np.linalg.norm(q)
-    cols = ["cell", "conv_id", "turn_idx", *ANN_EMB_COLS,
-            MV_BUCKET_COL, MV_SEQ_COL]
-    # marker rows have a null cell, so the isin predicate drops them
     ds = ray.data.read_parquet(
-        paths, columns=cols,
+        paths, columns=["cell", "conv_id", "turn_idx", *ANN_EMB_COLS],
         filter=pads.field("cell").isin(probes))
 
     def score(t: pa.Table) -> pa.Table:
-        b = t[MV_BUCKET_COL].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        s = t[MV_SEQ_COL].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(cur_arr[b] == s))
         E = np.stack([t[c].to_numpy(zero_copy_only=False)
                       for c in ANN_EMB_COLS], axis=1).astype(np.float64)
         norm = np.linalg.norm(E, axis=1)
@@ -1307,105 +983,3 @@ def search_ann(cfg: EngineConfig, query, k: int = 10, nprobe: int = 4,
     top = cand.sort(["sim", "conv_id", "turn_idx"],
                     descending=[True, False, False]).limit(k)
     return top.drop_columns(["sim"])
-
-
-def compact_view_sized(runs_dir: str, files: list[str],
-                       key: "str | None", small_fn,
-                       part_fn) -> list[str]:
-    """Shared size-gated view-compaction driver — keyed, grouped, join
-    and additive-derived views all share the gate and exchange shape;
-    only the per-set merge kernels differ, so they plug in here instead
-    of re-implementing the scaffold (review finding, round 5).
-
-    ``small_fn(tbl) -> list[str]`` folds the measured-small whole-view
-    concat in-process and writes the base(s); ``part_fn(i, slices) ->
-    ObjectRef[str | None]`` launches the reduce task for routed
-    partition ``i``. Routing is hash(key) for keyed views or bucket id
-    for grouped views (``key=None``). Past ``SMALL_VIEW_BYTES`` the
-    fold is a key-routed hash exchange writing one base per partition —
-    a view over 10^9 keys must never concat in a single process."""
-    paths = [os.path.join(runs_dir, f) for f in files]
-    if _view_bytes(paths) <= SMALL_VIEW_BYTES:
-        tbl = pa.concat_tables([pq.read_table(p) for p in paths],
-                               promote_options="default")
-        return small_fn(tbl)
-    parts = _split_partitions(paths, _compact_partitions(paths), key)
-    names = ray.get([part_fn(i, slices)
-                     for i, slices in enumerate(parts)])
-    return [n for n in names if n is not None]
-
-
-def _compact_partitions(paths: list[str]) -> int:
-    """Partition count for a distributed view-compaction fold: one
-    key-routed reducer per SMALL_VIEW_BYTES of input, capped so the
-    object count stays bounded. Always >= 2 — the <= 1-unit case takes
-    the in-process fold before this is consulted."""
-    unit = max(1, SMALL_VIEW_BYTES)       # tests force the path with 0
-    return int(max(2, min(32, -(-_view_bytes(paths) // unit))))
-
-
-def _split_view_file(path: str, n: int,
-                     key: str | None) -> tuple[pa.Table, ...]:
-    """Slices of one view run file routed by hash(key) % n (keyed
-    views) or bucket % n (grouped views, key=None) — the map side of
-    the distributed view exchange."""
-    t = pq.read_table(path)
-    if key is None:
-        part = t[MV_BUCKET_COL].to_numpy(zero_copy_only=False) \
-            .astype(np.uint64) % np.uint64(n)
-    else:
-        part = hash_strings_arrow(t[key]) % np.uint64(n)
-    return split_by_route(t, part, n)
-
-
-def _split_partitions(paths: list[str], P: int,
-                      key: str | None) -> "list[tuple]":
-    """Map side of a distributed view fold: each file splits into P
-    routed slices in its own task (ONE read per file — reduce tasks
-    compute their own seq watermarks from the slices); returns the
-    per-partition slice tuples."""
-    return split_fan_out(_split_view_file, paths, P, P, key)
-
-
-@ray.remote
-def _merge_mv_part(runs_dir: str, view_name: str, txn: str,
-                   *slices: pa.Table) -> str | None:
-    """Reduce side: latest-wins fold of one key partition's slices,
-    written in-task as its own base file (manifests carry per-view
-    file LISTS, so readers are unaffected). None for empty parts.
-    The seq stamp is the partition's own max — every row derives from
-    a generation <= it, and any future refresh writes strictly newer
-    seqs, so per-partition stamps preserve latest-wins exactly like
-    the old whole-view max while avoiding a second read pass."""
-    tbl = pa.concat_tables(slices, promote_options="default")
-    if tbl.num_rows == 0:
-        return None
-    seq = int(pc.max(tbl[MV_SEQ_COL]).as_py())
-    view = _view(view_name)
-    out = _state_cols(merge_latest(tbl, view.key), seq, False)
-    return _write_mv_file(out, runs_dir, view, seq, txn)
-
-
-def compact_mv_files(runs_dir: str, view_key: str, files: list[str],
-                     txn: str) -> list[str]:
-    """Compaction hook (called from ingest._compact_derived): fold a
-    view's run files into a base set. Latest-wins, tombstones dropped —
-    the bases ARE the full row set, nothing older remains to mask.
-
-    Size-gated like the read path (`read_matview`): a measured-small
-    view folds in one task; past SMALL_VIEW_BYTES the fold is a
-    key-routed hash exchange writing one base file per partition —
-    a keyed view over 10^9 conversations must never concat in a single
-    process."""
-    name = view_key[len(MV_PREFIX):]
-    view = _view(name)
-
-    def small(tbl: pa.Table) -> list[str]:
-        seq = int(pc.max(tbl[MV_SEQ_COL]).as_py()) if tbl.num_rows else 0
-        out = _state_cols(merge_latest(tbl, view.key), seq, False)
-        return [_write_mv_file(out, runs_dir, view, seq, txn)]
-
-    return compact_view_sized(
-        runs_dir, files, view.key, small,
-        lambda i, slices: _merge_mv_part.remote(
-            runs_dir, name, f"{txn}p{i}", *slices))

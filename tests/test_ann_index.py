@@ -108,11 +108,6 @@ def test_ann_search_survives_compaction_and_requires_refresh(tmp_path):
     before = _search_df(cfg)
     ingest.compact(cfg)
     pd.testing.assert_frame_equal(_search_df(cfg), before)
-    # distributed view compaction path too
-    import unittest.mock as mock
-    with mock.patch.object(matview, "SMALL_VIEW_BYTES", 0):
-        ingest.compact(cfg)
-    pd.testing.assert_frame_equal(_search_df(cfg), before)
 
 
 def _build_and_search_unrefreshed(cfg):

@@ -1,7 +1,7 @@
 """Cross-table join matview (`pipelines/joinview.py`): incremental
 maintenance of a per-key FULL OUTER join of two independently
-ingesting tables, including retraction tombstones and the
-non-delta-expressible fallbacks."""
+ingesting tables, including retraction of keys deleted on both sides
+and the non-delta-expressible fallbacks."""
 
 import numpy as np
 import pandas as pd
@@ -83,7 +83,7 @@ def test_join_view_incremental_with_retraction_tombstone(tmp_path):
     stats = m2.metrics["matview_refresh"]
     assert stats["mode"] == "incremental"
     v = _view(A)
-    # c1 vanished from both sides -> tombstone must RETRACT its row
+    # c1 vanished from both sides -> its bucket's new file drops it
     assert set(v["conv_id"]) == {"c2", "c3"}
     assert v.set_index("conv_id").loc["c2", "n_turns_a"] == 2
     # untouched key (c3) survives from the previous generation
@@ -146,9 +146,9 @@ def test_dag_two_ingests_fan_into_join_view(tmp_path):
 
 
 def test_join_view_survives_primary_compaction(tmp_path):
-    """Compacting the PRIMARY table folds the view's refresh
-    generations into one base (tombstones gone) while preserving the
-    two-sided watermark, and later incremental refreshes still work."""
+    """Compacting the PRIMARY table leaves the view's per-bucket files
+    (and so its two-sided watermark) as they are, and later incremental
+    refreshes still work."""
     from techtalk_data_pipeline_snowpark_ray.state.manifest import \
         TableState
 
@@ -160,16 +160,17 @@ def test_join_view_survives_primary_compaction(tmp_path):
     ingest.apply_tick(A)
     ingest.apply_tick(B)
     refresh_join_matview(A, B, "conv_drift")
-    # a second generation (so compaction genuinely folds)
+    # a second generation, replacing c2's bucket file
     _append(A, [(5, "delete", "c2", 0, None)], wa)
     wa.close()
     ingest.apply_tick(A)
     refresh_join_matview(A, B, "conv_drift")
     before = _view(A)
-    ingest.compact(A)
     state = TableState(A.table_dir)
     jfiles = state.load_latest().derived["jmv:conv_drift"]
-    assert len(jfiles) == 1                     # folded to one base
+    assert len(jfiles) == 4                     # one file per A bucket
+    ingest.compact(A)
+    assert state.load_latest().derived["jmv:conv_drift"] == jfiles
     pd.testing.assert_frame_equal(_view(A), before)
     # watermark survived: a one-sided advance refreshes incrementally
     _append(B, [(9, "insert", "c1", 1, "zz")], wb)
@@ -212,42 +213,3 @@ def test_join_view_fallbacks_on_history_rewrites(tmp_path):
     v = _view(A).set_index("conv_id")
     assert v.loc["c1", "n_turns_a"] == 0      # erased on A...
     assert v.loc["c1", "n_turns_b"] == 1      # ...but B still has it
-
-
-def test_join_view_distributed_compaction_identical(tmp_path, monkeypatch):
-    """Past SMALL_VIEW_BYTES the join-view fold is a key-routed hash
-    exchange writing one base PER PARTITION — forced here by zeroing
-    the gate; read-back and the incremental watermark must be
-    unaffected."""
-    from techtalk_data_pipeline_snowpark_ray.pipelines import matview
-    from techtalk_data_pipeline_snowpark_ray.state.manifest import \
-        TableState
-
-    A = _mk(tmp_path, "a", 4)
-    B = _mk(tmp_path, "b", 4)
-    wa = _append(A, [(1, "insert", "c1", 0, "xx"),
-                     (2, "insert", "c2", 0, "yy"),
-                     (3, "insert", "c3", 0, "zz")])
-    wb = _append(B, [(1, "insert", "c1", 0, "x")])
-    ingest.apply_tick(A)
-    ingest.apply_tick(B)
-    refresh_join_matview(A, B, "conv_drift")
-    _append(A, [(5, "delete", "c2", 0, None),
-                (6, "insert", "c4", 0, "ww")], wa)
-    wa.close()
-    ingest.apply_tick(A)
-    refresh_join_matview(A, B, "conv_drift")
-    before = _view(A)
-    monkeypatch.setattr(matview, "SMALL_VIEW_BYTES", 0)
-    ingest.compact(A)
-    jfiles = TableState(A.table_dir).load_latest().derived["jmv:conv_drift"]
-    assert len(jfiles) >= 2                 # per-partition bases
-    pd.testing.assert_frame_equal(_view(A), before)
-    # watermark survived the partitioned fold: one-sided incremental
-    _append(B, [(9, "insert", "c1", 1, "zz")], wb)
-    wb.close()
-    ingest.apply_tick(B)
-    m = refresh_join_matview(A, B, "conv_drift")
-    assert m.metrics["matview_refresh"]["mode"] == "incremental"
-    v = _view(A).set_index("conv_id")
-    assert v.loc["c1", "n_turns_b"] == 2

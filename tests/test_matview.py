@@ -1,7 +1,8 @@
 """Materialized-view maintenance tests: full vs incremental refresh
 parity against the resolved snapshot, retraction on delete, compaction
 interplay (state-preserving skip vs genuine fallback), control-op
-fallback, run_loop integration and view-file compaction."""
+fallback, run_loop integration, and the file model: one view file per
+bucket, replaced by each refresh and left alone by compaction."""
 
 import numpy as np
 import pandas as pd
@@ -10,6 +11,7 @@ import pytest
 
 from techtalk_data_pipeline_snowpark_ray import schemas
 from techtalk_data_pipeline_snowpark_ray.pipelines import ingest, matview
+from techtalk_data_pipeline_snowpark_ray.pipelines.matview import _file_bucket
 from techtalk_data_pipeline_snowpark_ray.sources.generate import (
     GenSpec, generate_chunks, write_wal)
 from techtalk_data_pipeline_snowpark_ray.sources.wal import WalWriter
@@ -92,6 +94,21 @@ def _mv_stats(m) -> dict:
     return m.metrics["matview_refresh"]
 
 
+def view_buckets(cfg, key) -> list:
+    """Bucket ids of the view's current files, parsed from their
+    names; asserts there is at most one file per bucket."""
+    files = TableState(cfg.table_dir).load_latest().derived.get(key, [])
+    ids = [_file_bucket(f) for f in files]
+    assert len(ids) == len(set(ids)), files
+    return sorted(ids)
+
+
+def _bucket_of(conv, nb) -> int:
+    from techtalk_data_pipeline_snowpark_ray.stages.partition import (
+        hash_strings_arrow)
+    return int(hash_strings_arrow(pa.array([conv]))[0] % np.uint64(nb))
+
+
 def test_full_then_incremental_matches_recompute(tmp_engine):
     cfg = tmp_engine
     write_wal(TINY, cfg.wal_dir, segment_rows=400)
@@ -105,22 +122,26 @@ def test_full_then_incremental_matches_recompute(tmp_engine):
     w.append(_phase2_events(cfg, touched, kill), 3)
     w.close()
     ingest.apply_tick(cfg)
+    key = matview.MV_PREFIX + MV
+    state = TableState(cfg.table_dir)
+    before = set(state.load_latest().derived[key])
     m2 = matview.refresh_matview(cfg, MV)
     st = _mv_stats(m2)
     assert st["mode"] == "incremental"
-    # delta-proportional: only the touched conversations re-resolved
+    # delta-proportional: only the touched conversations' buckets refold
     assert st["affected_keys"] == 4
-    assert st["tombstones"] == 1          # conv-4 fully retracted
+    hit = {_bucket_of(c, cfg.num_buckets) for c in [*touched, kill]}
+    assert st["affected_buckets"] == len(hit)
     assert_view_matches(cfg)
     view = read_view(cfg)
-    assert kill not in set(view["conv_id"])
+    assert kill not in set(view["conv_id"])       # fully retracted
     assert int(view.loc[view.conv_id == touched[0], "max_turn_idx"]
                .iloc[0]) == 99
-    # the forced-exchange path (big-view branch) agrees with the
-    # measured-small single-task merge
-    dist = matview.read_matview(cfg, MV, num_partitions=4).to_pandas() \
-        .sort_values("conv_id", ignore_index=True)[view.columns.tolist()]
-    pd.testing.assert_frame_equal(dist, view, check_dtype=False)
+    # one file per bucket: the refresh replaced the affected buckets'
+    # files and kept the others
+    assert view_buckets(cfg, key) == list(range(cfg.num_buckets))
+    after = set(state.load_latest().derived[key])
+    assert {_file_bucket(f) for f in after - before} == hit
 
 
 def test_refresh_is_idempotent(tmp_engine):
@@ -191,25 +212,44 @@ def test_run_loop_maintains_matview(tmp_engine):
     assert_view_matches(cfg)
 
 
-def test_mv_files_compact_to_single_base(tmp_engine):
+def test_compaction_leaves_view_files(tmp_engine):
+    """Compaction rewrites table runs only: each refreshed view keeps
+    its one file per bucket, reads the same, and the next refresh
+    after a tick stays incremental."""
     cfg = tmp_engine
     write_wal(TINY, cfg.wal_dir, segment_rows=400)
     ingest.apply_tick(cfg)
-    matview.refresh_matview(cfg, MV)
+    views = (MV, "token_index")
+    for v in views:
+        matview.refresh_matview(cfg, v)
     w = WalWriter(cfg.wal_dir, segment_rows=400, reorder_slack=8)
     a, b = _live_convs(cfg, 2)
     w.append(_phase2_events(cfg, [a], b), 3)
     w.close()
     ingest.apply_tick(cfg)
-    matview.refresh_matview(cfg, MV)
+    for v in views:
+        matview.refresh_matview(cfg, v)
     before = read_view(cfg)
-    key = matview.MV_PREFIX + MV
+    tokens = matview.read_grouped_matview(cfg, "token_index").to_pandas() \
+        .sort_values("token", ignore_index=True)
     state = TableState(cfg.table_dir)
-    assert len(state.load_latest().derived[key]) > 1
+    keys = [matview.MV_PREFIX + MV, matview.GMV_PREFIX + "token_index"]
+    files = {k: state.load_latest().derived[k] for k in keys}
     ingest.compact(cfg)
-    assert len(state.load_latest().derived[key]) == 1
+    for k in keys:
+        assert state.load_latest().derived[k] == files[k]
+        assert view_buckets(cfg, k) == list(range(cfg.num_buckets))
     pd.testing.assert_frame_equal(read_view(cfg), before,
                                   check_dtype=False)
+    pd.testing.assert_frame_equal(
+        matview.read_grouped_matview(cfg, "token_index").to_pandas()
+        .sort_values("token", ignore_index=True), tokens)
+    w = WalWriter(cfg.wal_dir, segment_rows=400, reorder_slack=8)
+    w.append(_phase2_events(cfg, [b], a), 3)
+    w.close()
+    ingest.apply_tick(cfg)
+    m = matview.refresh_matview(cfg, MV)
+    assert _mv_stats(m)["mode"] == "incremental"
     assert_view_matches(cfg)
 
 
@@ -306,8 +346,8 @@ def _single_conv_batch(conv, turns, op, lsn0):
 
 
 def test_grouped_full_retraction_empties_view(tmp_engine):
-    """Deleting every live row of a bucket must supersede its stored
-    partials (the epoch-marker path): the view ends EMPTY, not stale."""
+    """Deleting every live row of a bucket must replace its stored
+    partials with an empty file: the view ends EMPTY, not stale."""
     cfg = tmp_engine
     w = WalWriter(cfg.wal_dir, segment_rows=100, reorder_slack=8)
     w.append(_single_conv_batch("conv-solo", [0, 1, 2, 3, 4],
@@ -335,9 +375,12 @@ def test_grouped_compaction_and_run_loop(tmp_engine):
     assert_gview_matches(cfg)
     assert_view_matches(cfg)
     before = read_gview(cfg)
-    ingest.compact(cfg)
     key = matview.GMV_PREFIX + GMV
-    assert len(TableState(cfg.table_dir).load_latest().derived[key]) == 1
+    files = TableState(cfg.table_dir).load_latest().derived[key]
+    ingest.compact(cfg)
+    # compaction leaves the view's per-bucket files as they are
+    assert TableState(cfg.table_dir).load_latest().derived[key] == files
+    assert view_buckets(cfg, key) == list(range(cfg.num_buckets))
     pd.testing.assert_frame_equal(read_gview(cfg), before,
                                   check_dtype=False)
     # post-compaction delta refresh stays incremental and correct
@@ -487,63 +530,3 @@ def test_grouped_multicolumn_group(tmp_engine):
     pd.testing.assert_frame_equal(
         nulls_as_none(dist[["role", "tool", "n_turns"]]), nulls_as_none(want),
         check_dtype=False)
-
-
-def test_mv_compaction_distributed_path_identical(tmp_engine, monkeypatch):
-    """Past SMALL_VIEW_BYTES, view compaction folds as a key-routed
-    hash exchange writing one base PER PARTITION instead of one
-    whole-view concat in a single process (the 10^9-conversation
-    shape). Forced here by zeroing the gate: the distributed fold must
-    read back identical to the view before compaction."""
-    cfg = tmp_engine
-    write_wal(TINY, cfg.wal_dir, segment_rows=400)
-    ingest.apply_tick(cfg)
-    matview.refresh_matview(cfg, MV)
-    w = WalWriter(cfg.wal_dir, segment_rows=400, reorder_slack=8)
-    a, b = _live_convs(cfg, 2)
-    w.append(_phase2_events(cfg, [a], b), 3)
-    w.close()
-    ingest.apply_tick(cfg)
-    matview.refresh_matview(cfg, MV)
-    before = read_view(cfg)
-    monkeypatch.setattr(matview, "SMALL_VIEW_BYTES", 0)
-    ingest.compact(cfg)
-    key = matview.MV_PREFIX + MV
-    state = TableState(cfg.table_dir)
-    bases = state.load_latest().derived[key]
-    assert len(bases) >= 2            # per-partition bases, not one file
-    pd.testing.assert_frame_equal(read_view(cfg), before,
-                                  check_dtype=False)
-    assert_view_matches(cfg)
-    # and the distributed bases keep compacting idempotently
-    ingest.compact(cfg)
-    pd.testing.assert_frame_equal(read_view(cfg), before,
-                                  check_dtype=False)
-
-
-def test_gmv_compaction_distributed_path_identical(tmp_engine, monkeypatch):
-    """Grouped views (the token index) take the same size-gated
-    distributed compaction: bucket-routed partitions, identical search
-    results after the fold."""
-    cfg = tmp_engine
-    write_wal(TINY, cfg.wal_dir, segment_rows=400)
-    ingest.apply_tick(cfg)
-    matview.refresh_matview(cfg, "token_index")
-    w = WalWriter(cfg.wal_dir, segment_rows=400, reorder_slack=8)
-    a, b = _live_convs(cfg, 2)
-    w.append(_phase2_events(cfg, [a], b), 3)
-    w.close()
-    ingest.apply_tick(cfg)
-    matview.refresh_matview(cfg, "token_index")
-    tok = "patched"                    # introduced by the phase-2 update
-    before = matview.search_token(cfg, tok).to_pandas() \
-        .sort_values(["conv_id", "turn_idx"], ignore_index=True)
-    assert len(before) > 0
-    monkeypatch.setattr(matview, "SMALL_VIEW_BYTES", 0)
-    ingest.compact(cfg)
-    key = matview.GMV_PREFIX + "token_index"
-    bases = TableState(cfg.table_dir).load_latest().derived[key]
-    assert len(bases) >= 2
-    after = matview.search_token(cfg, tok).to_pandas() \
-        .sort_values(["conv_id", "turn_idx"], ignore_index=True)
-    pd.testing.assert_frame_equal(after, before)

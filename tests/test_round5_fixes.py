@@ -235,7 +235,8 @@ def test_additive_view_compaction_distributed(tmp_path, monkeypatch):
     assert dict(zip(before["conv_id"], before["n_events"])) == \
         {"a": 2, "b": 2, "c": 1}
 
-    monkeypatch.setattr(matview, "SMALL_VIEW_BYTES", 0)  # force exchange
+    from techtalk_data_pipeline_snowpark_ray.pipelines import derived
+    monkeypatch.setattr(derived, "SMALL_VIEW_BYTES", 0)  # force exchange
     assert ingest.compact(cfg) is not None
     m = TableState(cfg.table_dir).load_latest()
     bases = m.derived[DERIVED_CONV_STATS]
@@ -250,33 +251,6 @@ def test_additive_view_compaction_distributed(tmp_path, monkeypatch):
     for i in range(len(seen)):
         for j in range(i + 1, len(seen)):
             assert not (seen[i] & seen[j])
-
-
-# -- vectorized epoch filter ---------------------------------------------------
-
-def test_filter_current_matches_dict_reference():
-    rng = np.random.default_rng(7)
-    n = 5000
-    b = rng.integers(0, 16, n)
-    cur = {int(k): int(rng.integers(0, 5)) for k in np.unique(b)}
-    s = rng.integers(0, 5, n)
-    tbl = pa.table({
-        matview.MV_BUCKET_COL: pa.array(b, pa.int64()),
-        matview.MV_SEQ_COL: pa.array(s, pa.int64()),
-        matview.MV_MARKER_COL: pa.array(rng.random(n) < 0.1),
-        "v": pa.array(np.arange(n)),
-    })
-    for keep_markers in (False, True):
-        got = matview._filter_current(tbl, cur, keep_markers)
-        ref_keep = np.array([cur[int(x)] == y for x, y in zip(b, s)])
-        if not keep_markers:
-            ref_keep &= ~tbl[matview.MV_MARKER_COL] \
-                .to_numpy(zero_copy_only=False)
-        assert got["v"].to_pylist() == \
-            tbl.filter(pa.array(ref_keep))["v"].to_pylist()
-    # empty input
-    empty = matview._filter_current(tbl.slice(0, 0), cur, False)
-    assert empty.num_rows == 0
 
 
 # -- review fixes at the final round-5 pass ------------------------------------
@@ -334,21 +308,6 @@ def test_jmv_watermark_canonical_across_paths_and_cwd(tmp_path, monkeypatch):
     res = refresh_join_matview(a, b, "conv_drift")
     assert res is not None
     assert res.metrics["matview_refresh"]["mode"] == "incremental"
-
-
-def test_filter_current_raises_on_uncovered_bucket():
-    """A bucket with rows but no epoch in cur_seq is an invariant
-    violation — it must fail loudly, not silently drop the rows by
-    matching them against the -1 sentinel."""
-    import pytest
-
-    tbl = pa.table({
-        matview.MV_BUCKET_COL: pa.array([0, 5], pa.int64()),
-        matview.MV_SEQ_COL: pa.array([1, 1], pa.int64()),
-        matview.MV_MARKER_COL: pa.array([False, False]),
-    })
-    with pytest.raises(AssertionError, match="no .*epoch|epoch"):
-        matview._filter_current(tbl, {0: 1}, keep_markers=True)
 
 
 def _write_events(tmp_path, rows):

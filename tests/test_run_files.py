@@ -1,8 +1,7 @@
-"""Run-file writer and view-merge tests: `state.storage.write_run`'s
-round trip and column encodings, tables that mix runs written with
-pyarrow's default encodings and `write_run`'s, the one-writer guard,
-the Arrow latest-wins view merge (`matview.merge_latest`) and the
-compaction salting gate's footer-count short cut."""
+"""Run-file writer tests: `state.storage.write_run`'s round trip and
+column encodings, tables that mix runs written with pyarrow's default
+encodings and `write_run`'s, the one-writer guard and the compaction
+salting gate's footer-count short cut."""
 
 import ast
 import glob
@@ -18,8 +17,6 @@ import pytest
 import techtalk_data_pipeline_snowpark_ray as pkg
 from techtalk_data_pipeline_snowpark_ray import schemas
 from techtalk_data_pipeline_snowpark_ray.pipelines import ingest, matview
-from techtalk_data_pipeline_snowpark_ray.pipelines.matview import (
-    MV_DEAD_COL, MV_SEQ_COL, merge_latest)
 from techtalk_data_pipeline_snowpark_ray.sources.generate import (
     GenSpec, generate_chunks, write_wal)
 from techtalk_data_pipeline_snowpark_ray.sources.wal import WalWriter
@@ -174,39 +171,6 @@ def test_runs_dir_parquet_goes_through_write_run():
                                                "ParquetWriter"):
                     calls.add((path.name, fn.name))
     assert calls == allowed
-
-
-def _mv_rows(keys, seqs, dead, vals) -> pa.Table:
-    return pa.table({
-        "conv_id": pa.array(keys, pa.string()),
-        "n": pa.array(vals, pa.int32()),
-        MV_SEQ_COL: pa.array(seqs, pa.int64()),
-        MV_DEAD_COL: pa.array(dead, pa.bool_())})
-
-
-def test_merge_latest_ties_tombstones_and_widths():
-    t = _mv_rows(
-        keys=["b", "a", "a", "c", "b", "c", None, None, "d"],
-        seqs=[1, 2, 1, 1, 1, 3, 1, 2, 5],
-        dead=[False, False, False, False, False, True, False, False, True],
-        vals=[10, 20, 11, 30, 12, None, 40, 41, None])
-    out = merge_latest(t, "conv_id")
-    # "b": tie at (b, 1) keeps the later row; "c" and "d" are masked by
-    # their newest tombstone; the null key is one key
-    assert out.column_names == ["conv_id", "n"]
-    assert out["conv_id"].to_pylist() == ["a", "b", None]
-    assert out["n"].to_pylist() == [20, 12, 41]
-    assert out.schema.field("n").type == pa.int32()
-
-    kept = merge_latest(t, "conv_id", keep_dead=True)
-    assert kept["conv_id"].to_pylist() == ["a", "b", "c", "d", None]
-    assert kept["n"].to_pylist() == [20, 12, None, None, 41]
-    assert kept.schema.field("n").type == pa.int32()
-
-    empty = merge_latest(t.slice(0, 0), "conv_id")
-    assert empty.num_rows == 0 and empty.column_names == ["conv_id", "n"]
-    one = merge_latest(t.slice(8, 1), "conv_id", keep_dead=True)
-    assert one["conv_id"].to_pylist() == ["d"]
 
 
 def test_compaction_skips_histogram_under_salt_floor(tmp_engine,
