@@ -44,12 +44,11 @@ def _cfg(args) -> "EngineConfig":
     if getattr(args, "matviews", ""):
         cfg.matviews = tuple(v for v in args.matviews.split(",") if v)
     if cfg.matviews:                  # from either source: fail fast,
-        from .pipelines.matview import GROUPED_MATVIEWS, MATVIEWS
-        known = set(MATVIEWS) | set(GROUPED_MATVIEWS)
-        bad = [v for v in cfg.matviews if v not in known]
-        if bad:                       # before any tick commits
-            raise SystemExit(
-                f"unknown matview(s) {bad}; registered: {sorted(known)}")
+        from .pipelines.matview import check_matview_names
+        try:                          # before any tick commits
+            check_matview_names(cfg.matviews)
+        except KeyError as e:
+            raise SystemExit(e.args[0]) from None
     if cfg.derived_views:             # same fail-fast for derived sinks
         from .pipelines.derived import VIEWS
         bad = [v for v in cfg.derived_views if v not in VIEWS]
@@ -202,10 +201,10 @@ def main(argv: "list[str] | None" = None) -> int:
                   if k.startswith("rollback")}}
     elif args.cmd == "refresh-join":
         from dataclasses import replace
-        from .pipelines.joinview import refresh_join_matview
+        from .pipelines.matview import refresh_matview
         other = replace(cfg, table_dir=args.other_table_dir,
                         wal_dir=args.other_wal_dir or cfg.wal_dir)
-        m = refresh_join_matview(cfg, other, args.view)
+        m = refresh_matview(cfg, args.view, other=other)
         out = {"cmd": "refresh-join", "view": args.view,
                "refreshed": m is not None,
                **({} if m is None else m.metrics.get("matview_refresh", {}))}
@@ -234,7 +233,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
         from .pipelines.analytics import small_groupby
         from .pipelines.dag import (DagRunner, Step, ingest_step,
-                                    joinview_step, matview_step)
+                                    matview_step)
         from .pipelines.joinview import read_join_matview
         from .sources import wal
         from .sources.generate import GenSpec, write_wal
@@ -272,8 +271,8 @@ def main(argv: "list[str] | None" = None) -> int:
         for v in (cfg.matviews or ("conv_live_stats",)):
             steps.append(matview_step(f"mv_{v}", cfg, v,
                                       depends_on=("ing_a",)))
-        steps.append(joinview_step("jv_conv_drift", cfg, other,
-                                   "conv_drift", depends_on=fan_in))
+        steps.append(matview_step("jv_conv_drift", cfg, "conv_drift",
+                                  other, depends_on=fan_in))
         steps.append(Step("role_totals", role_totals, depends_on=fan_in))
         passes = DagRunner(steps).run_continuous(interval_s=0.05,
                                                  stop_when_idle=True)

@@ -46,15 +46,11 @@ class EngineConfig:
     #: straight to storage; cross-run resolution is left to compaction
     #: and snapshot reads). The field stays because callers still set it.
     apply_mode: str = "direct"
-    #: also maintain the derived `conv_stats` sink (per-conversation
-    #: consumed-record counters), fed by the same delta and committed in
-    #: the same atomic manifest publish as the main table (the
-    #: reference's one-stream-two-sinks transaction, stream/Main.scala).
-    #: Shorthand for including "conv_stats" in derived_views.
-    derived_conv_stats: bool = False
     #: NAMED derived views maintained alongside the table (see
-    #: pipelines/derived.py registry) -- all fed by the same consumed
-    #: delta, all committed in the same manifest publish.
+    #: pipelines/derived.py registry, e.g. "conv_stats") -- all fed by
+    #: the same consumed delta, all committed in the same atomic
+    #: manifest publish as the main table (the reference's
+    #: one-stream-two-sinks transaction, stream/Main.scala).
     derived_views: tuple = ()
     #: MATERIALIZED aggregate views over the RESOLVED table state
     #: (pipelines/matview.py registry), refreshed delta-proportionally

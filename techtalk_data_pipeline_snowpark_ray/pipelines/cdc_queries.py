@@ -256,7 +256,7 @@ def cdc_derived_conv_stats(sf_dir: str) -> ray.data.Dataset:
     per-conversation counters, committed in one atomic manifest
     publish; this returns the resolved derived sink."""
     cfg = _fresh_cfg("dual")
-    cfg.derived_conv_stats = True
+    cfg.derived_views = ("conv_stats",)
     _write_events_wal(sf_dir, cfg)
     ingest.run_loop(cfg, stop_when_idle=True)
     return ingest.read_derived(cfg).sort("conv_id")
@@ -744,7 +744,8 @@ def cdc_join_matview_drift(sf_dir: str) -> ray.data.Dataset:
     on each side under its own layout, co-partitioned by key hash,
     joined vectorized per partition)."""
     from .analytics import _parquet_col_max
-    from .joinview import read_join_matview, refresh_join_matview
+    from .joinview import read_join_matview
+    from .matview import refresh_matview
 
     cfg_a = _fresh_cfg("jva", schema_version=1)
     cfg_b = _fresh_cfg("jvb", schema_version=1)
@@ -774,7 +775,7 @@ def cdc_join_matview_drift(sf_dir: str) -> ray.data.Dataset:
         wb.close()
         ingest.apply_tick(cfg_a)
         ingest.apply_tick(cfg_b)
-        m = refresh_join_matview(cfg_a, cfg_b, "conv_drift")
+        m = refresh_matview(cfg_a, "conv_drift", other=cfg_b)
         want = "full" if phase == 0 else "incremental"
         if m.metrics["matview_refresh"]["mode"] != want:
             raise AssertionError(

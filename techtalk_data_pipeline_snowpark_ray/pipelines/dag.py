@@ -136,33 +136,19 @@ def ingest_step(name: str, cfg, depends_on: tuple = ()) -> Step:
     return Step(name=name, fn=run, depends_on=tuple(depends_on))
 
 
-def joinview_step(name: str, cfg_a, cfg_b, view: str,
-                  depends_on: tuple = ()) -> Step:
-    """Convenience: keep a CROSS-TABLE join view fresh as a DAG step
-    downstream of BOTH tables' ingests — the reference's two-ingest
-    fan-in (`stream/Main.scala:16-19`) with a maintained join instead
-    of a per-tick recompute. None when both sides are already
-    refreshed (idle contract)."""
-    from .joinview import refresh_join_matview
-
-    def run(ctx: DagContext):
-        return refresh_join_matview(cfg_a, cfg_b, view)
-
-    return Step(name=name, fn=run, depends_on=tuple(depends_on))
-
-
-def matview_step(name: str, cfg, view: str,
+def matview_step(name: str, cfg, view: str, other=None,
                  depends_on: tuple = ()) -> Step:
-    """Convenience: keep a materialized view (keyed, grouped or
-    windowed) fresh as a DAG step downstream of its table's ingest —
-    the reference's ingest >> derived-view chain
-    (`SamplePipeline.scala:19-31`) with incremental refresh instead of
-    per-tick recompute. Returns None when already fresh (the DAG idle
-    contract), so `run_continuous(stop_when_idle=True)` drains
-    ingest + views together."""
+    """Convenience: keep a materialized view (keyed, grouped, windowed
+    or, with `other` naming its second table, a cross-table join) fresh
+    as a DAG step downstream of its tables' ingests -- the reference's
+    ingest >> derived-view chain (`SamplePipeline.scala:19-31`) and
+    two-ingest fan-in (`stream/Main.scala:16-19`), with incremental
+    refresh instead of per-tick recompute. Returns None when already
+    fresh (the DAG idle contract), so `run_continuous(stop_when_idle=
+    True)` drains ingest + views together."""
     from .matview import refresh_matview
 
     def run(ctx: DagContext):
-        return refresh_matview(cfg, view)
+        return refresh_matview(cfg, view, other)
 
     return Step(name=name, fn=run, depends_on=tuple(depends_on))

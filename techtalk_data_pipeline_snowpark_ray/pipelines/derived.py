@@ -1,6 +1,7 @@
 """Named derived-view registry: N derived sinks fed by the SAME
 consumed delta and committed in the SAME atomic manifest publish as the
-main table.
+main table, plus the one merge of associative partials that every view
+with partial rows reads and compacts through.
 
 Reference parity: the one-stream-two-sinks transaction
 (``stream/Main.scala:16-19``) and named registered views
@@ -8,7 +9,7 @@ Reference parity: the one-stream-two-sinks transaction
 view here is a *named* additive aggregate over the change stream --
 the apply task writes one partial file per view per batch, the manifest
 APPENDS them to ``derived[view]``, and reading/compacting a view
-sum-merges its partials. Because every partial becomes visible only
+merges its partials. Because every partial becomes visible only
 through the manifest publish that also advances the stream offset, all
 views and the table are transactionally consistent with each other.
 These views count re-deliveries, so unlike the refreshed views of
@@ -20,8 +21,16 @@ A view definition is two pieces:
   * ``partial(batch)``: raw change-record batch (before the fold) ->
     additive partial rows (vectorized Arrow group-by).
   * ``merge_spec``: (column, "sum"|"max"|"min") pairs merging partials
-    associatively -- used identically by the reader's distributed
-    groupby and by compaction.
+    associatively.
+
+The merge (`merge_partials`, `merge_files`) serves these views and
+:mod:`.matview`'s grouped views alike: a view with ``group_cols``,
+``merge_spec`` and ``empty_result()``. A measured-small file set
+merges in one task; a larger one is split by a hash of every group
+column through `stages.exchange.split_by_route`, and each partition
+merges in its own task. A grouped read returns those tasks' tables as
+a Dataset; an additive compaction writes each partition's base in the
+task that merges it.
 """
 
 from __future__ import annotations
@@ -32,16 +41,29 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
+import ray.data
 
 from .. import schemas
 from ..stages.exchange import split_by_route, split_fan_out
-from ..stages.partition import hash_strings_arrow
+from ..stages.partition import _splitmix, hash_strings_arrow
 from ..state.storage import write_run
 
 DERIVED_CONV_STATS = "conv_stats"
 DERIVED_ROLE_STATS = "role_stats"
+
+
+def empty_partials(group_cols, merge_spec, group_types=()) -> pa.Table:
+    """The typed empty table of a view's merged rows: group columns
+    (`group_types`, default string) then int64 merge columns."""
+    cols = {c: pa.array([], group_types[i] if i < len(group_types)
+                        else pa.string())
+            for i, c in enumerate(group_cols)}
+    for c, _fn in merge_spec:
+        cols[c] = pa.array([], pa.int64())
+    return pa.table(cols)
 
 
 @dataclass(frozen=True)
@@ -52,14 +74,24 @@ class DerivedView:
     #: (value_col, fn) with fn in {"sum", "max", "min"}
     merge_spec: tuple[tuple[str, str], ...]
 
-    def merge_table(self, tbl: pa.Table) -> pa.Table:
-        """Associative merge of partial rows (used by compaction and by
-        small in-task merges)."""
-        agg = pa.TableGroupBy(tbl, self.key).aggregate(
-            [(c, fn) for c, fn in self.merge_spec])
-        names = [self.key] + [f"{c}_{fn}" for c, fn in self.merge_spec]
-        return agg.select(names).rename_columns(
-            [self.key] + [c for c, _ in self.merge_spec])
+    @property
+    def group_cols(self) -> tuple[str, ...]:
+        return (self.key,)
+
+    def empty_result(self) -> pa.Table:
+        return empty_partials(self.group_cols, self.merge_spec)
+
+
+def merge_partials(view, tbl: pa.Table) -> pa.Table:
+    """The one merge kernel: partial rows `tbl` merged per
+    ``view.group_cols`` by ``view.merge_spec`` (a null group member is
+    one group)."""
+    agg = pa.TableGroupBy(tbl, list(view.group_cols)).aggregate(
+        list(view.merge_spec))
+    return agg.select(
+        [*view.group_cols,
+         *[f"{c}_{fn}" for c, fn in view.merge_spec]]).rename_columns(
+        [*view.group_cols, *[c for c, _fn in view.merge_spec]])
 
 
 def _conv_stats_partial(batch: pa.Table) -> pa.Table:
@@ -67,15 +99,12 @@ def _conv_stats_partial(batch: pa.Table) -> pa.Table:
     tbl = pa.table({"conv_id": batch["conv_id"],
                     "n_events": pa.array(np.ones(batch.num_rows, np.int64)),
                     "max_lsn": batch[schemas.LSN_COL]})
-    return VIEWS[DERIVED_CONV_STATS].merge_table(tbl)
+    return merge_partials(VIEWS[DERIVED_CONV_STATS], tbl)
 
 
 def _role_stats_partial(batch: pa.Table) -> pa.Table:
     """Per-role event counters over change records that CARRY a role
-    (deletes have no payload; partial updates may omit the column --
-    and a null grouping key would also break the reader's distributed
-    sort-based merge)."""
-    import pyarrow.compute as pc
+    (deletes have no payload; partial updates may omit the column)."""
     keep = pc.and_(
         pc.invert(pc.equal(batch[schemas.OP_COL],
                            pa.scalar(schemas.OP_DELETE))),
@@ -84,7 +113,7 @@ def _role_stats_partial(batch: pa.Table) -> pa.Table:
     tbl = pa.table({"role": role,
                     "n_events": pa.array(np.ones(len(role), np.int64)),
                     "max_lsn": batch[schemas.LSN_COL].filter(keep)})
-    return VIEWS[DERIVED_ROLE_STATS].merge_table(tbl)
+    return merge_partials(VIEWS[DERIVED_ROLE_STATS], tbl)
 
 
 VIEWS: dict[str, DerivedView] = {}
@@ -108,68 +137,102 @@ def resolve_views(names) -> list[DerivedView]:
     return out
 
 
-#: a view whose current files measure under this is read (matview) or
-#: compacted (here) in ONE task -- a measured-size gate (mirrors
-#: stages/joins.py's auto_join): a few-MB view never amortizes a task
-#: fan-out, while a big one must never concat in a single process.
+#: a view whose current files measure under this is read or merged in
+#: ONE task -- a measured-size gate (mirrors stages/joins.py's
+#: auto_join): a few-MB view never amortizes a task fan-out, while a
+#: big one must never concat in a single process.
 SMALL_VIEW_BYTES = 32 * 1024 * 1024
+
+#: route hash of a null group member, whatever the column type
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def view_bytes(paths: "list[str]") -> int:
     return sum(os.stat(p).st_size for p in paths)
 
 
-def _write_additive_base(tbl: pa.Table, runs_dir: str,
-                         fname: str) -> str:
-    write_run(tbl, os.path.join(runs_dir, fname))
-    return fname
+def _group_route(t: pa.Table, group_cols, n: int) -> np.ndarray:
+    """Partition of each row, ``hash(group_cols) % n``: strings hash by
+    `hash_strings_arrow`, integer and timestamp columns by value, and a
+    null hashes to one constant, so every row of a group shares a
+    partition."""
+    h = np.zeros(t.num_rows, np.uint64)
+    for c in group_cols:
+        col = t[c]
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            v = hash_strings_arrow(col)
+        else:
+            v = _splitmix(pc.fill_null(pc.cast(col, pa.int64()), 0)
+                          .to_numpy().view(np.uint64))
+        v[pc.is_null(col).to_numpy()] = _NULL_HASH
+        h = _splitmix(h * np.uint64(31) + v)
+    return h % np.uint64(n)
+
+
+def _split_partials(path: str, n: int, group_cols) -> tuple[pa.Table, ...]:
+    """Slices of one partial file by `_group_route` -- the map side of
+    a merge past the size gate."""
+    t = pq.read_table(path)
+    return split_by_route(t, _group_route(t, group_cols, n), n)
+
+
+@ray.remote
+def _merge_task(view, out: "tuple[str, str] | None", paths: list[str],
+                *slices: pa.Table) -> "pa.Table | str | None":
+    """Merge the partial rows of `paths` and `slices`, typed by the
+    view's empty result. With ``out = (runs_dir, fname)`` the merged
+    rows are written there and the file name returned (None when there
+    are no rows); otherwise the table is returned."""
+    empty = view.empty_result()
+    tbl = pa.concat_tables([*(pq.read_table(p) for p in paths), *slices,
+                            empty], promote_options="default")
+    merged = merge_partials(view, tbl).cast(empty.schema) \
+        if tbl.num_rows else empty
+    if out is None:
+        return merged
+    if not merged.num_rows:
+        return None
+    write_run(merged, os.path.join(out[0], out[1]))
+    return out[1]
+
+
+def merge_files(view, paths: "list[str]",
+                out: "tuple[str, str] | None" = None) -> list:
+    """Refs of `view`'s partial files `paths` merged, one per task
+    (`_merge_task`). Under SMALL_VIEW_BYTES one task reads and merges
+    every file. Past it each file splits by `_group_route` into one
+    slice per partition, and each partition -- one per SMALL_VIEW_BYTES
+    of input, 2 to 32 of them -- merges in its own task; partitions are
+    group-exclusive, so the merge stays exact. `out = (runs_dir, stem)`
+    writes each task's rows to ``<stem>.parquet`` (one task) or
+    ``<stem>p<i>.parquet`` (partition i) instead of returning them."""
+    size = view_bytes(paths)
+    if size <= SMALL_VIEW_BYTES:
+        return [_merge_task.remote(
+            view, out and (out[0], f"{out[1]}.parquet"), paths)]
+    n = int(max(2, min(32, -(-size // max(1, SMALL_VIEW_BYTES)))))
+    return [_merge_task.remote(
+        view, out and (out[0], f"{out[1]}p{i}.parquet"), [], *slices)
+        for i, slices in enumerate(split_fan_out(
+            _split_partials, paths, n, n, view.group_cols))]
+
+
+def read_merged(view, paths: "list[str]") -> ray.data.Dataset:
+    """Dataset of `view`'s current rows: its partial files merged
+    (`merge_files`), typed by the view's empty result."""
+    if not paths:
+        return ray.data.from_arrow(view.empty_result())
+    return ray.data.from_arrow_refs(merge_files(view, paths))
 
 
 def compact_additive_files(runs_dir: str, view_name: str,
                            files: "list[str]", txn: str) -> "list[str]":
     """Compaction hook for ADDITIVE derived views (called from
     ingest._compact_derived): merge a view's partial files into a base
-    set. A measured-small view (SMALL_VIEW_BYTES) merges in-process;
-    past the gate the merge is a key-routed hash exchange, one task per
-    file splitting it by hash(key) and one task per partition writing
-    its base -- a conv_id-keyed counter view over 10^9 conversations
-    must never concat in a single process. Readers are indifferent
-    (read_derived group-merges whatever partials the manifest lists),
-    and per-partition bases are key-exclusive so the merge stays
-    exact."""
-    spec = VIEWS[view_name]
+    set, one base per merge task (`merge_files`), written by that task.
+    Readers are indifferent (`read_merged` merges whatever partials
+    the manifest lists)."""
     paths = [os.path.join(runs_dir, f) for f in files]
-    size = view_bytes(paths)
-    if size <= SMALL_VIEW_BYTES:
-        tbl = pa.concat_tables([pq.read_table(p) for p in paths],
-                               promote_options="default")
-        return [_write_additive_base(
-            spec.merge_table(tbl), runs_dir,
-            f"derived-{view_name}-base-x{txn}.parquet")]
-    # one reducer per SMALL_VIEW_BYTES of input, capped so the object
-    # count stays bounded (tests force this path with a 0 gate)
-    n = int(max(2, min(32, -(-size // max(1, SMALL_VIEW_BYTES)))))
-    names = ray.get([
-        _merge_additive_part.remote(
-            runs_dir, view_name,
-            f"derived-{view_name}-base-x{txn}p{i}.parquet", *slices)
-        for i, slices in enumerate(split_fan_out(
-            _split_view_file, paths, n, n, spec.key))])
+    names = ray.get(merge_files(VIEWS[view_name], paths,
+                                (runs_dir, f"derived-{view_name}-base-x{txn}")))
     return [f for f in names if f is not None]
-
-
-def _split_view_file(path: str, n: int, key: str) -> "tuple[pa.Table, ...]":
-    """Slices of one view file routed by hash(key) % n -- the map side
-    of the distributed view compaction."""
-    t = pq.read_table(path)
-    return split_by_route(t, hash_strings_arrow(t[key]) % np.uint64(n), n)
-
-
-@ray.remote
-def _merge_additive_part(runs_dir: str, view_name: str, fname: str,
-                         *slices: pa.Table) -> "str | None":
-    tbl = pa.concat_tables(slices, promote_options="default")
-    if tbl.num_rows == 0:
-        return None
-    return _write_additive_base(VIEWS[view_name].merge_table(tbl),
-                                runs_dir, fname)

@@ -628,8 +628,6 @@ def apply_tick(cfg: EngineConfig,
         return None
     payload = schemas.payload_cols(cfg.schema_version)
     view_names = list(cfg.derived_views)
-    if cfg.derived_conv_stats and DERIVED_CONV_STATS not in view_names:
-        view_names.append(DERIVED_CONV_STATS)
     resolve_views(view_names)         # unknown names fail before any write
 
     txn = state.new_txn()
@@ -1665,26 +1663,14 @@ def snapshot_to_pandas(cfg: EngineConfig) -> pd.DataFrame:
     return df.sort_values(list(schemas.KEY_COLS), kind="stable", ignore_index=True)
 
 
-def read_derived(cfg: EngineConfig, view: str = DERIVED_CONV_STATS,
-                 num_partitions: int = 32) -> ray.data.Dataset:
-    """Resolved state of a named derived view: distributed associative
-    merge of its additive partials per the registry's merge_spec."""
-    from ray.data.aggregate import Max, Min, Sum
+def read_derived(cfg: EngineConfig,
+                 view: str = DERIVED_CONV_STATS) -> ray.data.Dataset:
+    """Resolved state of a named derived view: its additive partials
+    merged per the registry's merge_spec (`derived.read_merged`)."""
+    from .derived import VIEWS, read_merged
 
-    from .derived import VIEWS
-
-    spec = VIEWS[view]
-    state = TableState(cfg.table_dir)
-    paths = state.derived_paths(view)
-    if not paths:
-        cols = {spec.key: pa.array([], pa.string())}
-        for c, _fn in spec.merge_spec:
-            cols[c] = pa.array([], pa.int64())
-        return ray.data.from_arrow(pa.table(cols))
-    aggs = {"sum": Sum, "max": Max, "min": Min}
-    ds = ray.data.read_parquet(paths)
-    return ds.groupby(spec.key, num_partitions=num_partitions).aggregate(
-        *[aggs[fn](c, alias_name=c) for c, fn in spec.merge_spec])
+    return read_merged(VIEWS[view],
+                       TableState(cfg.table_dir).derived_paths(view))
 
 
 def _compact_derived(state: TableState, prev: Manifest, txn: str) -> dict[str, list[str]]:
@@ -1878,13 +1864,8 @@ def run_loop(cfg: EngineConfig, max_ticks: int | None = None,
         # fail fast on a typo'd view name BEFORE any tick commits --
         # the per-tick refresh would otherwise KeyError mid-run with
         # WAL partially consumed
-        from .matview import GROUPED_MATVIEWS, MATVIEWS
-        bad = [v for v in cfg.matviews
-               if v not in MATVIEWS and v not in GROUPED_MATVIEWS]
-        if bad:
-            raise KeyError(
-                f"unknown matview(s) {bad}; registered: "
-                f"{sorted({*MATVIEWS, *GROUPED_MATVIEWS})}")
+        from .matview import check_matview_names
+        check_matview_names(cfg.matviews)
 
     compactor: list = [None]
     bg_errors: list = []

@@ -1,4 +1,7 @@
-"""Materialized aggregate views over the RESOLVED table state.
+"""Materialized aggregate views over the RESOLVED table state, and the
+one refresh driver, `refresh_matview`, for every refreshed view:
+keyed, grouped, index and the cross-table join views of
+:mod:`.joinview`.
 
 Reference parity: ``TopRestaurantsLast30Days.scala:38`` re-creates a
 derived VIEW on every run (``createOrReplaceView``). The additive sinks
@@ -13,27 +16,35 @@ a Delta Lake commit adds and removes immutable files:
   1. affected buckets = the buckets of the distinct ``conv_id`` in the
      run files added since the view's last refreshed manifest version
      (`_scan_affected`, a column-pruned scan of just
-     ``conv_id``/``bucket`` -- delta-sized, not table-sized);
+     ``conv_id``/``bucket`` -- delta-sized, not table-sized); a join
+     view windows its second table the same way and re-buckets its
+     keys under the first table's bucket count;
   2. each affected bucket's `_fold_bucket_refs` task resolves the WHOLE
-     bucket (LWW fold), applies the view's per-bucket aggregate
-     (`MatView.agg`, `GroupedMatView.partial`) and writes exactly one
-     file ``mv-<name>-b<B>-s<V>-x<txn>-...``, even an empty one;
+     bucket (LWW fold) -- for a join, of both tables, the second one's
+     rows re-routed by `_exchange_by_bucket(..., rebucket=True)` --
+     applies the view's per-bucket ``of_bucket`` and writes exactly one
+     file ``mv-<name>-b<B>-s<V>-x<txn>-...`` (a join's
+     ``jmv-<name>-b<B>-sa<VA>-sb<VB>-x<txn>-...``), even an empty one;
   3. one manifest publish puts each new file in place of its bucket's
-     entry in ``derived["mv:<name>"]`` (``gmv:`` for grouped views) --
-     the same atomic commit point as everything else, so the view is
-     always consistent with exactly one table version. Older manifests
-     keep the replaced files until GC, as for table runs.
+     entry in ``derived["mv:<name>"]`` (``gmv:`` for grouped views,
+     ``jmv:`` for joins) -- the same atomic commit point as everything
+     else, so the view is always consistent with exactly one table
+     version. Older manifests keep the replaced files until GC, as for
+     table runs.
 
 Retraction is free: a bucket's rows are re-derived from its live rows,
 never incremented. Full-recompute fallback (window not
-delta-expressible): first refresh, a compaction over unrefreshed deltas
-or re-bucketing (both rewrite file history), a rollback, an erasure, or
-a control-op change (controls reach keys the delta never names). It
-folds every bucket and replaces every entry.
+delta-expressible, on either table of a join): first refresh, a
+compaction over unrefreshed deltas or re-bucketing (both rewrite file
+history), a rollback, an erasure, or a control-op change (controls
+reach keys the delta never names). It folds every bucket and replaces
+every entry. A view list written before views were one file per bucket
+(no ``-b<B>`` in its names) refreshes as a first refresh.
 
 Reads concatenate the current files. A keyed view's bucket owns its
 keys, so the concat is the view; a grouped view's partials merge across
-buckets by its ``merge_spec`` group-by. The ``s<V>`` stamps are the
+buckets by its ``merge_spec`` through :mod:`.derived`'s one merge
+(`derived.read_merged`). The ``s<V>`` stamps are the
 refresh watermark, carried inside the manifest: the newest is the table
 version the view was last refreshed against, and because every
 refreshed bucket writes a file, a view whose rows were all deleted
@@ -62,7 +73,7 @@ from ..stages.controls import resolve_stored, sorted_controls
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
-from .derived import SMALL_VIEW_BYTES, view_bytes
+from . import derived
 
 MV_PREFIX = "mv:"
 GMV_PREFIX = "gmv:"
@@ -157,29 +168,14 @@ class GroupedMatView:
         return GMV_PREFIX + self.name
 
     def empty_result(self) -> pa.Table:
-        cols = {c: pa.array([], self.group_types[i]
-                            if i < len(self.group_types) else pa.string())
-                for i, c in enumerate(self.group_cols)}
-        for c, _fn in self.merge_spec:
-            cols[c] = pa.array([], pa.int64())
-        return pa.table(cols)
+        return derived.empty_partials(self.group_cols, self.merge_spec,
+                                      self.group_types)
 
     def of_bucket(self, live: pa.Table) -> pa.Table:
         """The partial rows of one bucket's live resolved rows."""
         return self.partial(live.select([*schemas.KEY_COLS,
                                          *self.source_cols]))
 
-    def merge(self, partials: pa.Table) -> pa.Table:
-        """The view rows: `partials` merged per group by merge_spec (a
-        null group member is one group)."""
-        if partials.num_rows == 0:
-            return self.empty_result()
-        agg = pa.TableGroupBy(partials, list(self.group_cols)).aggregate(
-            list(self.merge_spec))
-        return agg.select(
-            [*self.group_cols,
-             *[f"{c}_{fn}" for c, fn in self.merge_spec]]).rename_columns(
-            [*self.group_cols, *[c for c, _fn in self.merge_spec]])
 
 def _role_live_stats_partial(t: pa.Table) -> pa.Table:
     """Per-role stats of the LIVE rows (null roles — reachable via an
@@ -393,9 +389,23 @@ def _view(name: str) -> MatView:
     return MATVIEWS[name]
 
 
+def check_matview_names(names) -> None:
+    """Raise KeyError naming every entry of `names` that is neither a
+    keyed nor a grouped view, before anything commits."""
+    known = {*MATVIEWS, *GROUPED_MATVIEWS}
+    bad = [v for v in names if v not in known]
+    if bad:
+        raise KeyError(f"unknown matview(s) {bad}; registered: "
+                       f"{sorted(known)}")
+
+
 # -- refresh bookkeeping -----------------------------------------------------
 
 _BUCKET_RE = re.compile(r"-b(\d+)-s")
+#: a view file's source-version stamp: ``-s<V>-x`` (one table) or
+#: ``-sa<VA>-sb<VB>-x`` (a join's two tables), after ``-b<B>`` in every
+#: name written since views became one file per bucket
+_STAMP_RE = re.compile(r"(-b\d+)?-s(?:(\d+)|a(\d+)-sb(\d+))-x")
 
 
 def _file_bucket(fname: str) -> int:
@@ -406,44 +416,59 @@ def _file_bucket(fname: str) -> int:
     return int(mm.group(1))
 
 
-def _last_refreshed(m: Manifest,
-                    view: "MatView | GroupedMatView") -> int | None:
-    """Source manifest version of the view's newest file, parsed from
-    the self-describing file names (``mv-<name>-b<B>-s<V>-...``) — the
-    state travels inside the manifest, nothing sidecar."""
-    best: int | None = None
-    for f in m.derived.get(view.derived_key, ()):
-        mm = re.search(r"-s(\d+)-x", f)
+def _last_refreshed(m: Manifest, key: str) -> "tuple[int, ...] | None":
+    """Source versions of the newest file in ``derived[key]`` -- ``(V,)``,
+    or ``(VA, VB)`` for a join -- parsed from the self-describing file
+    names: the state travels inside the manifest, nothing sidecar. None
+    when the view was never refreshed, or when its list still holds a
+    name written before views were one file per bucket (no ``-b<B>``):
+    such a list is refreshed as a first refresh, which replaces every
+    entry."""
+    best = None
+    for f in m.derived.get(key, ()):
+        mm = _STAMP_RE.search(f)
         if mm is None:
-            raise ValueError(f"unparseable matview run file name {f!r}")
-        v = int(mm.group(1))
+            raise ValueError(f"unparseable view file name {f!r}")
+        if mm.group(1) is None:
+            return None
+        v = (int(mm.group(2)),) if mm.group(2) is not None \
+            else (int(mm.group(3)), int(mm.group(4)))
         best = v if best is None else max(best, v)
     return best
 
-def _watermark_native(state: TableState, view_name: str,
-                      last: int) -> bool:
-    """True iff the parsed ``s<last>`` watermark was minted by THIS
-    table's lineage. A refresh always publishes with
-    ``expected_parent=last`` (strict CAS, no rebase), so the commit at
-    version ``last + 1`` must exist here and record
-    ``matview_refresh{view, source_version=last}``.
 
-    A ZERO-COPY CLONE carries the SOURCE's derived files — stamps from
-    a foreign lineage — over a fresh v0 history. Trusting them is
+def _watermark_native(state: TableState, tag: str, last: "tuple[int, ...]",
+                      other: "EngineConfig | None" = None) -> bool:
+    """True iff the parsed watermark `last` was minted by THIS table's
+    lineage (and, for a join, against THIS `other` table). A refresh
+    always publishes with ``expected_parent=last[0]`` (strict CAS, no
+    rebase), so the commit at version ``last[0] + 1`` must exist here
+    and record ``matview_refresh{view=tag, source_version=last[0]}``,
+    plus ``source_b{table_dir, version=last[1]}`` for a join.
+
+    A ZERO-COPY CLONE carries the SOURCE's derived files -- stamps from
+    a foreign lineage -- over a fresh v0 history, and a join's `other`
+    may be re-pointed at a different table. Trusting such stamps is
     wrong two ways: ``last >= cur`` declares a diverged clone's view
     falsely fresh forever, and ``last < cur`` windows the delta
     against the clone's OWN version ``last``, a different manifest
     than the one the stamp names. A failed check forces the full
     recompute, which REPLACES the file set with natively-stamped
     files, so only the first post-clone refresh pays it. (A swept
-    lineage manifest also fails the check — full recompute is the
+    lineage manifest also fails the check -- full recompute is the
     correct fallback there too.)"""
     try:
-        mm = state.load(last + 1).metrics.get("matview_refresh") or {}
+        mm = state.load(last[0] + 1).metrics.get("matview_refresh") or {}
     except FileNotFoundError:
         return False
-    return mm.get("view") == view_name \
-        and mm.get("source_version") == last
+    if mm.get("view") != tag or mm.get("source_version") != last[0]:
+        return False
+    if other is None:
+        return True
+    sb = mm.get("source_b") or {}
+    return sb.get("version") == last[1] \
+        and os.path.realpath(str(sb.get("table_dir", ""))) \
+        == os.path.realpath(other.table_dir)
 
 
 def _delta_files(state: TableState, last: int, cur_m: Manifest,
@@ -559,104 +584,153 @@ def _publish_refresh(state: TableState, cur: int, m: Manifest, txn: str,
         metrics={"matview_refresh": stats}))
 
 
-def refresh_matview(cfg: EngineConfig, name: str) -> Manifest | None:
-    """Bring the named view (keyed, grouped or index) up to the table's
-    latest committed version: re-fold every affected bucket (every
-    bucket on a full fallback) into one file each and publish them in
-    one manifest (the refresh is itself a transaction). A no-op
-    (already fresh, or an empty delta window) returns None."""
+def refresh_matview(cfg: EngineConfig, name: str,
+                    other: "EngineConfig | None" = None
+                    ) -> Manifest | None:
+    """Bring the named view (keyed, grouped, index or join) up to its
+    table's latest committed version -- a join view (`JOIN_MATVIEWS`)
+    also up to `other`'s, the config of its second table B, which it
+    requires and every other view rejects; the view commits on `cfg`'s
+    table. Re-fold every affected bucket (every bucket on a full
+    fallback) into one file each and publish them in one manifest (the
+    refresh is itself a transaction). Each fold task writes its file
+    itself, so this process only sees file names and the affected
+    buckets. A no-op (already fresh, or an empty delta window) returns
+    None."""
     from .ingest import (_exchange_by_bucket, _fold_bucket_refs,
                          _pruned_scan, _stored_runs)
+    from .joinview import JOIN_MATVIEWS
 
-    view = GROUPED_MATVIEWS.get(name) or _view(name)
+    join = name in JOIN_MATVIEWS
+    view = JOIN_MATVIEWS[name] if join \
+        else GROUPED_MATVIEWS.get(name) or _view(name)
+    if join != (other is not None):
+        raise ValueError(
+            f"join view {name!r} needs `other`, its second table's config"
+            if join else f"view {name!r} reads one table; `other` is "
+            f"for join views only")
     if isinstance(view, MatView) and view.key != "conv_id":
         # the lake layout is bucketed by conv_id: the per-bucket
         # key-exclusivity the agg relies on assumes the view key IS the
         # partition key
         raise ValueError(f"matview key must be the partition key "
                          f"'conv_id', got {view.key!r}")
-    state = TableState(cfg.table_dir)
-    cur, m = state.load_latest_versioned()
-    if cur is None:
+    cfgs = [cfg, other] if join else [cfg]
+    states = [TableState(c.table_dir) for c in cfgs]
+    loaded = [s.load_latest_versioned() for s in states]
+    if any(cur is None for cur, _m in loaded):
         return None
-    last = _last_refreshed(m, view)
-    if last is not None and not _watermark_native(state, name, last):
+    curs = [cur for cur, _m in loaded]
+    ms = [m for _cur, m in loaded]
+    tag = view.derived_key if join else name
+    last = _last_refreshed(ms[0], view.derived_key)
+    if last is not None and not _watermark_native(states[0], tag, last,
+                                                  other):
         last = None                      # foreign (cloned) stamps
-    if last is not None and last >= cur:
+    if last is not None and all(l >= c for l, c in zip(last, curs)):
         return None                      # already fresh: idempotent
 
-    delta, reason = (None, "first-refresh") if last is None \
-        else _delta_files(state, last, m, cur)
-    num_buckets = m.num_buckets or cfg.num_buckets
-    stats = {"view": name, "source_version": cur}
-    if delta is None:
-        buckets = None
-        stats.update(mode="full", reason=reason,
-                     affected_buckets=num_buckets, affected_keys=None)
-    else:
-        if not delta:
-            return None                  # version moved, table data didn't
-        buckets, n_keys = _affected([
-            _scan_affected.remote(os.path.join(state.runs_dir, f))
-            for f in delta])
-        if not buckets:
-            return None
-        stats.update(mode="incremental", affected_buckets=len(buckets),
-                     affected_keys=n_keys)
+    nb = ms[0].num_buckets or cfg.num_buckets
+    stats = {"view": tag, "source_version": curs[0]}
+    if join:
+        # realpath at MINT time: a relative table_dir recorded verbatim
+        # would resolve against whatever cwd the CHECK later runs from,
+        # misreading a native stamp as foreign and silently degrading
+        # every refresh to mode="full"
+        stats["source_b"] = {"table_dir": os.path.realpath(other.table_dir),
+                             "version": curs[1]}
+    buckets, reason = None, "first-refresh"
+    if last is not None:
+        deltas = [([], "") if l >= c else _delta_files(s, l, m, c)
+                  for s, l, m, c in zip(states, last, ms, curs)]
+        reason = next((r for d, r in deltas if d is None), "")
+        if not reason:
+            if not any(d for d, _r in deltas):
+                return None              # version moved, table data didn't
+            # the second table's keys are re-bucketed under this one's
+            # bucket count
+            buckets, n_keys = _affected([
+                _scan_affected.remote(os.path.join(s.runs_dir, f),
+                                      nb if i else None)
+                for i, (s, (d, _r)) in enumerate(zip(states, deltas))
+                for f in d])
+            if not buckets:
+                return None
+            stats.update(mode="incremental", affected_buckets=len(buckets),
+                         affected_keys=n_keys)
+    if buckets is None:
+        stats.update(mode="full", reason=reason, affected_buckets=nb,
+                     affected_keys=None)
 
-    version = m.schema_version or cfg.schema_version
-    controls = sorted_controls(m.control_ops)
-    payload, scan_cols = _pruned_scan(
-        view.source_cols, schemas.payload_cols(version), controls)
-    cols = [*schemas.KEY_COLS, *view.source_cols]
+    def side(c: EngineConfig, m: Manifest, src: tuple[str, ...]):
+        """(one table's bucket resolver, its scan columns)"""
+        version = m.schema_version or c.schema_version
+        controls = sorted_controls(m.control_ops)
+        payload, scan_cols = _pruned_scan(
+            src, schemas.payload_cols(version), controls)
+        cols = [*schemas.KEY_COLS, *src]
+        return (lambda group, lone_base: _bucket_live(
+            group, payload, controls, lone_base, cols, version)), scan_cols
+
+    srcs = (view.source_cols_a, view.source_cols_b) if join \
+        else (view.source_cols,)
+    lives, scans = zip(*(side(c, m, src)
+                         for c, m, src in zip(cfgs, ms, srcs)))
     schema = view.empty_result().schema
-    runs_dir, txn = state.runs_dir, state.new_txn()
+    runs_dir, txn = states[0].runs_dir, states[0].new_txn()
+    prefix = f"{'jmv' if join else 'mv'}-{name}"
+    stamp = f"sa{curs[0]}-sb{curs[1]}" if join else f"s{curs[0]}"
 
     def fold(bucket: int):
-        stem = f"mv-{name}-b{bucket}-s{cur}-x{txn}"
+        stem = f"{prefix}-b{bucket}-{stamp}-x{txn}"
 
-        def fn(group: "pa.Table | None", lone_base: bool) -> str:
-            live = _bucket_live(group, payload, controls, lone_base, cols,
-                                version)
-            out = view.of_bucket(live).cast(schema) if live.num_rows \
-                else view.empty_result()
+        def fn(group: "pa.Table | None", lone_base: bool,
+               group_b: "pa.Table | None" = None) -> str:
+            live = [lives[0](group, lone_base),
+                    *(f(group_b, False) for f in lives[1:])]
+            out = view.of_bucket(*live).cast(schema) \
+                if any(t.num_rows for t in live) else view.empty_result()
             return _write_view_file(out, runs_dir, stem)
         return fn
 
     # path-list pruning: base runs are bucket-exclusive
     # (manifest.buckets), so only the affected buckets' bases are read;
     # global runs can hold any bucket and are always split
-    paths, bases = _stored_runs(state, m,
+    paths, bases = _stored_runs(states[0], ms[0],
                                 None if buckets is None else set(buckets))
+    per_bucket = _exchange_by_bucket(paths, nb, bases, columns=scans[0],
+                                     bucket_subset=buckets)
+    others: list = [()] * len(per_bucket)
+    if join:
+        # B's whole table, re-routed to A's buckets (its bases hold rows
+        # of any A bucket, so they cross the split too); its slices
+        # reach the fold as its `n_other` parts
+        others = [b[3:] for b in _exchange_by_bucket(
+            _stored_runs(states[1], ms[1])[0], nb, {}, columns=scans[1],
+            bucket_subset=buckets, rebucket=True)]
     files = ray.get([
-        _fold_bucket_refs.remote(fold(args[0]), *args)
-        for args in _exchange_by_bucket(paths, num_buckets, bases,
-                                        columns=scan_cols,
-                                        bucket_subset=buckets)])
-    return _publish_refresh(state, cur, m, txn, view.derived_key, files,
-                            delta is None, stats)
+        _fold_bucket_refs.remote(fold(args[0]), *args, *o, n_other=len(o))
+        for args, o in zip(per_bucket, others)])
+    return _publish_refresh(states[0], curs[0], ms[0], txn,
+                            view.derived_key, files, buckets is None, stats)
 
 
 # -- read side ---------------------------------------------------------------
 
-def _concat_files(paths: list[str]) -> pa.Table:
-    return pa.concat_tables([pq.read_table(p) for p in paths],
-                            promote_options="default")
-
-
 @ray.remote
 def _read_files(paths: list[str]) -> pa.Table:
-    return _concat_files(paths)
+    return pa.concat_tables([pq.read_table(p) for p in paths],
+                            promote_options="default")
 
 
 def read_view_files(paths: list[str], empty: pa.Table) -> ray.data.Dataset:
     """Rows of a keyed (or join) view's current files, concatenated:
     each bucket's file owns that bucket's keys, so there is nothing to
-    merge. A measured-small view is read in one task, a larger one in
-    one task per file."""
+    merge. A measured-small view (`derived.SMALL_VIEW_BYTES`) is read
+    in one task, a larger one in one task per file."""
     if not paths:
         return ray.data.from_arrow(empty)
-    groups = [paths] if view_bytes(paths) <= SMALL_VIEW_BYTES \
+    groups = [paths] if derived.view_bytes(paths) <= derived.SMALL_VIEW_BYTES \
         else [[p] for p in paths]
     return ray.data.from_arrow_refs([_read_files.remote(g)
                                      for g in groups])
@@ -670,77 +744,12 @@ def read_matview(cfg: EngineConfig, name: str) -> ray.data.Dataset:
                            view.empty_result())
 
 
-#: sentinel standing in for a NULL group member through Ray's sort
-#: shuffle (which cannot order null keys); \x00 prefix keeps it out of
-#: any real transcript string's value space
-_NULL_GROUP = "\x00__mv_null_group__"
-
-
-@ray.remote
-def _merge_small_gview(paths: list[str], name: str) -> pa.Table:
-    return GROUPED_MATVIEWS[name].merge(_concat_files(paths))
-
-
-def read_grouped_matview(cfg: EngineConfig, name: str,
-                         force_distributed: bool = False
-                         ) -> ray.data.Dataset:
+def read_grouped_matview(cfg: EngineConfig, name: str) -> ray.data.Dataset:
     """Current rows of a grouped view: the buckets' current partials
-    merged per group by the view's merge_spec. A measured-small view
-    merges in one task; a larger one streams its files through Ray
-    Data's distributed groupby. `force_distributed` is the test hook
-    for that path."""
-    from ray.data.aggregate import Max, Min, Sum
-
+    merged per group by the view's merge_spec (`derived.read_merged`)."""
     view = GROUPED_MATVIEWS[name]
-    paths = TableState(cfg.table_dir).derived_paths(view.derived_key)
-    if not paths:
-        return ray.data.from_arrow(view.empty_result())
-    if not force_distributed and view_bytes(paths) <= SMALL_VIEW_BYTES:
-        return ray.data.from_arrow_refs(
-            [_merge_small_gview.remote(paths, name)])
-    if not sum(pq.read_metadata(p).num_rows for p in paths):
-        return ray.data.from_arrow(view.empty_result())
-    want = view.empty_result().schema
-    str_groups = [c for c in view.group_cols
-                  if pa.types.is_string(want.field(c).type)]
-
-    def encode(t: pa.Table) -> pa.Table:
-        # Ray's sort-based group shuffle cannot order null keys; a null
-        # group member (e.g. "no tool") is legitimate view state, so
-        # sentinel-encode it through the exchange and restore after
-        for c in str_groups:
-            t = t.set_column(t.schema.get_field_index(c), c,
-                             pc.fill_null(t[c], _NULL_GROUP))
-        return t
-
-    aggs = {"sum": Sum, "max": Max, "min": Min}
-    ds = ray.data.read_parquet(paths)
-    if str_groups:
-        ds = ds.map_batches(encode, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    key = view.group_cols[0] if len(view.group_cols) == 1 \
-        else list(view.group_cols)
-    out = ds.groupby(key).aggregate(
-        *[aggs[fn](c, alias_name=c) for c, fn in view.merge_spec])
-    if not view.group_types and not str_groups:
-        return out
-
-    def restore(t: pa.Table) -> pa.Table:
-        # undo the null sentinel, and restore declared group types
-        # (Ray's hash aggregate can demote a non-string key's
-        # precision, timestamp[us] -> [s])
-        for c in str_groups:
-            i = t.schema.get_field_index(c)
-            t = t.set_column(i, c, pc.if_else(
-                pc.equal(t[c], _NULL_GROUP),
-                pa.nulls(t.num_rows, t.schema.field(c).type), t[c]))
-        for c in view.group_cols:
-            t = t.set_column(t.schema.get_field_index(c), c,
-                             pc.cast(t[c], want.field(c).type))
-        return t
-
-    return out.map_batches(restore, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return derived.read_merged(
+        view, TableState(cfg.table_dir).derived_paths(view.derived_key))
 
 
 # -- inverted-index search ----------------------------------------------------
@@ -819,7 +828,7 @@ def search_tokens(cfg: EngineConfig, all_of=(), any_of=(),
     state = TableState(cfg.table_dir)
     ver, m = state.load_latest_versioned()
     view = GROUPED_MATVIEWS[name]
-    last = _last_refreshed(m, view)
+    last = _last_refreshed(m, view.derived_key)
     if last is None:
         raise ValueError(
             f"index {name!r} has never been refreshed on this table; "
@@ -836,7 +845,7 @@ def search_tokens(cfg: EngineConfig, all_of=(), any_of=(),
         # produce, which a naive load(last) compare would trust.)
         pruning_ok = False
     else:
-        pruning_ok = (state.load(last).num_buckets
+        pruning_ok = (state.load(last[0]).num_buckets
                       or cfg.num_buckets) == cur_nb
     if not pruning_ok:
         ds = read_snapshot(cfg, manifest=m)

@@ -15,9 +15,11 @@ slices and applies the reduce. Output is a Dataset again
 Every exchange in the engine splits through ONE kernel,
 :func:`split_by_route`, fanned out by :func:`split_fan_out`: Dataset
 blocks here, run files in `pipelines.ingest._exchange_by_bucket`
-(snapshot reads, compaction, view refreshes), additive view files in
-`pipelines.derived.compact_additive_files` (their distributed
-compaction) and export blocks in `pipelines.sinks.write_partitioned`. A route that is
+(snapshot reads, compaction, view refreshes), partial view files in
+`pipelines.derived.merge_files` (the one merge of grouped and additive
+views, for reads and additive compaction past its size gate) and
+export blocks in `pipelines.sinks.write_partitioned`. No view merge
+runs on Ray Data's sort-based groupby. A route that is
 already non-decreasing is cut into zero-copy slices by `searchsorted`:
 data partitioned by key group moves by range, never by a re-sort.
 The stored-bucket exchange splits only the global (delta) runs, which

@@ -320,3 +320,34 @@ def test_engine_core_is_arrow_only():
             attrs = {n.attr for n in ast.walk(node)
                      if isinstance(n, ast.Attribute)}
             assert not attrs & {"map_batches", "to_pandas"}, node.name
+
+
+def test_view_merges_stay_on_split_by_route():
+    """No engine-core module imports `ray.data.aggregate` or calls a Ray
+    Dataset `groupby`, so every view merge runs through
+    `derived.merge_files`, whose exchange splits by `split_by_route`.
+    A pandas `groupby` is allowed only where pandas is
+    (PANDAS_ALLOWED)."""
+    root = pathlib.Path(pkg.__file__).parent
+    for pattern in CORE:
+        for path in sorted(root.glob(pattern)):
+            rel = path.relative_to(root).as_posix()
+            if rel in NOT_CORE:
+                continue
+            tree = ast.parse(path.read_text())
+            for n in ast.walk(tree):
+                mods = [a.name for a in n.names] \
+                    if isinstance(n, ast.Import) else \
+                    [f"{n.module}.{a.name}" for a in n.names] \
+                    if isinstance(n, ast.ImportFrom) else []
+                assert not [m for m in mods
+                            if m.startswith("ray.data.aggregate")], rel
+            for name, node in _scopes(tree):
+                calls = {n.func.attr for n in ast.walk(node)
+                         if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Attribute)}
+                if "groupby" in calls:
+                    assert (rel, name) in PANDAS_ALLOWED, (rel, name)
+    merge = ast.parse((root / "pipelines" / "derived.py").read_text())
+    assert "split_by_route" in {n.id for n in ast.walk(merge)
+                                if isinstance(n, ast.Name)}

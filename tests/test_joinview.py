@@ -11,7 +11,8 @@ import pytest
 from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
 from techtalk_data_pipeline_snowpark_ray.pipelines import ingest
 from techtalk_data_pipeline_snowpark_ray.pipelines.joinview import (
-    read_join_matview, refresh_join_matview)
+    read_join_matview)
+from techtalk_data_pipeline_snowpark_ray.pipelines.matview import refresh_matview
 from techtalk_data_pipeline_snowpark_ray.sources.wal import WalWriter
 
 
@@ -62,7 +63,7 @@ def test_join_view_incremental_with_retraction_tombstone(tmp_path):
                      (3, "insert", "c3", 0, "dd")])
     ingest.apply_tick(A)
     ingest.apply_tick(B)
-    m1 = refresh_join_matview(A, B, "conv_drift")
+    m1 = refresh_matview(A, "conv_drift", other=B)
     assert m1.metrics["matview_refresh"]["mode"] == "full"
     v = _view(A).set_index("conv_id")
     assert v.loc["c1", "n_turns_a"] == 2 and v.loc["c1", "n_turns_b"] == 1
@@ -79,7 +80,7 @@ def test_join_view_incremental_with_retraction_tombstone(tmp_path):
     wb.close()
     ingest.apply_tick(A)
     ingest.apply_tick(B)
-    m2 = refresh_join_matview(A, B, "conv_drift")
+    m2 = refresh_matview(A, "conv_drift", other=B)
     stats = m2.metrics["matview_refresh"]
     assert stats["mode"] == "incremental"
     v = _view(A)
@@ -89,7 +90,7 @@ def test_join_view_incremental_with_retraction_tombstone(tmp_path):
     # untouched key (c3) survives from the previous generation
     assert v.set_index("conv_id").loc["c3", "n_turns_b"] == 1
     # idempotent: both tables unchanged -> no-op
-    assert refresh_join_matview(A, B, "conv_drift") is None
+    assert refresh_matview(A, "conv_drift", other=B) is None
 
 
 def test_join_view_one_sided_advance(tmp_path):
@@ -102,12 +103,12 @@ def test_join_view_one_sided_advance(tmp_path):
     wb = _append(B, [(1, "insert", "c1", 0, "x")])
     ingest.apply_tick(A)
     ingest.apply_tick(B)
-    refresh_join_matview(A, B, "conv_drift")
+    refresh_matview(A, "conv_drift", other=B)
     _append(B, [(5, "insert", "c1", 1, "yy"),
                 (6, "insert", "c9", 0, "zz")], wb)
     wb.close()
     ingest.apply_tick(B)
-    m = refresh_join_matview(A, B, "conv_drift")
+    m = refresh_matview(A, "conv_drift", other=B)
     assert m.metrics["matview_refresh"]["mode"] == "incremental"
     v = _view(A).set_index("conv_id")
     assert v.loc["c1", "n_turns_b"] == 2 and v.loc["c1", "n_turns_a"] == 1
@@ -119,7 +120,7 @@ def test_dag_two_ingests_fan_into_join_view(tmp_path):
     the join view refreshes after BOTH, and the continuous loop drains
     to idle with the view consistent with both final states."""
     from techtalk_data_pipeline_snowpark_ray.pipelines.dag import (
-        DagRunner, ingest_step, joinview_step)
+        DagRunner, ingest_step, matview_step)
 
     A = _mk(tmp_path, "a", 8)
     B = _mk(tmp_path, "b", 4)
@@ -129,8 +130,8 @@ def test_dag_two_ingests_fan_into_join_view(tmp_path):
     dag = DagRunner([
         ingest_step("ingest_a", A),
         ingest_step("ingest_b", B),
-        joinview_step("drift", A, B, "conv_drift",
-                      depends_on=("ingest_a", "ingest_b")),
+        matview_step("drift", A, "conv_drift", B,
+                     depends_on=("ingest_a", "ingest_b")),
     ])
     assert dag.order() == ["ingest_a", "ingest_b", "drift"]
     dag.run_continuous(interval_s=0.01, stop_when_idle=True)
@@ -159,12 +160,12 @@ def test_join_view_survives_primary_compaction(tmp_path):
     wb = _append(B, [(1, "insert", "c1", 0, "x")])
     ingest.apply_tick(A)
     ingest.apply_tick(B)
-    refresh_join_matview(A, B, "conv_drift")
+    refresh_matview(A, "conv_drift", other=B)
     # a second generation, replacing c2's bucket file
     _append(A, [(5, "delete", "c2", 0, None)], wa)
     wa.close()
     ingest.apply_tick(A)
-    refresh_join_matview(A, B, "conv_drift")
+    refresh_matview(A, "conv_drift", other=B)
     before = _view(A)
     state = TableState(A.table_dir)
     jfiles = state.load_latest().derived["jmv:conv_drift"]
@@ -176,7 +177,7 @@ def test_join_view_survives_primary_compaction(tmp_path):
     _append(B, [(9, "insert", "c1", 1, "zz")], wb)
     wb.close()
     ingest.apply_tick(B)
-    m = refresh_join_matview(A, B, "conv_drift")
+    m = refresh_matview(A, "conv_drift", other=B)
     assert m.metrics["matview_refresh"]["mode"] == "incremental"
     v = _view(A).set_index("conv_id")
     assert v.loc["c1", "n_turns_b"] == 2
@@ -190,14 +191,14 @@ def test_join_view_fallbacks_on_history_rewrites(tmp_path):
     wb = _append(B, [(1, "insert", "c1", 0, "x")])
     ingest.apply_tick(A)
     ingest.apply_tick(B)
-    refresh_join_matview(A, B, "conv_drift")
+    refresh_matview(A, "conv_drift", other=B)
 
     # a compaction on the NON-primary side forces the full fallback
     _append(B, [(5, "insert", "c2", 0, "q")], wb)
     wb.close()
     ingest.apply_tick(B)
     ingest.compact(B)
-    m = refresh_join_matview(A, B, "conv_drift")
+    m = refresh_matview(A, "conv_drift", other=B)
     stats = m.metrics["matview_refresh"]
     assert stats["mode"] == "full" and stats["reason"] == "compaction"
     assert set(_view(A)["conv_id"]) == {"c1", "c2"}
@@ -207,7 +208,7 @@ def test_join_view_fallbacks_on_history_rewrites(tmp_path):
     wa.close()
     ingest.apply_tick(A)
     ingest.erase_conversation(A, "c1")
-    m = refresh_join_matview(A, B, "conv_drift")
+    m = refresh_matview(A, "conv_drift", other=B)
     stats = m.metrics["matview_refresh"]
     assert stats["mode"] == "full" and stats["reason"] == "erasure"
     v = _view(A).set_index("conv_id")

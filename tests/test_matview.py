@@ -267,6 +267,27 @@ def test_unknown_view_rejected(tmp_engine):
         matview.refresh_matview(tmp_engine, "nope")
 
 
+def test_run_loop_rejects_unknown_view_before_any_tick(tmp_engine):
+    """`run_loop` checks its view names with the CLI's helper
+    (`check_matview_names`, same text) before any tick commits."""
+    cfg = tmp_engine
+    write_wal(TINY, cfg.wal_dir, segment_rows=400)
+    cfg.matviews = (MV, "role_live_stat")
+    with pytest.raises(KeyError, match=r"unknown matview\(s\) "
+                                       r"\['role_live_stat'\]"):
+        ingest.run_loop(cfg, stop_when_idle=True)
+    assert TableState(cfg.table_dir).latest_version() is None
+
+
+def test_join_view_needs_other_and_others_reject_it(tmp_engine):
+    """`other` is required for a join view and rejected for any other
+    view, before anything is read."""
+    with pytest.raises(ValueError, match="needs `other`"):
+        matview.refresh_matview(tmp_engine, "conv_drift")
+    with pytest.raises(ValueError, match="join views only"):
+        matview.refresh_matview(tmp_engine, MV, other=tmp_engine)
+
+
 # -- grouped matviews --------------------------------------------------------
 
 GMV = "role_live_stats"
@@ -318,13 +339,6 @@ def test_grouped_full_then_incremental(tmp_engine):
     assert st["affected_buckets"] <= cfg.num_buckets
     assert_gview_matches(cfg)
     assert matview.refresh_matview(cfg, GMV) is None  # idempotent
-    # forced-distributed read (big-view branch) agrees with the
-    # measured-small single-task merge
-    dist = matview.read_grouped_matview(cfg, GMV, force_distributed=True) \
-        .to_pandas().sort_values("role", ignore_index=True)
-    pd.testing.assert_frame_equal(
-        dist[["role", "n_turns", "text_chars", "max_turn_idx"]],
-        read_gview(cfg), check_dtype=False)
 
 
 def _single_conv_batch(conv, turns, op, lsn0):
@@ -506,8 +520,8 @@ def test_gmv_refresh_conflict_and_orphan_gc(tmp_engine, monkeypatch):
 
 def test_grouped_multicolumn_group(tmp_engine):
     """(role, tool) pair grouping: the generic N-col group path, with a
-    NULL group member (non-tool turns) as a real group; small-path and
-    forced-distributed reads agree with a snapshot recompute."""
+    NULL group member (non-tool turns) as a real group, agrees with a
+    snapshot recompute (the exchange path: test_view_merge.py)."""
     cfg = tmp_engine
     write_wal(TINY, cfg.wal_dir, segment_rows=400)
     ingest.apply_tick(cfg)
@@ -524,9 +538,3 @@ def test_grouped_multicolumn_group(tmp_engine):
         nulls_as_none(got[["role", "tool", "n_turns"]]), nulls_as_none(want),
         check_dtype=False)
     assert want["tool"].isna().any()      # the null group is exercised
-    dist = matview.read_grouped_matview(cfg, "role_tool_stats",
-                                        force_distributed=True) \
-        .to_pandas().sort_values(["role", "tool"], ignore_index=True)
-    pd.testing.assert_frame_equal(
-        nulls_as_none(dist[["role", "tool", "n_turns"]]), nulls_as_none(want),
-        check_dtype=False)

@@ -161,7 +161,9 @@ def test_clone_token_search_stamp_version_coincidence(tmp_path):
 
 def test_clone_join_matview_not_falsely_fresh(tmp_path):
     from techtalk_data_pipeline_snowpark_ray.pipelines.joinview import (
-        read_join_matview, refresh_join_matview)
+        read_join_matview)
+    from techtalk_data_pipeline_snowpark_ray.pipelines.matview import (
+        refresh_matview)
 
     a = _mk_cfg(tmp_path, "a")
     b = _mk_cfg(tmp_path, "b")
@@ -169,7 +171,7 @@ def test_clone_join_matview_not_falsely_fresh(tmp_path):
     wb = WalWriter(b.wal_dir, segment_rows=100, reorder_slack=4)
     _tick(a, wa, [_full(0, "c1", 0, "aa"), _full(1, "c1", 1, "ab")])
     _tick(b, wb, [_full(0, "c1", 0, "ba")])
-    assert refresh_join_matview(a, b, "conv_drift") is not None
+    assert refresh_matview(a, "conv_drift", other=b) is not None
     # stamp (sa=0, sb=0) minted at a v1
 
     a2 = EngineConfig(table_dir=str(tmp_path / "a2"), wal_dir=a.wal_dir,
@@ -179,7 +181,7 @@ def test_clone_join_matview_not_falsely_fresh(tmp_path):
     # foreign (0, 0) with cur_a=1 — pre-fix the delta windowed against
     # a2's own v0 manifest; with an equal-version clone it could also
     # report falsely fresh. Native check forces the full join refresh.
-    res = refresh_join_matview(a2, b, "conv_drift")
+    res = refresh_matview(a2, "conv_drift", other=b)
     assert res is not None
     assert res.metrics["matview_refresh"]["mode"] == "full"
     jv = read_join_matview(a2, "conv_drift").to_pandas() \
@@ -224,7 +226,7 @@ def test_additive_view_compaction_distributed(tmp_path, monkeypatch):
     from techtalk_data_pipeline_snowpark_ray.pipelines.derived import (
         DERIVED_CONV_STATS)
 
-    cfg = _mk_cfg(tmp_path, derived_conv_stats=True)
+    cfg = _mk_cfg(tmp_path, derived_views=("conv_stats",))
     w = WalWriter(cfg.wal_dir, segment_rows=100, reorder_slack=4)
     _tick(cfg, w, [_full(0, "a", 0, "x"), _full(1, "b", 0, "y"),
                    _full(2, "a", 1, "x2")])
@@ -276,8 +278,8 @@ def test_jmv_watermark_canonical_across_paths_and_cwd(tmp_path, monkeypatch):
     or cwd-relative spelling would later resolve against the checking
     process's cwd/symlink state and misread a native stamp as foreign,
     silently degrading every refresh to mode='full' forever."""
-    from techtalk_data_pipeline_snowpark_ray.pipelines.joinview import (
-        refresh_join_matview)
+    from techtalk_data_pipeline_snowpark_ray.pipelines.matview import (
+        refresh_matview)
 
     a = _mk_cfg(tmp_path, "a")
     b = _mk_cfg(tmp_path, "b")
@@ -290,7 +292,7 @@ def test_jmv_watermark_canonical_across_paths_and_cwd(tmp_path, monkeypatch):
     blink.symlink_to(tmp_path / "b")
     b_link = EngineConfig(table_dir=str(blink), wal_dir=b.wal_dir,
                           num_buckets=4, apply_mode="direct")
-    res0 = refresh_join_matview(a, b_link, "conv_drift")
+    res0 = refresh_matview(a, "conv_drift", other=b_link)
     assert res0 is not None
     # contract: the stamp carries the canonical path, not the spelling
     recorded = res0.metrics["matview_refresh"]["source_b"]["table_dir"]
@@ -305,7 +307,7 @@ def test_jmv_watermark_canonical_across_paths_and_cwd(tmp_path, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()
     monkeypatch.chdir(sub)
-    res = refresh_join_matview(a, b, "conv_drift")
+    res = refresh_matview(a, "conv_drift", other=b)
     assert res is not None
     assert res.metrics["matview_refresh"]["mode"] == "incremental"
 

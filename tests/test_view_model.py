@@ -24,7 +24,7 @@ import ray
 from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
 from techtalk_data_pipeline_snowpark_ray.pipelines import ingest, matview
 from techtalk_data_pipeline_snowpark_ray.pipelines.joinview import (
-    JOIN_MATVIEWS, read_join_matview, refresh_join_matview)
+    JOIN_MATVIEWS, read_join_matview)
 from techtalk_data_pipeline_snowpark_ray.sources.generate import (
     GenSpec, generate_chunks)
 from techtalk_data_pipeline_snowpark_ray.sources.wal import WalWriter
@@ -104,7 +104,7 @@ def _check_views(cfg_a, cfg_b) -> set:
             modes.add(_check_stats(m)["mode"])
         view = matview.GROUPED_MATVIEWS.get(name) or matview.MATVIEWS[name]
         assert view_buckets(cfg_a, view.derived_key) == list(range(nb))
-    m = refresh_join_matview(cfg_a, cfg_b, JOIN)
+    m = matview.refresh_matview(cfg_a, JOIN, other=cfg_b)
     if m is not None:
         modes.add(_check_stats(m)["mode"])
     jv = JOIN_MATVIEWS[JOIN]
@@ -275,7 +275,7 @@ def test_watermark_survives_empty_buckets(tmp_path, kind):
         key = JOIN_MATVIEWS[JOIN].derived_key
 
         def refresh():
-            return refresh_join_matview(a, b, JOIN)
+            return matview.refresh_matview(a, JOIN, other=b)
 
         def read():
             return read_join_matview(a, JOIN).count()
@@ -341,7 +341,7 @@ def test_compaction_rebases_over_refresh(tmp_path, monkeypatch):
             winners["refreshes"] = [
                 matview.refresh_matview(a, MV),
                 matview.refresh_matview(a, GMV),
-                refresh_join_matview(a, b, JOIN)]
+                matview.refresh_matview(a, JOIN, other=b)]
             winners["lists"] = dict(state.load_latest().derived)
         return orig(self, manifest, *args, **kw)
 
@@ -358,5 +358,51 @@ def test_compaction_rebases_over_refresh(tmp_path, monkeypatch):
     # the compaction preserved the refreshed state: nothing to refresh
     assert matview.refresh_matview(a, MV) is None
     assert matview.refresh_matview(a, GMV) is None
-    assert refresh_join_matview(a, b, JOIN) is None
+    assert matview.refresh_matview(a, JOIN, other=b) is None
     _check_views(a, b)
+
+
+def test_pre_bucket_view_list_refreshes_full(tmp_path):
+    """A view list written before views were one file per bucket (old
+    ``mv-<name>-s<V>-x...`` / ``gmv-...`` names, no ``-b<B>-``) is
+    refreshed as a first refresh: full, replacing every entry, even
+    though its stamp names the current version. Anything else that
+    needs a file's bucket still refuses the old name."""
+    import dataclasses
+
+    from techtalk_data_pipeline_snowpark_ray.state.storage import write_run
+
+    a = _mk(tmp_path, "a", 4)
+    for i, c in enumerate(["c1", "c2", "c3"]):
+        _tick(a, _rows(c, [0, 1], "insert", 10 * i))
+    state = TableState(a.table_dir)
+    cur, m = state.load_latest_versioned()
+    old = {}
+    for name, prefix in ((MV, "mv"), (GMV, "gmv")):
+        view = matview.MATVIEWS.get(name) or matview.GROUPED_MATVIEWS[name]
+        ghost = pa.table({c: pa.array(["ghost"] if i == 0 else [1],
+                                      f.type)
+                          for i, (c, f) in enumerate(zip(
+                              view.empty_result().column_names,
+                              view.empty_result().schema))})
+        fname = f"{prefix}-{name}-s{cur}-x{state.new_txn()}-0.parquet"
+        write_run(ghost, f"{state.runs_dir}/{fname}")
+        old[view.derived_key] = [fname]
+    state.publish(expected_parent=cur, manifest=dataclasses.replace(
+        m, txn_id=state.new_txn(), derived={**m.derived, **old},
+        wal_consumed=[], metrics={}))
+    for key, (fname,) in old.items():
+        with pytest.raises(ValueError, match="unparseable view file"):
+            matview._file_bucket(fname)
+
+    for name in (MV, GMV):
+        st = _check_stats(matview.refresh_matview(a, name))
+        assert (st["mode"], st["reason"]) == ("full", "first-refresh")
+        view = matview.MATVIEWS.get(name) or matview.GROUPED_MATVIEWS[name]
+        assert view_buckets(a, view.derived_key) == [0, 1, 2, 3]
+        got = _read(a, name)
+        assert "ghost" not in got.column(0).to_pylist()
+        empty = view.empty_result()
+        assert _canon(got, empty).equals(
+            _canon(_recompute(name, _snapshot(a)), empty))
+        assert matview.refresh_matview(a, name) is None
