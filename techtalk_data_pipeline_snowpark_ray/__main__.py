@@ -36,7 +36,6 @@ def _cfg(args) -> "EngineConfig":
     for flag, field in (("table_dir", "table_dir"),
                         ("wal_dir", "wal_dir"),
                         ("num_buckets", "num_buckets"),
-                        ("salt_factor", "salt_factor"),
                         ("schema_version", "schema_version")):
         v = getattr(args, flag)
         if v is not None:
@@ -74,7 +73,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p.add_argument("--table-dir", default=None)
     p.add_argument("--wal-dir", default=None)
     p.add_argument("--num-buckets", type=int, default=None)
-    p.add_argument("--salt-factor", type=int, default=None)
     p.add_argument("--schema-version", type=int, default=None)
     sub = p.add_subparsers(dest="cmd", required=True)
 

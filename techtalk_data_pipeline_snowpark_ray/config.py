@@ -23,13 +23,10 @@ class EngineConfig:
 
     # --- partitioning -----------------------------------------------------
     #: number of hash buckets over conv_id. The unit of key-exclusive apply
-    #: and of compaction. On a real cluster size this to ~2-4x total cores so
-    #: stragglers rebalance; a bucket's live rows must fit one worker's heap.
+    #: and of compaction (one fold task per bucket). On a real cluster size
+    #: this to ~2-4x total cores so stragglers rebalance; a bucket's live
+    #: rows must fit one worker's heap.
     num_buckets: int = 32
-    #: sub-shard count for compaction's hot-bucket salting: a bucket past
-    #: `compact_salt_rows` folds in `max(2, salt_factor)` key-exclusive
-    #: sub-shards split by hash(turn_idx) (see `compact_salt_rows`).
-    salt_factor: int = 4
 
     # --- execution --------------------------------------------------------
     #: rows per fold/write unit in direct apply mode. Ray's parquet read
@@ -94,16 +91,6 @@ class EngineConfig:
     #: aborted txns and superseded compactions older than this are
     #: deleted by run_loop after each compaction.
     gc_keep_versions: int = 2
-
-    #: compaction hot-bucket salting gate: a bucket whose input rows
-    #: (exact parallel count of the bucket column) exceed BOTH this
-    #: floor and 2x the mean folds in `max(2, salt_factor)` parallel
-    #: key-exclusive sub-shards (hash(turn_idx) % S) instead of one
-    #: straggler task; each sub-shard writes its own base file
-    #: (manifests already carry per-bucket file LISTS, so every reader
-    #: is unaffected). Measured: a 2.4M-row hot bucket (one long
-    #: conversation) compacted 18.4 s -> see BENCH A/B. 0 disables.
-    compact_salt_rows: int = 1_500_000
 
     # --- generator / determinism -----------------------------------------
     seed: int = 42

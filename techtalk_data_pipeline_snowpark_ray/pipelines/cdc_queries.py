@@ -101,20 +101,30 @@ def changes_dataset(sf_dir: str) -> ray.data.Dataset:
 # -- pure-Dataset LWW apply (no disk) --------------------------------------
 
 def apply_changes_dataset(ds: ray.data.Dataset, num_buckets: int = 16,
-                          schema_version: int = 3) -> ray.data.Dataset:
+                          schema_version: int = 3,
+                          finish=None) -> ray.data.Dataset:
     """Fold a change Dataset to its final visible state, hash-partitioned
     by conv_id. Sound for arbitrary input order because each bucket group
-    holds ALL events of its keys when the fold runs."""
+    holds ALL events of its keys when the fold runs.
+
+    `finish(resolved) -> pa.Table` maps each bucket's resolved rows
+    (sorted by key, every column of the normalized stream) to that
+    bucket's output, in the task that resolved them; the default keeps
+    the key and payload columns."""
     payload = schemas.payload_cols(schema_version)
     target = schemas.table_schema(schema_version)
     norm = ingest.SchemaNormalizer(target, keep_extra=(schemas.LSN_COL, schemas.OP_COL))
     ds = ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
     ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
                         zero_copy_batch=True)
-    final_cols = [*schemas.KEY_COLS, *payload]
+    if finish is None:
+        final_cols = [*schemas.KEY_COLS, *payload]
+
+        def finish(fin: pa.Table) -> pa.Table:
+            return fin.select(final_cols)
 
     def resolve(g: pa.Table) -> pa.Table:
-        return resolve_with_controls(g, payload, []).select(final_cols)
+        return finish(resolve_with_controls(g, payload, []))
 
     from ..stages.exchange import exchange_map_groups
     return exchange_map_groups(ds, BUCKET_COL, num_buckets, resolve,
@@ -128,7 +138,7 @@ def _fresh_cfg(tag: str, schema_version: int = 3) -> EngineConfig:
     root = os.path.join("/tmp", "ttdps-cdcq", f"{tag}-{uuid.uuid4().hex[:8]}")
     cfg = EngineConfig(table_dir=os.path.join(root, "table"),
                        wal_dir=os.path.join(root, "wal"),
-                       num_buckets=16, salt_factor=2,
+                       num_buckets=16,
                        schema_version=schema_version)
     cfg.ensure_dirs()
     return cfg
@@ -374,21 +384,12 @@ def cdc_render_transcripts(sf_dir: str,
 
     `changes` overrides the derived stream (tests inject partial-update
     edge cases SQL can't derive from the events table)."""
-    payload = schemas.payload_cols(3)
-    target = schemas.table_schema(3)
-    norm = ingest.SchemaNormalizer(target, keep_extra=(schemas.LSN_COL, schemas.OP_COL))
-    num_buckets = 16
-    ds = changes_dataset(sf_dir) if changes is None else changes
-    ds = ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
-                        zero_copy_batch=True)
-
     out_schema = pa.schema([("conv_id", pa.string()),
                             ("n_turns", pa.int64()),
                             ("transcript", pa.string())])
 
-    def resolve_and_render(g: pa.Table) -> pa.Table:
-        fin = resolve_with_controls(g, payload, []).to_pandas()
+    def render(fin: pa.Table) -> pa.Table:
+        fin = fin.to_pandas()
         if fin.empty:
             return out_schema.empty_table()
         # null role/text (upsert that never set the column) renders as
@@ -402,10 +403,8 @@ def cdc_render_transcripts(sf_dir: str,
         return pa.Table.from_pandas(out, schema=out_schema,
                                     preserve_index=False)
 
-    from ..stages.exchange import exchange_map_groups
-    return exchange_map_groups(ds, BUCKET_COL, num_buckets,
-                               resolve_and_render,
-                               batch_format="pyarrow").sort("conv_id")
+    ds = changes_dataset(sf_dir) if changes is None else changes
+    return apply_changes_dataset(ds, finish=render).sort("conv_id")
 
 
 def cdc_turn_windows(sf_dir: str, w: int = 4,
@@ -423,15 +422,7 @@ def cdc_turn_windows(sf_dir: str, w: int = 4,
     conversation windows it in the same task (conv_id routing already
     co-locates whole conversations; the inner loop is over window
     POSITIONS, not rows); only the emitted windows leave the task."""
-    payload = schemas.payload_cols(3)
-    target = schemas.table_schema(3)
-    norm = ingest.SchemaNormalizer(target, keep_extra=(schemas.LSN_COL, schemas.OP_COL))
-    num_buckets = 16
     overlap = w - stride
-    ds = changes_dataset(sf_dir)
-    ds = ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
-                        zero_copy_batch=True)
 
     out_schema = pa.schema([("conv_id", pa.string()),
                             ("window_idx", pa.int64()),
@@ -440,8 +431,8 @@ def cdc_turn_windows(sf_dir: str, w: int = 4,
                             ("n_window_turns", pa.int64()),
                             ("window_text", pa.string())])
 
-    def resolve_and_window(g: pa.Table) -> pa.Table:
-        fin = resolve_with_controls(g, payload, []).to_pandas()
+    def window(fin: pa.Table) -> pa.Table:
+        fin = fin.to_pandas()
         if fin.empty:
             return out_schema.empty_table()
         # null-fill as in cdc_render_transcripts (oracle: COALESCE)
@@ -467,10 +458,7 @@ def cdc_turn_windows(sf_dir: str, w: int = 4,
         return pa.Table.from_pandas(pd.concat(frames, ignore_index=True),
                                     schema=out_schema, preserve_index=False)
 
-    from ..stages.exchange import exchange_map_groups
-    return exchange_map_groups(ds, BUCKET_COL, num_buckets,
-                               resolve_and_window,
-                               batch_format="pyarrow") \
+    return apply_changes_dataset(changes_dataset(sf_dir), finish=window) \
         .sort(["conv_id", "window_idx"])
 
 
@@ -937,22 +925,11 @@ def cdc_tool_call_stats(sf_dir: str) -> pd.DataFrame:
     partial; conv_id routing makes conversations partition-exclusive,
     so per-partition distinct-conversation counts ADD -- the driver
     merge is a bounded sum over (partitions x tools)."""
-    payload = schemas.payload_cols(3)
-    target = schemas.table_schema(3)
-    norm = ingest.SchemaNormalizer(target,
-                                   keep_extra=(schemas.LSN_COL, schemas.OP_COL))
-    num_buckets = 16
-    ds = changes_dataset(sf_dir)
-    ds = ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-    ds = ds.map_batches(Partitioner(num_buckets), batch_format="pyarrow",
-                        zero_copy_batch=True)
-
     out_schema = pa.schema([("tool", pa.string()),
                             ("n_turns", pa.int64()),
                             ("n_convs", pa.int64())])
 
-    def resolve_and_count(g: pa.Table) -> pa.Table:
-        fin = resolve_with_controls(g, payload, [], sort=False)
+    def count(fin: pa.Table) -> pa.Table:
         fin = fin.filter(pc.is_valid(fin["tool"])).to_pandas()
         if fin.empty:
             return out_schema.empty_table()
@@ -962,10 +939,8 @@ def cdc_tool_call_stats(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(agg, schema=out_schema,
                                     preserve_index=False)
 
-    from ..stages.exchange import exchange_map_groups
-    parts = exchange_map_groups(ds, BUCKET_COL, num_buckets,
-                                resolve_and_count,
-                                batch_format="pyarrow").to_pandas()
+    parts = apply_changes_dataset(changes_dataset(sf_dir),
+                                  finish=count).to_pandas()
     out = parts.groupby("tool", sort=True, as_index=False).agg(
         n_turns=("n_turns", "sum"), n_convs=("n_convs", "sum"))
     return out.sort_values("tool", ignore_index=True)

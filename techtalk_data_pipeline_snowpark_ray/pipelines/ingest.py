@@ -35,7 +35,7 @@ import functools
 import os
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
@@ -839,6 +839,8 @@ def _fold_bucket_refs(fn, bucket: int, bases: list[str],
     ``fn(group, lone_base)``. `group` is None when no input has rows;
     `lone_base` is True when the rows are one base run's alone, which
     compaction already resolved (`stages.controls.resolve_stored`).
+    `bases` may name several files: compactions before one base per
+    bucket left key-exclusive sub-shard bases (`base-b<B>-sNN-x…`).
     The last `n_other` parts are another table's slices re-routed to
     this bucket (a join view's B side); they concat apart and reach fn
     as a third argument."""
@@ -856,29 +858,6 @@ def _concat_rows(tables: list) -> "pa.Table | None":
     tables = [t for t in tables if t.num_rows]
     return pa.concat_tables(tables, promote_options="default") \
         if tables else None
-
-
-@ray.remote
-def _bucket_hist_of(path: str, num_buckets: int) -> np.ndarray:
-    t = pq.read_table(path, columns=[BUCKET_COL])
-    b = t[BUCKET_COL].to_numpy(zero_copy_only=False).astype(np.int64)
-    b = b[(b >= 0) & (b < num_buckets)]
-    return np.bincount(b, minlength=num_buckets)
-
-
-def _bucket_rows_estimate(paths: list[str],
-                          num_buckets: int) -> np.ndarray:
-    """EXACT per-bucket input-row counts for the hot-bucket compaction
-    salting gate: parallel tasks each scan ONE int column of their file
-    (a few percent of the bytes the compaction itself is about to
-    read) and return a num_buckets-sized histogram; the driver sums.
-    Footer row-group stats cannot localize this — a default-sized row
-    group spans every bucket, spreading the count uniformly."""
-    if not paths:
-        return np.zeros(num_buckets, dtype=np.int64)
-    hists = ray.get([_bucket_hist_of.remote(p, num_buckets)
-                     for p in paths])
-    return np.sum(hists, axis=0).astype(np.int64)
 
 
 def _stored_runs(state: TableState, m: Manifest,
@@ -977,8 +956,7 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
                   buckets: "list[int] | None" = None) -> ray.data.Dataset:
     """Dataset of the committed table state (LWW-resolved across runs).
 
-    Grouping is by `bucket` (the stored layout key), which is stable
-    across ticks even when the hot-key salt set changes. One task per
+    Grouping is by `bucket` (the stored layout key). One task per
     bucket reads the bucket's base runs itself and folds them with its
     slices of the global (delta) runs; only the delta rows cross the
     split stage and the object store (`_exchange_by_bucket`). A bucket
@@ -1299,17 +1277,10 @@ def rollback(cfg: EngineConfig, to_version: int,
         raise ValueError(
             f"version {to_version} left the GC retention window "
             f"(cfg.gc_keep_versions); missing run files e.g. {missing[:3]}")
-    m = Manifest(
-        txn_id=state.new_txn(),
+    m = replace(
+        target, txn_id=state.new_txn(),
         committed_seq=target.committed_seq if rewind_stream
         else prev.committed_seq,
-        committed_lsn=target.committed_lsn,
-        schema_version=target.schema_version,
-        num_buckets=target.num_buckets,
-        buckets={b: list(fs) for b, fs in target.buckets.items()},
-        global_runs=list(target.global_runs),
-        derived={k: list(fs) for k, fs in target.derived.items()},
-        control_ops=[dict(op) for op in target.control_ops],
         wal_consumed=[],
         metrics={"rollback_to": to_version,
                  "rollback_mode": "rewind" if rewind_stream else "restore"})
@@ -1358,20 +1329,29 @@ def clone_table(cfg_src: EngineConfig, cfg_dst: EngineConfig,
             raise ValueError(
                 f"source version {v} left the GC retention window "
                 f"(missing run file {f})")
-    clone = Manifest(
-        txn_id=dst.new_txn(),
-        committed_seq=m.committed_seq,
-        committed_lsn=m.committed_lsn,
-        schema_version=m.schema_version,
-        num_buckets=m.num_buckets,
-        buckets={b: list(fs) for b, fs in m.buckets.items()},
-        global_runs=list(m.global_runs),
-        derived={k: list(fs) for k, fs in m.derived.items()},
-        control_ops=[dict(op) for op in m.control_ops],
-        wal_consumed=[],
+    clone = replace(
+        m, txn_id=dst.new_txn(), wal_consumed=[],
         metrics={"cloned_from": {"table_dir": cfg_src.table_dir,
                                  "version": v}})
     return dst.publish(clone, expected_parent=None)
+
+
+def _without_keys(path: str, conv_ids: "list[str]"
+                  ) -> "tuple[pa.Table, int] | None":
+    """(the file's rows without the keys', rows removed), or None when
+    the file holds none of the keys. The probe reads only the conv_id
+    column; single-threaded reads, since parallelism is the per-file
+    task fan-out."""
+    keys = pa.array(conv_ids, pa.string())
+    probe = pq.read_table(path, columns=["conv_id"], use_threads=False)
+    if not pc.any(pc.is_in(probe["conv_id"], value_set=keys)).as_py():
+        return None
+    t = pq.read_table(path, use_threads=False)
+    # a null key is not an erased key: keep its rows (a null
+    # membership would filter-drop them otherwise)
+    kept = t.filter(pc.fill_null(
+        pc.invert(pc.is_in(t["conv_id"], value_set=keys)), True))
+    return kept, t.num_rows - kept.num_rows
 
 
 @ray.remote
@@ -1379,22 +1359,13 @@ def _erase_from_file(path: str, out_path: str, conv_ids: "list[str]"
                      ) -> "tuple[int, int] | None":
     """Rewrite one immutable file without the keys' rows. Returns
     (kept, removed), or None when the file contains none of the keys
-    (probe reads only the conv_id column; the original stays shared).
-    Single-threaded read: parallelism is the per-file task fan-out."""
-    keys = pa.array(conv_ids, pa.string())
-    probe = pq.read_table(path, columns=["conv_id"],
-                          use_threads=False)
-    hit = pc.sum(pc.cast(pc.is_in(probe["conv_id"], value_set=keys),
-                         pa.int64())).as_py() or 0
-    if not hit:
+    (the original stays shared)."""
+    hit = _without_keys(path, conv_ids)
+    if hit is None:
         return None
-    t = pq.read_table(path, use_threads=False)
-    # a null key is not an erased key: keep its rows (a null
-    # membership would filter-drop them otherwise)
-    kept = t.filter(pc.fill_null(
-        pc.invert(pc.is_in(t["conv_id"], value_set=keys)), True))
+    kept, removed = hit
     write_run(kept, out_path)
-    return kept.num_rows, t.num_rows - kept.num_rows
+    return kept.num_rows, removed
 
 
 @ray.remote
@@ -1404,19 +1375,14 @@ def _scrub_segment(path: str, conv_ids: "list[str]") -> int:
     segments without the keys are untouched. Returns rows removed."""
     if "conv_id" not in pq.read_schema(path).names:
         return 0                  # e.g. a staged-source side file
-    keys = pa.array(conv_ids, pa.string())
-    probe = pq.read_table(path, columns=["conv_id"], use_threads=False)
-    hit = pc.sum(pc.cast(pc.is_in(probe["conv_id"], value_set=keys),
-                         pa.int64())).as_py() or 0
-    if not hit:
+    hit = _without_keys(path, conv_ids)
+    if hit is None:
         return 0
-    t = pq.read_table(path, use_threads=False)
-    kept = t.filter(pc.fill_null(
-        pc.invert(pc.is_in(t["conv_id"], value_set=keys)), True))
+    kept, removed = hit
     tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
     pq.write_table(kept, tmp, compression="zstd")
     os.replace(tmp, path)
-    return t.num_rows - kept.num_rows
+    return removed
 
 
 def erase_conversation(cfg: EngineConfig, conv_id: str,
@@ -1555,17 +1521,12 @@ def _erase_attempt(cfg: EngineConfig, state: TableState,
         + sum(r[1] for r in dresults.values() if r)
     rewritten = sum(1 for r in (*results.values(), *dresults.values())
                     if r)
-    m = Manifest(
-        txn_id=txn,
-        committed_seq=prev.committed_seq,
-        committed_lsn=prev.committed_lsn,
-        schema_version=prev.schema_version,
-        num_buckets=prev.num_buckets,
-        buckets={b: remap(fs, results) if b in affected else list(fs)
+    m = replace(
+        prev, txn_id=txn,
+        buckets={b: remap(fs, results) if b in affected else fs
                  for b, fs in prev.buckets.items()},
         global_runs=remap(prev.global_runs, results),
         derived={k: remap(fs, dresults) for k, fs in derived_new.items()},
-        control_ops=[op for op in prev.control_ops],
         wal_consumed=[],
         metrics={"erasure": {"conv_ids": conv_ids,
                              "files_rewritten": rewritten,
@@ -1688,11 +1649,11 @@ def _compact_derived(state: TableState, prev: Manifest, txn: str) -> dict[str, l
 
 def compact(cfg: EngineConfig, waves: int = 1,
             rebucket: bool = False) -> Manifest | None:
-    """Fold every bucket's runs into base runs (one file per bucket —
-    or `max(2, salt_factor)` key-exclusive sub-shard files for a
-    measured HOT bucket, see cfg.compact_salt_rows — each sorted by
-    (conv_id, turn_idx), the reference's 'stable turn ordering'
-    invariant), drop tombstones, publish a new manifest.
+    """Fold every bucket's runs into one base run per non-empty bucket
+    (one fold task per bucket; each base sorted by (conv_id, turn_idx),
+    the reference's 'stable turn ordering' invariant), drop
+    tombstones, publish a new manifest. A bucket that holds several
+    bases folds into one.
 
     Safe because compaction folds a bucket's COMPLETE run list and no
     event at lsn <= committed can ever be re-applied (checkpoint rule).
@@ -1734,8 +1695,8 @@ def compact(cfg: EngineConfig, waves: int = 1,
 
     cols = RUN_COLS_FIXED + payload
 
-    def compact_bucket(group: "pa.Table | None", lone_base: bool,
-                       shard: "int | None" = None) -> "dict | None":
+    def compact_bucket(group: "pa.Table | None",
+                       lone_base: bool) -> "dict | None":
         if group is None or group.num_rows == 0:
             return None
         bucket = group[BUCKET_COL][0].as_py()
@@ -1743,67 +1704,24 @@ def compact(cfg: EngineConfig, waves: int = 1,
         # the compacted base runs
         out = resolve_stored(group.select(cols), payload, absorb,
                              lone_base)
-        sfx = "" if shard is None else f"-s{shard:02d}"
-        fname = f"base-b{bucket:05d}{sfx}-x{txn}.parquet"
+        fname = f"base-b{bucket:05d}-x{txn}.parquet"
         write_run(out, os.path.join(runs_dir, fname))
         return {"bucket": int(bucket), "file": fname, "rows": out.num_rows}
 
-    def sub_fold(shard: int, n_shards: int):
-        # key-exclusive sub-shard of a HOT bucket's fold: the full PK
-        # (conv_id, turn_idx) determines the shard via a multiplicative
-        # turn_idx hash, so every record of a key folds in exactly one
-        # sub-task
-        def fold(group: "pa.Table | None",
-                 lone_base: bool) -> "dict | None":
-            if group is None or group.num_rows == 0:
-                return None
-            turn = group["turn_idx"].to_numpy(zero_copy_only=False) \
-                .astype(np.uint64)
-            keep = (turn * np.uint64(2654435761)) % np.uint64(n_shards) \
-                == np.uint64(shard)
-            return compact_bucket(group.filter(pa.array(keep)), lone_base,
-                                  shard=shard)
-        return fold
-
     paths, bases = _stored_runs(state, prev)
-    # hot-bucket salting gate: measured skew only; a rebucket migration
-    # recomputes bucket routing, so stored-bucket estimates would lie —
-    # skip salting there. Under the floor in total (footer row counts)
-    # no bucket can be hot, so the per-file histogram is skipped.
-    hot: set[int] = set()
-    n_shards = max(2, cfg.salt_factor)
-    if cfg.compact_salt_rows and not rebucket and sum(
-            pq.read_metadata(p).num_rows for p in paths) \
-            > cfg.compact_salt_rows:
-        est = _bucket_rows_estimate(paths, cfg.num_buckets)
-        mean = max(1.0, float(est[est > 0].mean())) if est.any() else 1.0
-        hot = {int(b) for b in np.flatnonzero(
-            (est > cfg.compact_salt_rows) & (est > 2 * mean))}
     waves = max(1, min(int(waves), cfg.num_buckets))
     metas = []
     for w in range(waves):
         subset = None if waves == 1 else list(range(w, cfg.num_buckets, waves))
-        # a hot bucket's shard tasks each read the bucket's base runs
-        per_bucket = _exchange_by_bucket(paths, cfg.num_buckets, bases,
-                                         bucket_subset=subset,
-                                         rebucket=rebucket)
-        tasks = []
-        for args in per_bucket:
-            if args[0] in hot:
-                tasks += [_fold_bucket_refs.remote(sub_fold(s, n_shards),
-                                                   *args)
-                          for s in range(n_shards)]
-            else:
-                tasks.append(_fold_bucket_refs.remote(compact_bucket,
-                                                      *args))
-        metas += [m for m in ray.get(tasks) if m]
+        metas += [m for m in ray.get([
+            _fold_bucket_refs.remote(compact_bucket, *args)
+            for args in _exchange_by_bucket(paths, cfg.num_buckets, bases,
+                                            bucket_subset=subset,
+                                            rebucket=rebucket)]) if m]
 
-    buckets: dict[str, list[str]] = {}
-    for m in metas:          # hot buckets legitimately carry S files
-        buckets.setdefault(str(m["bucket"]), []).append(m["file"])
     manifest = _publish_compaction_rebased(
         state, cfg, prev_version, prev, txn,
-        my_buckets=buckets,
+        my_buckets={str(m["bucket"]): [m["file"]] for m in metas},
         my_derived=_compact_derived(state, prev, txn),
         keep_ops=keep_ops,
         my_schema=prev.schema_version,

@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 import re
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -569,18 +569,10 @@ def _publish_refresh(state: TableState, cur: int, m: Manifest, txn: str,
     new = {_file_bucket(f) for f in files}
     keep = [] if full else [f for f in m.derived.get(view_key, [])
                             if _file_bucket(f) not in new]
-    derived = {k: list(v) for k, v in m.derived.items()}
-    derived[view_key] = sorted(keep + files, key=_file_bucket)
-    return state.publish(expected_parent=cur, manifest=Manifest(
-        txn_id=txn, committed_seq=m.committed_seq,
-        committed_lsn=m.committed_lsn,
-        schema_version=m.schema_version,
-        num_buckets=m.num_buckets,
-        buckets={k: list(v) for k, v in m.buckets.items()},
-        global_runs=list(m.global_runs),
-        derived=derived,
-        control_ops=m.control_ops,
-        wal_consumed=[],
+    return state.publish(expected_parent=cur, manifest=replace(
+        m, txn_id=txn, wal_consumed=[],
+        derived={**m.derived,
+                 view_key: sorted(keep + files, key=_file_bucket)},
         metrics={"matview_refresh": stats}))
 
 

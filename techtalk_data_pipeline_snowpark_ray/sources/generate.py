@@ -13,7 +13,7 @@ Determinism scheme: events are produced in fixed internal chunks of
 therefore depends only on (seed, spec), not on how the caller batches.
 
 Exercised failure modes (FIXTURES.md F2):
-  * zipfian hot conversations (skew / salting path)
+  * zipfian hot conversations (skewed bucket sizes)
   * out-of-order arrival within a bounded window (LWW by lsn must win)
   * duplicate delivery of the same lsn (exactly-once must dedup)
   * partial updates (column subset; null = "unchanged")

@@ -26,7 +26,7 @@ def tmp_engine(tmp_path):
     from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
     cfg = EngineConfig(table_dir=str(tmp_path / "table"),
                        wal_dir=str(tmp_path / "wal"),
-                       num_buckets=4, salt_factor=2)
+                       num_buckets=4)
     cfg.ensure_dirs()
     return cfg
 

@@ -4,11 +4,14 @@ lone base with no control op pending is returned as read.
 
 The premise of that shortcut is pinned here: every file a
 `Manifest.buckets` list names is its own resolve after every operation
-that writes one. Reads of a table that mixes every bucket shape are
-checked against the pandas oracle, with and without a pending control
-op, and a base holding a foreign row fails the read loudly."""
+that writes one. Reads, lookups, a view refresh and the compaction of
+a table that mixes every bucket shape (a bucket with two bases, as
+older compactions left a hot bucket, included) are checked against the
+oracles, with and without a pending control op, and a base holding a
+foreign row fails the read loudly."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
@@ -20,9 +23,8 @@ import ray
 
 from techtalk_data_pipeline_snowpark_ray import schemas
 from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
-from techtalk_data_pipeline_snowpark_ray.pipelines import ingest
-from techtalk_data_pipeline_snowpark_ray.sources.generate import (GenSpec,
-                                                                  write_wal)
+from techtalk_data_pipeline_snowpark_ray.pipelines import ingest, matview
+from techtalk_data_pipeline_snowpark_ray.sources.generate import write_wal
 from techtalk_data_pipeline_snowpark_ray.sources.wal import WalWriter
 from techtalk_data_pipeline_snowpark_ray.stages.controls import (
     ControlOp, resolve_with_controls)
@@ -35,6 +37,7 @@ from techtalk_data_pipeline_snowpark_ray.state.oracle import \
 from techtalk_data_pipeline_snowpark_ray.state.storage import write_run
 
 from test_engine_e2e import TINY, assert_matches_oracle
+from test_matview import MV, assert_view_matches
 
 PAYLOAD = schemas.payload_cols()
 KEYS = list(schemas.KEY_COLS)
@@ -72,21 +75,12 @@ def _tiny_table(tmp_path, **cfg_kw) -> EngineConfig:
     return cfg
 
 
-@pytest.mark.parametrize("op", ["compact", "salted", "waves", "rebucket",
-                                "erase"])
+@pytest.mark.parametrize("op", ["compact", "waves", "rebucket", "erase"])
 def test_every_base_is_its_own_resolve(tmp_path, op):
     """The lone-base shortcut's premise, after each operation that
     writes a `Manifest.buckets` file."""
-    if op == "salted":
-        cfg = _tiny_table(tmp_path, num_buckets=8, salt_factor=3,
-                          compact_salt_rows=100)
-        write_wal(GenSpec(n_events=6000, n_conversations=30, max_turns=2000,
-                          zipf_s=1.6, ooo_window=8, dup_fraction=0.02,
-                          partial_update_fraction=0.3, seed=13),
-                  cfg.wal_dir, segment_rows=1000)
-    else:
-        cfg = _tiny_table(tmp_path, num_buckets=4, salt_factor=2)
-        write_wal(TINY, cfg.wal_dir, segment_rows=400)
+    cfg = _tiny_table(tmp_path, num_buckets=4)
+    write_wal(TINY, cfg.wal_dir, segment_rows=400)
     ingest.apply_tick(cfg)
     if op == "rebucket":
         ingest.compact(cfg)
@@ -100,11 +94,10 @@ def test_every_base_is_its_own_resolve(tmp_path, op):
     else:
         ingest.compact(cfg, waves=2 if op == "waves" else 1)
     m = TableState(cfg.table_dir).load_latest()
-    if op == "salted":
-        assert any(len(runs) > 1 for runs in m.buckets.values())
     if op == "erase":
         assert m.metrics["erasure"]["files_rewritten"]
     assert not m.global_runs
+    assert all(len(runs) == 1 for runs in m.buckets.values())
     assert assert_bases_resolved(cfg) > 0
     assert_matches_oracle(cfg)
     # with no global run, a lookup reads one base and returns it as read
@@ -118,7 +111,7 @@ def test_every_base_is_its_own_resolve(tmp_path, op):
 # -- one table with every bucket shape -----------------------------------
 
 NB = 4
-BASE_ONLY, WITH_DELTA, EMPTY, SALTED = range(NB)
+BASE_ONLY, WITH_DELTA, EMPTY, TWO_BASES = range(NB)
 
 
 def _convs_of(bucket: int, n: int) -> list[str]:
@@ -163,18 +156,30 @@ def _history(convs, turns: int, lsn: int) -> list:
 @pytest.fixture()
 def mixed_table(tmp_path):
     """Bucket 0: one base. Bucket 1: one base plus a delta run. Bucket
-    2: no rows at all. Bucket 3: hot, so compaction salts it into two
-    key-exclusive bases."""
-    cfg = _tiny_table(tmp_path, num_buckets=NB, salt_factor=2,
-                      compact_salt_rows=100)
+    2: no rows at all. Bucket 3: two key-exclusive bases, the layout
+    older compactions left for a hot bucket: its compacted base is
+    split by turn_idx parity into `base-b…-sNN-x…` files and the
+    manifest republished."""
+    cfg = _tiny_table(tmp_path, num_buckets=NB)
     w = WalWriter(cfg.wal_dir, segment_rows=10_000)
     rows = _history(_convs_of(BASE_ONLY, 2), 6, 0) \
         + _history(_convs_of(WITH_DELTA, 2), 6, 1_000) \
-        + _history(_convs_of(SALTED, 4), 60, 2_000)
+        + _history(_convs_of(TWO_BASES, 4), 60, 2_000)
     w.append(_events(rows), 3)
     w.flush()
     ingest.apply_tick(cfg)
-    ingest.compact(cfg)
+    m = ingest.compact(cfg)
+    state = TableState(cfg.table_dir)
+    [base] = m.buckets[str(TWO_BASES)]
+    t = pq.read_table(os.path.join(state.runs_dir, base))
+    odd = pc.equal(pc.bit_wise_and(t["turn_idx"], 1), 1)
+    txn = state.new_txn()
+    shards = []
+    for s, keep in enumerate((pc.invert(odd), odd)):
+        shards.append(f"base-b{TWO_BASES:05d}-s{s:02d}-x{txn}.parquet")
+        write_run(t.filter(keep), os.path.join(state.runs_dir, shards[-1]))
+    state.publish(replace(m, txn_id=txn, metrics={},
+                          buckets={**m.buckets, str(TWO_BASES): shards}))
     c1, c2 = _convs_of(WITH_DELTA, 2)
     delta = [(9_000, "update", c1, 0, "system", None, "edited"),
              (9_001, "insert", c1, 40, "user", "late turn", None),
@@ -185,9 +190,9 @@ def mixed_table(tmp_path):
     ingest.apply_tick(cfg)
     m = TableState(cfg.table_dir).load_latest()
     assert sorted(m.buckets) == [str(BASE_ONLY), str(WITH_DELTA),
-                                 str(SALTED)]
+                                 str(TWO_BASES)]
     assert [len(m.buckets[str(b)]) for b in (BASE_ONLY, WITH_DELTA,
-                                             SALTED)] == [1, 1, 2]
+                                             TWO_BASES)] == [1, 1, 2]
     assert len(m.global_runs) == 1
     return cfg, _events(rows + delta)
 
@@ -239,14 +244,14 @@ def _check_reads(cfg, events, controls):
         | {BUCKET_COL, schemas.LSN_COL, schemas.OP_COL}
     rows_of(raw, cols)
 
-    for subset in ([BASE_ONLY], [EMPTY], [WITH_DELTA, SALTED],
+    for subset in ([BASE_ONLY], [EMPTY], [WITH_DELTA, TWO_BASES],
                    list(range(NB))):
         part = pa.concat_tables(_blocks(ingest.read_snapshot(
             cfg, buckets=subset, columns=cols)))
         assert part.column_names == KEYS + cols
         rows_of(part, cols, set(subset))
 
-    for bucket in (BASE_ONLY, WITH_DELTA, SALTED):
+    for bucket in (BASE_ONLY, WITH_DELTA, TWO_BASES):
         for conv in _convs_of(bucket, 2):
             got = pa.Table.from_pandas(
                 ingest.read_conversation(cfg, conv), preserve_index=False)
@@ -257,6 +262,8 @@ def _check_reads(cfg, events, controls):
 def test_mixed_bucket_reads_equal_oracle(mixed_table):
     cfg, events = mixed_table
     _check_reads(cfg, events, [])
+    matview.refresh_matview(cfg, MV)
+    assert_view_matches(cfg)
     # a pending control op forces the fold in every bucket, lone bases
     # included: the oracle applies it to all of them
     lsn = TableState(cfg.table_dir).committed_lsn + 1
@@ -269,6 +276,15 @@ def test_mixed_bucket_reads_equal_oracle(mixed_table):
     ingest.apply_tick(cfg, control_ops=controls)
     assert TableState(cfg.table_dir).load_latest().control_ops
     _check_reads(cfg, events, controls)
+    # the next compaction folds the two bases into one
+    m = ingest.compact(cfg)
+    assert sorted(m.buckets) == [str(BASE_ONLY), str(WITH_DELTA),
+                                 str(TWO_BASES)]
+    assert all(len(runs) == 1 for runs in m.buckets.values())
+    assert not m.global_runs
+    _check_reads(cfg, events, controls)
+    matview.refresh_matview(cfg, MV)
+    assert_view_matches(cfg)
 
 
 def test_fold_task_marks_a_lone_base(tmp_path):

@@ -1,7 +1,7 @@
 """End-to-end engine tests (FIXTURES.md F2/F3/F5 'tiny'): deterministic
 WAL replay through the full Ray pipeline vs the dict oracle, in one and
-many ticks, with kill/resume, duplicate re-delivery, schema evolution,
-hot-key salting and compaction."""
+many ticks, with kill/resume, duplicate re-delivery, schema evolution
+and compaction."""
 
 import glob
 import os
@@ -162,42 +162,6 @@ def test_compaction_single_run_per_bucket_and_equal_state(tmp_engine):
         w2.append(t, v)
     w2.close()
     assert ingest.apply_tick(tmp_engine) is not None
-
-
-def test_compaction_salts_hot_bucket(tmp_path):
-    """Compaction's hot-bucket salting: a bucket past both
-    `compact_salt_rows` and 2x the mean folds in max(2, salt_factor)
-    key-exclusive sub-shards, each writing its own base file; the
-    snapshot equals the oracle before and after."""
-    from techtalk_data_pipeline_snowpark_ray.config import EngineConfig
-    cfg = EngineConfig(table_dir=str(tmp_path / "t"),
-                       wal_dir=str(tmp_path / "w"), num_buckets=8,
-                       salt_factor=3, compact_salt_rows=100)
-    cfg.ensure_dirs()
-    spec = GenSpec(n_events=6000, n_conversations=30, max_turns=2000,
-                   zipf_s=1.6, ooo_window=8, dup_fraction=0.02,
-                   partial_update_fraction=0.3, seed=13)
-    write_wal(spec, cfg.wal_dir, segment_rows=1000)
-    ingest.apply_tick(cfg)
-    assert_matches_oracle(cfg)
-    # the gate's input: per-bucket rows over the committed delta runs
-    state = TableState(cfg.table_dir)
-    rows = pd.Series(pa.concat_tables(
-        [pq.read_table(p, columns=["bucket"])
-         for p in state.run_paths(state.load_latest())])["bucket"]
-        .to_numpy()).value_counts()
-    hot = {str(b) for b, n in rows.items()
-           if n > cfg.compact_salt_rows and n > 2 * rows.mean()}
-    assert hot                               # the zipf skew trips the gate
-    m = ingest.compact(cfg)
-    n_shards = max(2, cfg.salt_factor)
-    for b, runs in m.buckets.items():
-        want = ([f"base-b{int(b):05d}-s{s:02d}-x{m.txn_id}.parquet"
-                 for s in range(n_shards)] if b in hot
-                else [f"base-b{int(b):05d}-x{m.txn_id}.parquet"])
-        assert sorted(os.path.basename(f) for f in runs) == want
-    assert hot <= set(m.buckets)
-    assert_matches_oracle(cfg)
 
 
 def test_lineage_and_metrics(tmp_engine):

@@ -1,7 +1,6 @@
 """Run-file writer tests: `state.storage.write_run`'s round trip and
 column encodings, tables that mix runs written with pyarrow's default
-encodings and `write_run`'s, the one-writer guard and the compaction
-salting gate's footer-count short cut."""
+encodings and `write_run`'s, and the one-writer guard."""
 
 import ast
 import glob
@@ -172,27 +171,3 @@ def test_runs_dir_parquet_goes_through_write_run():
                     calls.add((path.name, fn.name))
     assert calls == allowed
 
-
-def test_compaction_skips_histogram_under_salt_floor(tmp_engine,
-                                                     monkeypatch):
-    """Runs whose footer row counts sum to at most compact_salt_rows
-    cannot hold a hot bucket: compaction never computes the per-bucket
-    histogram for them (the hot-bucket path is covered by
-    test_engine_e2e::test_compaction_salts_hot_bucket)."""
-    def no_hist(paths, num_buckets):
-        raise AssertionError("histogram computed under the salt floor")
-
-    monkeypatch.setattr(ingest, "_bucket_rows_estimate", no_hist)
-    write_wal(TINY, tmp_engine.wal_dir, segment_rows=500)
-    ingest.apply_tick(tmp_engine)
-    state = TableState(tmp_engine.table_dir)
-    tmp_engine.compact_salt_rows = sum(
-        pq.read_metadata(p).num_rows
-        for p in state.run_paths(state.load_latest()))
-    m = ingest.compact(tmp_engine)
-    assert all(len(runs) == 1 for runs in m.buckets.values())
-    assert_matches_oracle(tmp_engine)
-
-    tmp_engine.compact_salt_rows = 1          # over the floor: measured
-    with pytest.raises(AssertionError, match="histogram"):
-        ingest.compact(tmp_engine)
