@@ -127,11 +127,6 @@ class EngineConfig:
         return json.dumps(asdict(self), default=str)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EngineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
-
-    @classmethod
     def from_yaml(cls, path: str) -> "EngineConfig":
         """Load a config file — the reference's core ergonomic of
         indirecting every table/stage name and knob through one
@@ -139,10 +134,9 @@ class EngineConfig:
 
         Accepts kebab-case or snake_case keys (the reference uses
         kebab-case), coerces YAML lists to the tuples the dataclass
-        declares, and — unlike `from_dict`'s permissive merge — fails
-        loudly on unknown keys, so a typo'd knob can't silently run
-        with the default. Ships with `conf.example.yml` at the repo
-        root."""
+        declares, and fails loudly on unknown keys, so a typo'd knob
+        can't silently run with the default. Ships with
+        `conf.example.yml` at the repo root."""
         import yaml
         with open(path) as f:
             raw = yaml.safe_load(f) or {}

@@ -47,7 +47,8 @@ import ray
 import ray.data
 
 from .. import schemas
-from ..stages.exchange import split_by_route, split_fan_out
+from ..stages.exchange import (split_by_route, split_fan_out, table_dataset,
+                               tasks_dataset)
 from ..stages.partition import _splitmix, hash_strings_arrow
 from ..state.storage import write_run
 
@@ -176,9 +177,8 @@ def _split_partials(path: str, n: int, group_cols) -> tuple[pa.Table, ...]:
     return split_by_route(t, _group_route(t, group_cols, n), n)
 
 
-@ray.remote
-def _merge_task(view, out: "tuple[str, str] | None", paths: list[str],
-                *slices: pa.Table) -> "pa.Table | str | None":
+def _merge(view, out: "tuple[str, str] | None", paths: list[str],
+           *slices: pa.Table) -> "pa.Table | str | None":
     """Merge the partial rows of `paths` and `slices`, typed by the
     view's empty result. With ``out = (runs_dir, fname)`` the merged
     rows are written there and the file name returned (None when there
@@ -196,43 +196,49 @@ def _merge_task(view, out: "tuple[str, str] | None", paths: list[str],
     return out[1]
 
 
+#: `_merge` as a task: additive compaction, which writes the merged rows
+_merge_task = ray.remote(_merge)
+
+
 def merge_files(view, paths: "list[str]",
-                out: "tuple[str, str] | None" = None) -> list:
-    """Refs of `view`'s partial files `paths` merged, one per task
-    (`_merge_task`). Under SMALL_VIEW_BYTES one task reads and merges
-    every file. Past it each file splits by `_group_route` into one
-    slice per partition, and each partition -- one per SMALL_VIEW_BYTES
-    of input, 2 to 32 of them -- merges in its own task; partitions are
-    group-exclusive, so the merge stays exact. `out = (runs_dir, stem)`
-    writes each task's rows to ``<stem>.parquet`` (one task) or
-    ``<stem>p<i>.parquet`` (partition i) instead of returning them."""
+                out: "tuple[str, str] | None" = None) -> list[tuple]:
+    """The merge of `view`'s partial files `paths`, as the `_merge`
+    arguments of each of its tasks. Under SMALL_VIEW_BYTES one task
+    reads and merges every file. Past it each file splits by
+    `_group_route` into one slice per partition, and each partition --
+    one per SMALL_VIEW_BYTES of input, 2 to 32 of them -- merges in its
+    own task; partitions are group-exclusive, so the merge stays exact.
+    `out = (runs_dir, stem)` writes each task's rows to
+    ``<stem>.parquet`` (one task) or ``<stem>p<i>.parquet`` (partition
+    i) instead of returning them."""
     size = view_bytes(paths)
     if size <= SMALL_VIEW_BYTES:
-        return [_merge_task.remote(
-            view, out and (out[0], f"{out[1]}.parquet"), paths)]
+        return [(view, out and (out[0], f"{out[1]}.parquet"), paths)]
     n = int(max(2, min(32, -(-size // max(1, SMALL_VIEW_BYTES)))))
-    return [_merge_task.remote(
-        view, out and (out[0], f"{out[1]}p{i}.parquet"), [], *slices)
-        for i, slices in enumerate(split_fan_out(
-            _split_partials, paths, n, n, view.group_cols))]
+    return [(view, out and (out[0], f"{out[1]}p{i}.parquet"), [], *slices)
+            for i, slices in enumerate(split_fan_out(
+                _split_partials, paths, n, n, view.group_cols))]
 
 
 def read_merged(view, paths: "list[str]") -> ray.data.Dataset:
     """Dataset of `view`'s current rows: its partial files merged
-    (`merge_files`), typed by the view's empty result."""
+    (`merge_files`), one block per merge task, typed by the view's
+    empty result."""
     if not paths:
-        return ray.data.from_arrow(view.empty_result())
-    return ray.data.from_arrow_refs(merge_files(view, paths))
+        return table_dataset(view.empty_result())
+    return tasks_dataset(_merge, merge_files(view, paths))
 
 
 def compact_additive_files(runs_dir: str, view_name: str,
                            files: "list[str]", txn: str) -> "list[str]":
     """Compaction hook for ADDITIVE derived views (called from
     ingest._compact_derived): merge a view's partial files into a base
-    set, one base per merge task (`merge_files`), written by that task.
+    set, one base per merge task (`merge_files`, `_merge_task`), written
+    by that task.
     Readers are indifferent (`read_merged` merges whatever partials
     the manifest lists)."""
     paths = [os.path.join(runs_dir, f) for f in files]
-    names = ray.get(merge_files(VIEWS[view_name], paths,
-                                (runs_dir, f"derived-{view_name}-base-x{txn}")))
+    names = ray.get([_merge_task.remote(*args) for args in merge_files(
+        VIEWS[view_name], paths,
+        (runs_dir, f"derived-{view_name}-base-x{txn}"))])
     return [f for f in names if f is not None]

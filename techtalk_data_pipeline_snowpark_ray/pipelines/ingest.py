@@ -51,7 +51,8 @@ from ..config import EngineConfig
 from ..sources import wal
 from ..stages.apply import fold_table
 from ..stages.controls import resolve_stored, sorted_controls
-from ..stages.exchange import block_refs, split_by_route, split_fan_out
+from ..stages.exchange import (block_refs, split_by_route, split_fan_out,
+                               table_dataset, tasks_dataset)
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
                                 hash_strings_arrow)
@@ -831,9 +832,8 @@ def _read_base(path: str, bucket: int,
                       else [c for c in columns if c in have])
 
 
-@ray.remote
-def _fold_bucket_refs(fn, bucket: int, bases: list[str],
-                      columns: list[str] | None, *parts, n_other: int = 0):
+def _fold_bucket(fn, bucket: int, bases: list[str],
+                 columns: list[str] | None, *parts, n_other: int = 0):
     """Fold one bucket: read its base runs (`_read_base`), concat them
     with its exchanged delta slices, in that order, and return
     ``fn(group, lone_base)``. `group` is None when no input has rows;
@@ -852,6 +852,11 @@ def _fold_bucket_refs(fn, bucket: int, bases: list[str],
     if n_other:
         return fn(group, lone_base, _concat_rows(list(other)))
     return fn(group, lone_base)
+
+
+#: `_fold_bucket` as a task: compaction and view refreshes, which return
+#: file names, not blocks (a read runs it through `tasks_dataset`)
+_fold_bucket_refs = ray.remote(_fold_bucket)
 
 
 def _concat_rows(tables: list) -> "pa.Table | None":
@@ -882,7 +887,7 @@ def _exchange_by_bucket(paths: list[str], num_buckets: int,
     """The one entry point of every stored-bucket read: `paths` is every
     run file the read covers, base runs included. Returns, per bucket
     (per `bucket_subset` id when given), the arguments of its
-    `_fold_bucket_refs` task after the fold callable: ``(bucket, its
+    `_fold_bucket` call after the fold callable: ``(bucket, its
     base paths, columns, *its delta slice refs)``.
 
     Bucket b's base runs (`bases[b]`, paths from `Manifest.buckets`)
@@ -964,6 +969,13 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
     returned as read: compaction wrote it resolved
     (`stages.controls.resolve_stored`).
 
+    The fold tasks' blocks reach Ray Data with the metadata those tasks
+    computed (`stages.exchange.tasks_dataset`): the read runs one task
+    per bucket and none per block for metadata, the Dataset comes back
+    already executed (no streaming executor starts to list its blocks),
+    and a failing fold raises here. Every bucket is one block, an
+    empty one too.
+
     `columns` (payload subset) pushes projection down to the run-file
     parquet scan: only key cols, lsn/op/bucket and the requested
     payload columns are read and exchanged. Sound because the LWW fold
@@ -994,7 +1006,7 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
         empty = schemas.table_schema(cfg.schema_version).empty_table()
         if columns is not None:
             empty = empty.select([*schemas.KEY_COLS, *columns])
-        return ray.data.from_arrow(empty)
+        return table_dataset(empty)
     controls = sorted_controls(m.control_ops)
 
     scan_cols = None
@@ -1025,8 +1037,8 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
     per_bucket = _exchange_by_bucket(paths, m.num_buckets or cfg.num_buckets,
                                      bases, columns=scan_cols,
                                      bucket_subset=buckets)
-    return ray.data.from_arrow_refs(
-        [_fold_bucket_refs.remote(resolve, *args) for args in per_bucket])
+    return tasks_dataset(_fold_bucket,
+                         [(resolve, *args) for args in per_bucket])
 
 
 def read_conversation(cfg: EngineConfig, conv_id: str,
@@ -1136,7 +1148,7 @@ def read_delta(cfg: EngineConfig, from_version: int,
         new_files.extend(f for f in m.table_run_files()
                          if f not in base and f not in new_files)
     if not new_files:
-        return ray.data.from_arrow(
+        return table_dataset(
             schemas.table_schema(cfg.schema_version).empty_table())
     return ray.data.read_parquet(
         [os.path.join(state.runs_dir, f) for f in new_files])

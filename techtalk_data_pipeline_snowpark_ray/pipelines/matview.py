@@ -70,6 +70,7 @@ import ray.data
 from .. import schemas
 from ..config import EngineConfig
 from ..stages.controls import resolve_stored, sorted_controls
+from ..stages.exchange import table_dataset, tasks_dataset
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
@@ -709,7 +710,6 @@ def refresh_matview(cfg: EngineConfig, name: str,
 
 # -- read side ---------------------------------------------------------------
 
-@ray.remote
 def _read_files(paths: list[str]) -> pa.Table:
     return pa.concat_tables([pq.read_table(p) for p in paths],
                             promote_options="default")
@@ -721,11 +721,10 @@ def read_view_files(paths: list[str], empty: pa.Table) -> ray.data.Dataset:
     merge. A measured-small view (`derived.SMALL_VIEW_BYTES`) is read
     in one task, a larger one in one task per file."""
     if not paths:
-        return ray.data.from_arrow(empty)
+        return table_dataset(empty)
     groups = [paths] if derived.view_bytes(paths) <= derived.SMALL_VIEW_BYTES \
         else [[p] for p in paths]
-    return ray.data.from_arrow_refs([_read_files.remote(g)
-                                     for g in groups])
+    return tasks_dataset(_read_files, [(g,) for g in groups])
 
 
 def read_matview(cfg: EngineConfig, name: str) -> ray.data.Dataset:

@@ -30,7 +30,8 @@ import ray
 import ray.data
 
 from ..functions.textstats import md5_hash64_series
-from ..stages.exchange import block_refs, split_block, split_fan_out
+from ..stages.exchange import (block_refs, split_block, split_fan_out,
+                               tasks_dataset)
 
 SUCCESS = "_SUCCESS"
 
@@ -152,7 +153,7 @@ def read_partitioned(out_dir: str) -> ray.data.Dataset:
         paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
                      if f.endswith(".parquet"))
     if not paths:
-        return ray.data.from_arrow_refs([])
+        return tasks_dataset(None, [])
     # partitioning=None: the bucket id is layout, not data -- don't
     # hive-infer it back as a column
     return ray.data.read_parquet(paths, partitioning=None)

@@ -9,8 +9,9 @@ it actually needs (40s vs 5.5s at 27M rows; the global sort is pure
 overhead when the reduce re-sorts or doesn't care). This module is the
 exchange alone: split each source by its route, one object-store entry
 per (source, partition), then one task per partition concats its
-slices and applies the reduce. Output is a Dataset again
-(from_arrow_refs), so downstream stays lazy/streamed.
+slices and applies the reduce. Output is a Dataset again, built by
+:func:`tasks_dataset` from the blocks and the metadata the reduce
+tasks computed, so downstream stays lazy/streamed.
 
 Every exchange in the engine splits through ONE kernel,
 :func:`split_by_route`, fanned out by :func:`split_fan_out`: Dataset
@@ -122,15 +123,12 @@ def split_fan_out(split, sources: list, n_out: int, *args) -> list[tuple]:
     return list(zip(*outs))
 
 
-@ray.remote(num_returns=2)
 def _reduce_part(fn, drop_col: str, pandas: bool, *parts):
-    """Returns (reduced table, result row count | None). The count
-    travels as its own tiny object so the driver's empty-partition
-    filter never fetches (or cross-node transfers) the reduced tables
-    themselves. None means the partition had no input rows at all."""
+    """The reduce of one partition, or None when the partition had no
+    input rows at all."""
     parts = [p for p in parts if p.num_rows]
     if not parts:
-        return None, None
+        return None
     tbl = pa.concat_tables(parts, promote_options="default")
     if drop_col:
         tbl = tbl.drop_columns([drop_col])
@@ -148,11 +146,79 @@ def _reduce_part(fn, drop_col: str, pandas: bool, *parts):
                       and tbl.schema.get_field_index(f.name) != -1
                       else f for f in res.schema]
             res = pa.schema(fields).empty_table()
-        return res, res.num_rows
+        return res
     out = fn(tbl)
     if isinstance(out, pa.Table):
         out = out.replace_schema_metadata(None)
-    return out, out.num_rows
+    return out
+
+
+@ray.remote(num_returns=2)
+def _block_task(fn, *args):
+    """``fn(*args)`` and its block metadata (row count, size, schema),
+    each its own object: the driver fetches only the metadata. A None
+    result (no input) has no metadata."""
+    from ray.data.block import BlockMetadataWithSchema
+    block = fn(*args)
+    if block is None:
+        return None, None
+    return block, BlockMetadataWithSchema.from_block(block)
+
+
+def tasks_dataset(fn, calls: list, drop_empty: bool = False
+                  ) -> ray.data.Dataset:
+    """Dataset of one block per ``fn(*args)`` for `args` in `calls`,
+    in order, each computed by its own task (`_block_task`) that also
+    returns the block's metadata. The driver fetches only those small
+    metadata objects and hands blocks and metadata to Ray Data as a
+    Dataset that is already executed -- the steps of
+    `Dataset.materialize()` -- so, unlike `ray.data.from_arrow_refs`,
+    no metadata task runs per block and no streaming executor starts
+    to list blocks already in hand. A failing task raises here.
+
+    A None result is left out. With `drop_empty`, so are 0-row blocks
+    -- a block that lost its column types (an empty pandas result)
+    would break schema unification downstream -- unless every block
+    is empty, in which case the first survives as the schema carrier.
+    No block at all gives a schema-less empty Dataset.
+
+    The Ray Data internals this needs (Ray 2.49) are imported here
+    alone, so a Ray upgrade that moves them fails at this import."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import \
+        InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    pairs = [_block_task.remote(fn, *args) for args in calls]
+    metas = ray.get([meta for _, meta in pairs])
+    blocks = [(ref, meta) for (ref, _), meta in zip(pairs, metas)
+              if meta is not None]
+    if drop_empty:
+        blocks = [b for b in blocks if b[1].num_rows] or blocks[:1]
+    context = DataContext.get_current().copy()
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromTasks": [m for _, m in blocks]},
+                     parent=None), context)
+    ds = MaterializedDataset(plan, LogicalPlan(InputData(input_data=[
+        RefBundle([(ref, meta)], owns_blocks=False, schema=meta.schema)
+        for ref, meta in blocks]), context))
+    ds._plan.execute()      # lists the bundles; marks the plan executed
+    return ds
+
+
+def _as_is(block):
+    return block
+
+
+def table_dataset(tbl: pa.Table) -> ray.data.Dataset:
+    """`tbl` as a one-block Dataset built by `tasks_dataset`: one task,
+    where `ray.data.from_arrow` adds a metadata task and a streaming
+    executor run on first consumption."""
+    return tasks_dataset(_as_is, [(tbl,)])
 
 
 def exchange_map_groups(ds: ray.data.Dataset, part_col: str,
@@ -172,25 +238,12 @@ def exchange_map_groups(ds: ray.data.Dataset, part_col: str,
         lambda t: t[part_col].to_numpy(zero_copy_only=False),
         num_partitions)
     drop = "" if keep_part_col else part_col
-    pairs = [_reduce_part.remote(fn, drop, batch_format == "pandas",
-                                 *slices) for slices in per_part]
-    # None results (empty partitions) must not reach from_arrow_refs;
-    # only the tiny row counts are fetched, never the tables. Empty
-    # REDUCE results (non-empty input, 0-row output) are dropped too --
-    # an empty pandas result degrades untyped columns to arrow `null`,
-    # and mixing null-typed and typed blocks trips the streaming
-    # executor's schema-consistency check -- unless every partition
-    # came back empty, in which case one empty table survives as the
-    # downstream schema carrier.
-    counts = ray.get([cnt for _, cnt in pairs])
-    refs = [tbl for (tbl, _), c in zip(pairs, counts) if c]
-    if not refs:
-        refs = [tbl for (tbl, _), c in zip(pairs, counts)
-                if c is not None][:1]
-    if not refs:
-        # every partition was input-empty: a schema-less empty dataset
-        # (NOT ds.limit(0), whose schema still carries the part column
-        # and lacks the reduce's output columns) unions/consumes cleanly
-        # downstream, exactly like the all-empty-blocks case upstream
-        return ray.data.from_arrow_refs([])
-    return ray.data.from_arrow_refs(refs)
+    # an input-empty partition yields no block; an empty REDUCE result
+    # (non-empty input, 0-row output) is dropped too, unless every
+    # partition's is (`drop_empty`). With no block at all the result
+    # is a schema-less empty Dataset -- NOT ds.limit(0), whose schema
+    # still carries the part column and lacks the reduce's output
+    # columns -- which unions and consumes cleanly downstream
+    return tasks_dataset(
+        _reduce_part, [(fn, drop, batch_format == "pandas", *slices)
+                       for slices in per_part], drop_empty=True)
