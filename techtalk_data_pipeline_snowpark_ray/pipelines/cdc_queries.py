@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import shutil
 import uuid
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -720,6 +721,42 @@ def cdc_hybrid_search(sf_dir: str) -> ray.data.Dataset:
         .sort(["conv_id", "turn_idx"])
 
 
+def _phase_cutoff(sf_dir: str) -> int:
+    """The two-phase harnesses' lsn cutoff: max(event_id) // 2, from
+    footer stats (no data scan) -- a deterministic lsn predicate, not
+    a file position, so a SQL oracle can name the same boundary."""
+    from .analytics import _parquet_col_max
+
+    return int(_parquet_col_max(os.path.join(sf_dir, "events.parquet"),
+                                "event_id")) // 2
+
+
+def _write_phase(sf_dir: str, cutoff: int, phase: int,
+                 wals: "dict[str, Callable[[pa.Table], pa.Table] | None]"
+                 ) -> None:
+    """Land one side of the lsn cutoff of the derived change stream
+    (phase 0: event_id <= cutoff, phase 1: the rest) in each WAL of
+    `wals`, through that WAL's row filter (None keeps every row)."""
+    writers = {d: WalWriter(d, segment_rows=1_000_000, reorder_slack=2048)
+               for d in wals}
+    src = pq.ParquetFile(os.path.join(sf_dir, "events.parquet"))
+    for rb in src.iter_batches(batch_size=65536,
+                               columns=["event_id", "user_id", "ts"]):
+        t = pa.Table.from_batches([rb])
+        keep = pc.less_equal(t["event_id"], cutoff) if phase == 0 \
+            else pc.greater(t["event_id"], cutoff)
+        part = t.filter(keep)
+        if not part.num_rows:
+            continue
+        ch = derive_change_batch(part)
+        for d, select in wals.items():
+            rows = ch if select is None else select(ch)
+            if rows.num_rows:
+                writers[d].append(rows, 1)
+    for w in writers.values():
+        w.close()
+
+
 def cdc_join_matview_drift(sf_dir: str) -> ray.data.Dataset:
     """CROSS-TABLE JOIN MATVIEW: two independently-ingesting engine
     tables — A consumes the full change stream, B a filtered shadow
@@ -731,36 +768,18 @@ def cdc_join_matview_drift(sf_dir: str) -> ray.data.Dataset:
     refresh followed by an incremental one (affected keys re-resolved
     on each side under its own layout, co-partitioned by key hash,
     joined vectorized per partition)."""
-    from .analytics import _parquet_col_max
     from .joinview import read_join_matview
     from .matview import refresh_matview
 
     cfg_a = _fresh_cfg("jva", schema_version=1)
     cfg_b = _fresh_cfg("jvb", schema_version=1)
     cfg_b.num_buckets = 8                  # different layout than A's 16
-    path = os.path.join(sf_dir, "events.parquet")
-    cutoff = int(_parquet_col_max(path, "event_id")) // 2
-    src = pq.ParquetFile(path)
+    cutoff = _phase_cutoff(sf_dir)
     for phase in (0, 1):
-        wa = WalWriter(cfg_a.wal_dir, segment_rows=1_000_000,
-                       reorder_slack=2048)
-        wb = WalWriter(cfg_b.wal_dir, segment_rows=1_000_000,
-                       reorder_slack=2048)
-        for rb in src.iter_batches(batch_size=65536,
-                                   columns=["event_id", "user_id", "ts"]):
-            t = pa.Table.from_batches([rb])
-            keep = pc.less_equal(t["event_id"], cutoff) if phase == 0 \
-                else pc.greater(t["event_id"], cutoff)
-            part = t.filter(keep)
-            if not part.num_rows:
-                continue
-            ch = derive_change_batch(part)
-            wa.append(ch, 1)
-            even = ch.filter(pc.equal(pc.bit_wise_and(ch["lsn"], 1), 0))
-            if even.num_rows:
-                wb.append(even, 1)
-        wa.close()
-        wb.close()
+        _write_phase(sf_dir, cutoff, phase, {
+            cfg_a.wal_dir: None,
+            cfg_b.wal_dir: lambda ch: ch.filter(
+                pc.equal(pc.bit_wise_and(ch["lsn"], 1), 0))})
         ingest.apply_tick(cfg_a)
         ingest.apply_tick(cfg_b)
         m = refresh_matview(cfg_a, "conv_drift", other=cfg_b)
@@ -774,31 +793,14 @@ def cdc_join_matview_drift(sf_dir: str) -> ray.data.Dataset:
 def _two_phase_versions(sf_dir: str, tag: str) -> tuple[EngineConfig,
                                                         int, int, int]:
     """Shared harness for the version-window queries: land the derived
-    change stream in two lsn-disjoint phases split at cutoff =
-    max(event_id) // 2 (footer stats, no data scan), each committed as
-    ONE tick, and return (cfg, cutoff, v1, v2). The split is by a
-    deterministic lsn predicate — not file position — so a SQL oracle
-    can name the exact same phase boundary."""
-    from .analytics import _parquet_col_max
-
-    cfg = _fresh_cfg(tag, schema_version=1)
-    path = os.path.join(sf_dir, "events.parquet")
-    cutoff = int(_parquet_col_max(path, "event_id")) // 2
-    src = pq.ParquetFile(path)
+    change stream in two lsn-disjoint phases split at `_phase_cutoff`,
+    each committed as ONE tick, and return (cfg, cutoff, v1, v2)."""
     from ..state.manifest import TableState
 
+    cfg = _fresh_cfg(tag, schema_version=1)
+    cutoff = _phase_cutoff(sf_dir)
     for phase in (0, 1):
-        w = WalWriter(cfg.wal_dir, segment_rows=1_000_000,
-                      reorder_slack=2048)
-        for rb in src.iter_batches(batch_size=65536,
-                                   columns=["event_id", "user_id", "ts"]):
-            t = pa.Table.from_batches([rb])
-            keep = pc.less_equal(t["event_id"], cutoff) if phase == 0 \
-                else pc.greater(t["event_id"], cutoff)
-            part = t.filter(keep)
-            if part.num_rows:
-                w.append(derive_change_batch(part), 1)
-        w.close()
+        _write_phase(sf_dir, cutoff, phase, {cfg.wal_dir: None})
         ingest.apply_tick(cfg)
         if phase == 0:
             v1 = TableState(cfg.table_dir).latest_version()
@@ -867,27 +869,14 @@ def cdc_clone_divergence(sf_dir: str) -> ray.data.Dataset:
     The clone resumes at the source's exact offset and resolves the
     full stream; the source stays frozen at phase 1 (checked in-code).
     Gated result = the diverged clone's resolved snapshot."""
-    from .analytics import _parquet_col_max
+    from dataclasses import replace
 
     cfg = _fresh_cfg("cl", schema_version=1)
-    path = os.path.join(sf_dir, "events.parquet")
-    cutoff = int(_parquet_col_max(path, "event_id")) // 2
-    src_pf = pq.ParquetFile(path)
-    from dataclasses import replace
+    cutoff = _phase_cutoff(sf_dir)
     clone_cfg = replace(cfg, table_dir=cfg.table_dir + "-clone")
     n_src = 0
     for phase in (0, 1):
-        w = WalWriter(cfg.wal_dir, segment_rows=1_000_000,
-                      reorder_slack=2048)
-        for rb in src_pf.iter_batches(batch_size=65536,
-                                      columns=["event_id", "user_id", "ts"]):
-            t = pa.Table.from_batches([rb])
-            keep = pc.less_equal(t["event_id"], cutoff) if phase == 0 \
-                else pc.greater(t["event_id"], cutoff)
-            part = t.filter(keep)
-            if part.num_rows:
-                w.append(derive_change_batch(part), 1)
-        w.close()
+        _write_phase(sf_dir, cutoff, phase, {cfg.wal_dir: None})
         if phase == 0:
             ingest.apply_tick(cfg)
             n_src = ingest.read_snapshot(cfg).count()

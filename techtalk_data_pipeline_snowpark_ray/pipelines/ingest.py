@@ -57,7 +57,7 @@ from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
                                 hash_strings_arrow)
 from ..state.manifest import CommitConflict, Manifest, TableState
-from ..state.storage import write_run
+from ..state.storage import write_parquet, write_run
 
 _BOOKKEEPING = (schemas.LSN_COL, schemas.OP_COL)
 
@@ -436,8 +436,8 @@ def _publish_append_rebased(state: TableState, cfg: EngineConfig,
             # pre-scrub rows, and re-pointing them would resurrect it
             lo = 0 if prev_version is None else prev_version + 1
             for v in range(lo, (new_version or 0) + 1):
-                wm = state.load(v).metrics
-                if wm.get("erasure") is not None:
+                winner = state.load(v)
+                if winner.rewrite == "erasure":
                     raise CommitConflict(
                         f"concurrent physical erasure at v{v}; not "
                         "rebasable (the txn's run files may hold "
@@ -450,10 +450,10 @@ def _publish_append_rebased(state: TableState, cfg: EngineConfig,
                 # and over a RESTORE would re-inflate committed_lsn
                 # past rows the restore dropped, corrupting the
                 # watermark used for control-op placement and lag
-                if wm.get("rollback_to") is not None:
+                if winner.rewrite == "rollback":
                     raise CommitConflict(
                         f"concurrent rollback at v{v} "
-                        f"(mode={wm.get('rollback_mode')}); not "
+                        f"(mode={winner.metrics.get('rollback_mode')}); not "
                         "rebasable (seq/lsn watermarks were rewound) "
                         "-- reload state and re-run the tick")
             t.metrics = {**t.metrics, "rebased_onto": new_version}
@@ -1108,6 +1108,17 @@ def read_snapshot_as_of(cfg: EngineConfig, version: int,
     return read_snapshot(cfg_v, manifest=m, final_only=final_only)
 
 
+#: why `read_delta` refuses a window spanning each history rewrite
+_NOT_A_DELTA = {
+    "compaction": "deltas are only defined between compactions",
+    "rollback": "a restore rewrites visible history, so the window's "
+                "file lineage is not a change stream",
+    "erasure": "an erasure rewrites files without emitting change "
+               "records (and replicating them would re-export the "
+               "erased rows)",
+}
+
+
 def read_delta(cfg: EngineConfig, from_version: int,
                to_version: int | None = None) -> ray.data.Dataset:
     """CDC OUT: the collapsed change records committed AFTER manifest
@@ -1120,7 +1131,8 @@ def read_delta(cfg: EngineConfig, from_version: int,
     `from_version`; rows carry (op, lsn) so a consumer can apply its
     own fold. Compactions rewrite history (their manifests reference
     replacement files, not new changes), so the window must not span
-    one -- detected via the `compaction` metric and rejected."""
+    one -- detected via `Manifest.rewrite` and rejected, as are
+    rollbacks and erasures."""
     state = TableState(cfg.table_dir)
     hi = to_version if to_version is not None else state.latest_version()
     if hi is None or hi < from_version:
@@ -1130,21 +1142,10 @@ def read_delta(cfg: EngineConfig, from_version: int,
     new_files: list[str] = []
     for v in range(from_version + 1, hi + 1):
         m = state.load(v)
-        if m.metrics.get("compaction"):
+        if m.rewrite is not None:
             raise ValueError(
-                f"version window ({from_version}, {hi}] spans compaction "
-                f"v{v}; deltas are only defined between compactions")
-        if m.metrics.get("rollback_to") is not None:
-            raise ValueError(
-                f"version window ({from_version}, {hi}] spans rollback "
-                f"v{v}; a restore rewrites visible history, so the "
-                f"window's file lineage is not a change stream")
-        if m.metrics.get("erasure") is not None:
-            raise ValueError(
-                f"version window ({from_version}, {hi}] spans erasure "
-                f"v{v}; an erasure rewrites files without emitting "
-                f"change records (and replicating them would "
-                f"re-export the erased rows)")
+                f"version window ({from_version}, {hi}] spans "
+                f"{m.rewrite} v{v}; {_NOT_A_DELTA[m.rewrite]}")
         new_files.extend(f for f in m.table_run_files()
                          if f not in base and f not in new_files)
     if not new_files:
@@ -1273,7 +1274,7 @@ def rollback(cfg: EngineConfig, to_version: int,
     # silently undoing a right-to-be-forgotten action
     for v in range(to_version + 1, prev_version + 1):
         mv = state.load(v)
-        if mv.metrics.get("erasure") is not None:
+        if mv.rewrite == "erasure":
             who = mv.metrics["erasure"].get("conv_ids",
                                             mv.metrics["erasure"]
                                             .get("conv_id"))
@@ -1391,9 +1392,7 @@ def _scrub_segment(path: str, conv_ids: "list[str]") -> int:
     if hit is None:
         return 0
     kept, removed = hit
-    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(kept, tmp, compression="zstd")
-    os.replace(tmp, path)
+    write_parquet(kept, path)
     return removed
 
 
@@ -1941,7 +1940,7 @@ def metrics_history(cfg: EngineConfig) -> pd.DataFrame:
             "committed_seq": m.committed_seq,
             "committed_lsn": m.committed_lsn,
             "schema_version": m.schema_version,
-            "is_compaction": bool(met.get("compaction")),
+            "is_compaction": m.rewrite == "compaction",
             "events_applied": int(met.get("events_applied", 0)),
             "records_written": int(met.get("records_written", 0)),
             "lag": int(met.get("lag", 0)),

@@ -490,19 +490,17 @@ def _delta_files(state: TableState, last: int, cur_m: Manifest,
     for v in range(last + 1, cur + 1):
         m = state.load(v)
         cur_files = m.table_run_files()
-        if m.metrics.get("rollback_to") is not None:
+        if m.rewrite in ("rollback", "erasure"):
             # a restore re-points at OLD files: nothing looks "added"
             # relative to the refresh watermark even though the visible
             # state changed (rows the view aggregated were un-written).
-            # Never delta-expressible — recompute.
-            return None, "rollback"
-        if m.metrics.get("erasure") is not None:
-            # a physical erasure rewrites files WITHOUT naming the
+            # A physical erasure rewrites files WITHOUT naming the
             # erased key in any delta, so an incremental refresh would
-            # never retract its view rows — recompute (which also
-            # purges the key from the view's own replaced file set)
-            return None, "erasure"
-        if m.metrics.get("compaction"):
+            # never retract its view rows. Neither is delta-expressible
+            # — recompute (which also purges an erased key from the
+            # view's own replaced file set)
+            return None, m.rewrite
+        if m.rewrite == "compaction":
             if out:
                 # the compaction folded run files the view never
                 # refreshed over; their names are gone from the live

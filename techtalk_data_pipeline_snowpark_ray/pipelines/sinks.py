@@ -8,8 +8,9 @@ the same write:
   * lists finished buckets first (one readdir, no data reads);
   * drops their rows at the split (only the missing buckets get
     slices -- rows of finished buckets never enter the exchange);
-  * writes only the missing buckets, each atomically (tmp + rename,
-    marker last).
+  * writes only the missing buckets, each file durably through
+    `state.storage` (hidden tmp file, fsync, rename, directory fsync),
+    marker last.
 
 Bucket membership is the portable md5 key hash (``md5_hash64``, DuckDB
 ``md5_number_lower`` parity), so the layout is deterministic across
@@ -24,7 +25,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -32,6 +32,7 @@ import ray.data
 from ..functions.textstats import md5_hash64_series
 from ..stages.exchange import (block_refs, split_block, split_fan_out,
                                tasks_dataset)
+from ..state.storage import DEFAULT_STORAGE, write_parquet
 
 SUCCESS = "_SUCCESS"
 
@@ -62,19 +63,14 @@ def _write_bucket(out_dir: str, b: int, *parts: pa.Table) -> int:
     # stale higher-index parts that read_partitioned would then
     # double-count once this attempt's marker lands
     for name in os.listdir(d):
-        if name.endswith(".parquet") or name.endswith(".tmp"):
+        if name.endswith(".parquet") or ".tmp" in name:
             os.remove(os.path.join(d, name))
     rows = 0
     for i, tbl in enumerate(parts):
-        tmp = os.path.join(d, f"part-{i:05d}.parquet.tmp")
-        pq.write_table(tbl.replace_schema_metadata(None), tmp,
-                       compression="zstd")
-        os.replace(tmp, os.path.join(d, f"part-{i:05d}.parquet"))
+        write_parquet(tbl.replace_schema_metadata(None),
+                      os.path.join(d, f"part-{i:05d}.parquet"))
         rows += tbl.num_rows
-    tmp = os.path.join(d, SUCCESS + ".tmp")
-    with open(tmp, "w") as f:
-        f.write(f"{rows}\n")
-    os.replace(tmp, os.path.join(d, SUCCESS))
+    DEFAULT_STORAGE.write_atomic(os.path.join(d, SUCCESS), f"{rows}\n")
     return rows
 
 
@@ -102,10 +98,7 @@ def write_partitioned(ds: ray.data.Dataset, out_dir: str, key: str,
                 f"{prev}, resume requested {meta}; finish with the "
                 "original parameters or export to a fresh directory")
     else:
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(tmp, meta_path)
+        DEFAULT_STORAGE.write_atomic(meta_path, json.dumps(meta))
     done = finished_buckets(out_dir)
     todo = [b for b in range(num_buckets) if b not in done]
     if not todo:

@@ -4,8 +4,9 @@ payload strings parse + explode into typed rows.
 
 Reference parity (the reference's entire ingest boundary is JSON):
   * stage create / PUT + atomic visibility  -- S4/S5
-    (``SnowflakeUtils.scala:100-115``): dot-prefixed temp file +
-    ``os.replace``; a concurrent lister never sees a partial file;
+    (``SnowflakeUtils.scala:100-115``): one durable write through
+    `state.storage` (hidden tmp file, fsync, rename, directory fsync);
+    a concurrent lister never sees a partial file;
   * stage stream = "files newer than the consumed marker" -- S9
     (``IngestPaymentsStreamFromStage.scala:54-59``): names embed a
     sortable key; "read the stream" = list names > marker, "consume" =
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from dataclasses import dataclass
 
 import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from ..state.storage import DEFAULT_STORAGE
 
 #: records per JSON-array payload (one NDJSON line)
 PAYLOAD_RECORDS = 512
@@ -50,12 +52,12 @@ class StagedFile:
 
 def stage_put(lines: list[str], stage_dir: str, key: str,
               publish: bool = True) -> str:
-    """Atomically publish one NDJSON file into the stage (PUT+REFRESH
-    parity: tmp write + rename; the discovery key is part of the name).
-    The name suffix is a CONTENT digest, not a random id: a retried
-    producer task (Ray re-executes side-effecting tasks after worker
-    loss) republishes the identical file under the identical name --
-    os.replace makes that a no-op instead of a duplicate delivery.
+    """Durably publish one NDJSON file into the stage (PUT+REFRESH
+    parity; the discovery key is part of the name). The name suffix
+    is a CONTENT digest, not a random id: a retried producer task (Ray
+    re-executes side-effecting tasks after worker loss) republishes
+    the identical file under the identical name -- the rename makes
+    that a no-op instead of a duplicate delivery.
 
     ``publish=False`` lands the file at a HIDDEN ``.pending-`` name
     (invisible to list_staged_files) for two-phase producers: parallel
@@ -69,10 +71,7 @@ def stage_put(lines: list[str], stage_dir: str, key: str,
     base = f"staged-{key}-{digest}.json"
     final = os.path.join(
         stage_dir, base if publish else f".pending-{base}")
-    tmp = os.path.join(stage_dir, f".tmp-{uuid.uuid4().hex}.json")
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, final)
+    DEFAULT_STORAGE.write_atomic(final, "\n".join(lines) + "\n")
     return final
 
 
@@ -111,8 +110,8 @@ def stage_events_as_json(sf_dir: str, stage_dir: str) -> int:
     to visible names in key order (two-phase publish: parallel tasks
     land files in arbitrary TIME order, and the marker contract in
     `list_staged_files` requires nondecreasing KEY order for any
-    concurrent tailer; the renames are O(files) metadata ops).
-    Returns the number of staged files."""
+    concurrent tailer; the renames are O(files) metadata ops, each
+    with a directory fsync). Returns the number of staged files."""
 
     def stage_batch(batch: pd.DataFrame) -> pd.DataFrame:
         if batch.empty:
@@ -148,7 +147,7 @@ def stage_events_as_json(sf_dir: str, stage_dir: str) -> int:
     for name in pending:
         src = os.path.join(stage_dir, name)
         if os.path.exists(src):                  # retried task: no-op
-            os.replace(src, os.path.join(
+            DEFAULT_STORAGE.replace_into(src, os.path.join(
                 stage_dir, name[len(".pending-"):]))
     return len(pending)
 

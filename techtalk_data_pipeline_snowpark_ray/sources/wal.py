@@ -28,21 +28,22 @@ associative. A disorder burst larger than the buffer raises instead of
 silently corrupting.
 
 Segments are homogeneous in schema version (a schema change cuts a
-segment). Producers write a dot-prefixed temp file and ``os.replace``
-it, so a concurrent tailer never sees a half-written segment (the
-stage PUT + REFRESH analogue, ``SnowflakeUtils.scala:100-115``).
+segment). Producers publish through `state.storage.write_durable`
+(hidden tmp file, fsync, rename, directory fsync), so a concurrent
+tailer never sees a half-written segment (the stage PUT + REFRESH
+analogue, ``SnowflakeUtils.scala:100-115``).
 """
 
 from __future__ import annotations
 
 import os
 import re
-import uuid
 from dataclasses import dataclass
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
+
+from ..state.storage import write_parquet
 
 _SEG_RE = re.compile(r"^wal-(\d{10})-(\d{20})-(\d{20})-v(\d+)\.parquet$")
 
@@ -80,9 +81,7 @@ def write_segment(table: pa.Table, wal_dir: str, seq: int, schema_version: int,
     hi = table["lsn"][table.num_rows - 1].as_py()
     os.makedirs(wal_dir, exist_ok=True)
     final = os.path.join(wal_dir, segment_name(seq, lo, hi, schema_version))
-    tmp = os.path.join(wal_dir, f".tmp-{uuid.uuid4().hex}.parquet")
-    pq.write_table(table, tmp, row_group_size=row_group_size, compression="zstd")
-    os.replace(tmp, final)
+    write_parquet(table, final, row_group_size=row_group_size)
     return Segment(final, seq, lo, hi, schema_version)
 
 

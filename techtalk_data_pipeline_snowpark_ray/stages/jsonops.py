@@ -19,7 +19,7 @@ A per-record Python loop never touches individual fields.
 
 Dead letters: with a ``quarantine_dir``, a payload that fails to parse
 (bad JSON, non-array shape) or to project (uncastable field values) is
-atomically appended to the quarantine as ``{"payload", "error"}``
+durably appended to the quarantine as ``{"payload", "error"}``
 NDJSON instead of failing the whole pipeline -- each task writes its
 own quarantine file, nothing funnels through the driver. The typed
 fast path is unchanged: the batch projects as ONE table, and only a
@@ -29,12 +29,13 @@ Without a quarantine_dir errors raise (strict mode).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import uuid
 
 import pyarrow as pa
 
+from ..state.storage import DEFAULT_STORAGE
 from .normalize import normalize_batch
 
 _PARSE_ERRORS = (ValueError, AttributeError, TypeError)
@@ -46,15 +47,15 @@ _CAST_ERRORS = (pa.ArrowInvalid, pa.ArrowTypeError,
 
 
 def _quarantine_write(bad: list[tuple[str, str]], quarantine_dir: str) -> str:
-    """Atomically publish one dead-letter NDJSON file (tmp + rename,
-    same visibility contract as a stage PUT)."""
+    """Durably publish one dead-letter NDJSON file, named by a digest
+    of its content (as `validate` and `stage_put` name theirs): a
+    re-executed batch rewrites its file instead of duplicating it."""
     os.makedirs(quarantine_dir, exist_ok=True)
-    final = os.path.join(quarantine_dir, f"dead-{uuid.uuid4().hex}.json")
-    tmp = os.path.join(quarantine_dir, f".tmp-{uuid.uuid4().hex}")
-    with open(tmp, "w") as f:
-        for payload, err in bad:
-            f.write(json.dumps({"payload": payload, "error": err}) + "\n")
-    os.replace(tmp, final)
+    text = "".join(json.dumps({"payload": payload, "error": err}) + "\n"
+                   for payload, err in bad)
+    digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+    final = os.path.join(quarantine_dir, f"dead-{digest}.json")
+    DEFAULT_STORAGE.write_atomic(final, text)
     return final
 
 

@@ -11,8 +11,8 @@ policies, mirroring the staged-JSON dead-letter
     naming the violated rule -- corruption is loud, the transaction
     rolls back (no manifest publish), the WAL stays unconsumed.
   * ``quarantine``: invalid rows divert to
-    ``<table_dir>/_quarantine/dead-x<txn>-*.parquet`` (atomic
-    tmp+rename per task, tagged with the violated rule) and the tick
+    ``<table_dir>/_quarantine/dead-x<txn>-*.parquet`` (one durable
+    write per task, tagged with the violated rule) and the tick
     proceeds with the valid rows; per-tick counts surface in the
     manifest metrics (``events_rejected``).
 
@@ -23,13 +23,12 @@ mask per batch on the ingest hot path.
 from __future__ import annotations
 
 import os
-import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from .. import schemas
+from ..state.storage import write_parquet
 
 QUARANTINE_SUBDIR = "_quarantine"
 
@@ -112,7 +111,7 @@ class ChangeValidator:
         # fold in EVERY column's content so distinct bad batches never
         # share a name (a partial column set — say key+op+rule — still
         # collided on batches differing only in turn_idx or payload,
-        # and os.replace would silently discard one batch's dead
+        # and the rename would silently discard one batch's dead
         # letters). Bad rows are rare, so the Python stringify is cheap.
         for col in bad.column_names:
             h.update(col.encode())
@@ -120,10 +119,7 @@ class ChangeValidator:
                 "" if v is None else str(v)
                 for v in bad[col].to_pylist()).encode())
         fname = f"dead-x{self.txn_id}-{bad.num_rows}-{h.hexdigest()}.parquet"
-        tmp = os.path.join(self.quarantine_dir,
-                           f".tmp-{uuid.uuid4().hex[:8]}")
-        pq.write_table(bad, tmp, compression="zstd")
-        os.replace(tmp, os.path.join(self.quarantine_dir, fname))
+        write_parquet(bad, os.path.join(self.quarantine_dir, fname))
         return batch.filter(valid)
 
 

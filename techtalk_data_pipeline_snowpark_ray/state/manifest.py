@@ -7,17 +7,20 @@ unconsumed so the next run re-reads the same delta. Our analogue
 (Delta-Lake-style, per PAPERS.md):
 
   * apply tasks write run files under ``runs/`` with txn-deterministic
-    names; the files are INVISIBLE until referenced by a manifest
+    names, each durable (fsynced, directory too) before its task
+    returns; the files are INVISIBLE until referenced by a manifest
     (readers only follow manifests), so a retried/failed task can
     overwrite its own file idempotently;
-  * the driver writes manifest ``v{n}.json`` (tmp + ``os.replace``)
+  * publishing = the driver creating manifest ``v{n}.json``
+    exclusively (tmp file linked to the final name, see `publish`),
     listing, per bucket, the exact run files plus the consumed WAL
     offset, schema version, per-partition metrics and the parent
     version (lineage);
-  * publishing = atomically replacing the ``LATEST`` pointer file.
+  * the ``LATEST`` pointer file is then replaced as a read cache.
 
-Crash anywhere before the LATEST swap -> the old manifest still rules,
-the WAL offset is unchanged, replay is duplicate-free (exactly-once).
+Crash anywhere before the version file exists -> the old manifest
+still rules, the WAL offset is unchanged, replay is duplicate-free
+(exactly-once).
 Orphan run files are swept by :func:`gc_orphan_runs`.
 
 All filesystem operations go through the storage shim
@@ -88,6 +91,19 @@ class Manifest:
         """Every referenced file, derived sinks included (GC roots)."""
         return (self.table_run_files()
                 + [f for runs in self.derived.values() for f in runs])
+
+    @property
+    def rewrite(self) -> str | None:
+        """The history rewrite this version committed ("erasure",
+        "rollback", "compaction"), or None: its file diff is not a
+        change stream."""
+        if self.metrics.get("erasure") is not None:
+            return "erasure"
+        if self.metrics.get("rollback_to") is not None:
+            return "rollback"
+        if self.metrics.get("compaction"):
+            return "compaction"
+        return None
 
 
 _UNSET = object()
@@ -178,9 +194,6 @@ class TableState:
     def new_txn(self) -> str:
         return uuid.uuid4().hex[:12]
 
-    def _atomic_write(self, path: str, data: str) -> None:
-        self.storage.write_atomic(path, data)
-
     def publish(self, manifest: Manifest,
                 expected_parent: "int | None | object" = _UNSET) -> Manifest:
         """Atomically commit a new manifest version. This is the single
@@ -216,7 +229,7 @@ class TableState:
                 f"{expected_parent}); reload table state and retry")
         # advisory fast-path pointer; stale values are healed by the
         # probe-forward in latest_version()
-        self._atomic_write(self._latest_path(), str(manifest.version))
+        self.storage.write_atomic(self._latest_path(), str(manifest.version))
         return manifest
 
     def gc_orphan_runs(self, keep_versions: int = 2,

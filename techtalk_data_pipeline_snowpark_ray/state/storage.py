@@ -2,48 +2,45 @@
 an interface so the atomicity story holds off-POSIX (S3-style object
 stores) as well as on the local disk the sandbox runs on.
 
-The engine's exactly-once commit needs exactly four primitives beyond
-plain read/list/delete:
+Every file the engine publishes (manifests, LATEST, run files, WAL
+segments, quarantine, stage and export files) goes through ONE call:
 
-  ``write_atomic(path, data)``
-      Readers see the old bytes or the new bytes, never a torn write.
-      Local: tmp file + fsync + ``os.replace`` (atomic rename within a
-      filesystem). Cloud: a single PUT -- object stores are atomic per
-      object by construction (no partial objects are ever visible).
+  ``write_durable(path, write, exclusive=False)``
+      `write(tmp)` fills a hidden tmp file next to `path`; it is
+      fsynced, then renamed over `path` (readers see the old or the
+      new bytes, never a torn write) or, `exclusive`, linked into
+      place (exactly ONE of N concurrent creators wins, the others
+      raise FileExistsError: manifest-version commit). Then the
+      directory is fsynced, so the name survives a power loss before
+      any later commit names it (Delta Lake's rule: data files are
+      durable before the log entry that adds them). A failed `write`
+      leaves `path` untouched. Cloud: a single PUT; exclusive is a
+      conditional PUT (``If-None-Match: *`` on S3 and Azure, GCS
+      ``ifGenerationMatch=0``, or a coordination object such as a
+      DynamoDB conditional write).
 
-  ``create_exclusive(path, data)``
-      Exactly ONE of N concurrent creators of the same path succeeds;
-      losers raise FileExistsError. This is what makes manifest-version
-      commit (optimistic concurrency) safe with multiple committers.
-      Local: write tmp + ``os.link`` to the final name (link fails
-      atomically if the target exists). Cloud: conditional PUT --
-      ``If-None-Match: *`` on S3 (supported since 2024-08) / GCS
-      ``ifGenerationMatch=0`` / Azure ``If-None-Match: *``; on stores
-      without conditional PUT, a coordination object (e.g. DynamoDB
-      conditional write) provides the same contract.
-
-  ``replace_into(src_path, dst_path)``
-      Publish a finished local scratch file under its final name
-      (WAL segment / run-file landing). Local: ``os.replace``. Cloud:
-      PUT of the scratch bytes to the final key (single-object
-      atomicity again); multipart upload completes atomically too.
-
-  ``mtime(path)``
-      Ordering hint for GC grace windows. Cloud: LastModified.
-
-Everything else (read_text, exists, list, remove, makedirs) maps to
-GET / HEAD / LIST-prefix / DELETE / no-op.
+Its thin uses are `write_atomic` and `create_exclusive` (text),
+`write_parquet` and `write_run` (parquet). Besides it,
+``replace_into`` renames an already-durable file (a staged file's
+pending -> visible step; cloud: COPY + DELETE), ``link_or_copy``
+shares an immutable file under a second name (table clone), and
+``mtime`` orders GC grace windows (cloud: LastModified). Everything
+else (read_text, exists, list, remove, makedirs) maps to GET / HEAD /
+LIST-prefix / DELETE / no-op.
 
 `LocalStorage` is the (only) in-repo implementation; `TableState`
-routes every manifest/commit/GC operation through it, so a cloud
-deployment swaps one object. Every parquet file the engine writes into
-a table's ``runs_dir`` goes through `write_run` below.
+routes every manifest/commit/GC operation through it, and every other
+writer through `DEFAULT_STORAGE`, so a cloud deployment swaps one
+object.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
 import uuid
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -85,42 +82,52 @@ class LocalStorage:
         finally:
             os.close(dfd)
 
-    def write_atomic(self, path: str, data: str) -> None:
-        tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+    def write_durable(self, path: str, write: "Callable[[str], object]",
+                      exclusive: bool = False) -> None:
+        """Publish the file `write(tmp)` produces at `path` (module doc)."""
+        tmp = tmp_name(path)
+        try:
+            write(tmp)
+            fd = os.open(tmp, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            if exclusive:
+                os.link(tmp, path)      # atomic, fails if path exists
+                os.unlink(tmp)
+            else:
+                os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
         self._fsync_dir(path)
+
+    def write_atomic(self, path: str, data: str) -> None:
+        self.write_durable(path, lambda tmp: _write_text(tmp, data))
 
     def create_exclusive(self, path: str, data: str) -> None:
         """Atomically create `path` with `data`; FileExistsError if it
         already exists (exactly-one-winner semantics)."""
-        tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        try:
-            os.link(tmp, path)      # atomic, fails if path exists
-        finally:
-            os.unlink(tmp)
-        self._fsync_dir(path)
+        self.write_durable(path, lambda tmp: _write_text(tmp, data),
+                           exclusive=True)
 
     def replace_into(self, src_path: str, dst_path: str) -> None:
         os.replace(src_path, dst_path)
+        self._fsync_dir(dst_path)
 
     def link_or_copy(self, src_path: str, dst_path: str) -> None:
         """Zero-copy share of an IMMUTABLE object under a second name
         (table clone). Local: ``os.link`` — the two names are
         independent references to one inode, so deleting either (GC on
-        one table) never affects the other; falls back to a byte copy
-        across filesystems. Cloud: server-side COPY (S3 CopyObject /
-        GCS rewrite), which is metadata-only within a region on most
-        stores. Idempotent: an existing destination is left in place —
-        run-file names embed their txn id, so same name = same bytes
-        (a retried clone must be able to re-walk its file list)."""
+        one table) never affects the other; falls back to a durable
+        byte copy across filesystems. Cloud: server-side COPY (S3
+        CopyObject / GCS rewrite), which is metadata-only within a
+        region on most stores. Idempotent: an existing destination is
+        left in place — run-file names embed their txn id, so same
+        name = same bytes (a retried clone must be able to re-walk its
+        file list)."""
         if os.path.exists(dst_path):
             return
         try:
@@ -128,17 +135,38 @@ class LocalStorage:
         except FileExistsError:
             return                      # lost a benign race with a retry
         except OSError:
-            import shutil
-            shutil.copy2(src_path, dst_path)
+            self.write_durable(
+                dst_path, lambda tmp: shutil.copy2(src_path, tmp))
+            return
+        self._fsync_dir(dst_path)
 
     def remove(self, path: str) -> None:
         os.remove(path)
 
 
+def tmp_name(path: str) -> str:
+    """A fresh tmp name next to `path`: hidden from every lister (dot
+    prefix), swept by GC and the export's retry cleanup (``.tmp``)."""
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.tmp-{uuid.uuid4().hex[:8]}")
+
+
+def _write_text(path: str, data: str) -> None:
+    with open(path, "w") as f:
+        f.write(data)
+
+
+def write_parquet(table: pa.Table, path: str, **options) -> None:
+    """Publish `table` as one zstd parquet file at `path` through
+    `write_durable`; `options` pass through to ``pq.write_table``."""
+    options.setdefault("compression", "zstd")
+    DEFAULT_STORAGE.write_durable(
+        path, lambda tmp: pq.write_table(table, tmp, **options))
+
+
 def write_run(table: pa.Table, path: str) -> None:
     """Write one run file (delta, base, erasure rewrite, view or derived
-    partial) under a unique tmp name, then ``os.replace`` it to `path`
-    (GC sweeps ``*.tmp*`` leftovers). Encoding follows the columns:
+    partial) through `write_parquet`. Encoding follows the columns:
     integer and timestamp columns are ``DELTA_BINARY_PACKED`` (sorted
     keys, lsns and times shrink to bit-packed deltas), free-text columns
     (`schemas.FREE_TEXT_COLS`) stay plain because every value is
@@ -152,10 +180,8 @@ def write_run(table: pa.Table, path: str) -> None:
             delta[f.name] = "DELTA_BINARY_PACKED"
         elif f.name not in FREE_TEXT_COLS:
             dictionary.append(f.name)
-    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(table, tmp, compression="zstd",
-                   use_dictionary=dictionary, column_encoding=delta)
-    os.replace(tmp, path)
+    write_parquet(table, path, use_dictionary=dictionary,
+                  column_encoding=delta)
 
 
 #: process-default storage; a cloud deployment swaps this (or passes

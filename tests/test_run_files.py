@@ -151,12 +151,11 @@ def test_mixed_encoding_runs_match_oracle(tmp_engine):
 
 
 def test_runs_dir_parquet_goes_through_write_run():
-    """No module under pipelines/ calls pq.write_table except for files
-    outside a table's runs_dir: sinks' bucket-partitioned export and
-    the in-place WAL-segment scrub of an erasure."""
+    """No module under pipelines/ calls pq.write_table: run files go
+    through `write_run`, and the files outside a table's runs_dir
+    (sinks' bucket-partitioned export, the erasure's WAL-segment
+    scrub) through `state.storage.write_parquet`."""
     root = pathlib.Path(pkg.__file__).parent / "pipelines"
-    allowed = {("sinks.py", "_write_bucket"),
-               ("ingest.py", "_scrub_segment")}
     calls = set()
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -169,5 +168,5 @@ def test_runs_dir_parquet_goes_through_write_run():
                         and node.func.attr in ("write_table",
                                                "ParquetWriter"):
                     calls.add((path.name, fn.name))
-    assert calls == allowed
+    assert calls == set()
 
