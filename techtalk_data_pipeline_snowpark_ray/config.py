@@ -68,16 +68,18 @@ class EngineConfig:
     #: (run_loop's `compact_every` remains the simpler cadence knob).
     auto_compact_runs: int = 0
 
-    #: optimistic-concurrency retry budget: when a commit loses the
-    #: version race (state/manifest.py CommitConflict) and the winning
-    #: transactions COMMUTE with this one (ingest append vs compaction,
-    #: append vs append on disjoint inputs -- see ingest._rebase_*),
-    #: the loser's manifest is rebased onto the new latest and
-    #: re-published up to this many times, reusing its already-written
-    #: run files instead of recomputing the transaction. Non-commutable
-    #: conflicts (two ingests consuming the same WAL window, competing
-    #: compactions, layout migrations) always raise regardless.
-    #: 0 restores raise-on-first-conflict.
+    #: optimistic-concurrency retry budget of the one commit driver
+    #: (state/commit.py): when a commit loses the version race
+    #: (state/manifest.py CommitConflict) and every winner COMMUTES
+    #: with it by the driver's conflict table (a tick or replication
+    #: window vs a compaction or another replication window, a
+    #: compaction vs appends), the loser's actions are re-applied to
+    #: the new latest and re-published up to this many times, reusing
+    #: its already-written run files. An erasure (and a view refresh
+    #: in run_loop) recomputes instead, within the same budget.
+    #: Non-commutable conflicts (two ticks consuming the same WAL
+    #: window, competing compactions, layout migrations) raise
+    #: regardless. 0 restores raise-on-first-conflict.
     commit_retries: int = 3
 
     #: minimum age (seconds, by mtime) before the GC may delete an

@@ -239,7 +239,10 @@ def ann_topk_lsh(sf_dir: str, k: int = TOP_K, n_planes: int = 4) -> pd.DataFrame
     q_ids, Q = _query_matrix(sf_dir)
     rng = np.random.default_rng(97)
     H = rng.standard_normal((Q.shape[1], n_planes))
-    # ctor args by VALUE (KB-scale): restart-safe, see _resolve
+    # ctor args by VALUE (KB-scale): no user ObjectRef has to outlive
+    # this scope for an actor restart (see _resolve). Ray Data still
+    # puts the pool's constructor arguments in the object store and
+    # logs one `core_worker.cc:2246` line per driver for it
     parts = _emb(sf_dir).map_batches(
         LshTopK, batch_format="pyarrow", batch_size=8192, concurrency=2,
         fn_constructor_kwargs=dict(q_ref=(q_ids, Q), k=k, planes_ref=H),
@@ -382,7 +385,10 @@ def ann_topk_ivf(sf_dir: str, k: int = TOP_K, n_cells: int = 16,
     approximation itself is hash-gated by the driver."""
     q_ids, Q = _query_matrix(sf_dir)
     C = _fixed_centroids(sf_dir, n_cells)
-    # ctor args by VALUE (KB-scale): restart-safe, see _resolve
+    # ctor args by VALUE (KB-scale): no user ObjectRef has to outlive
+    # this scope for an actor restart (see _resolve). Ray Data still
+    # puts the pool's constructor arguments in the object store and
+    # logs one `core_worker.cc:2246` line per driver for it
     parts = _emb(sf_dir).map_batches(
         IvfTopK, batch_format="pyarrow", batch_size=8192, concurrency=2,
         fn_constructor_kwargs=dict(q_ref=(q_ids, Q), k=k, centroids_ref=C,

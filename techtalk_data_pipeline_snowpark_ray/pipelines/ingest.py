@@ -14,7 +14,7 @@ Snowflake's server-side machinery replaced by one write path:
                  -> Partitioner                           # hash(conv_id)
                  -> fold_table (LWW) -> sorted delta run + derived partials
             -> _check_batch_intervals                     # fold precondition
-            -> _publish_append_rebased                    # txn commit U7
+            -> state.commit.commit                        # txn commit U7
 
 Delta runs land unbucketed (global runs); compaction folds them into
 per-bucket bases, and snapshot reads resolve across runs: each bucket's
@@ -56,6 +56,7 @@ from ..stages.exchange import (block_refs, split_by_route, split_fan_out,
 from ..stages.normalize import SchemaNormalizer, normalize_batch
 from ..stages.partition import (BUCKET_COL, KEY_HASH_COL, Partitioner,
                                 hash_strings_arrow)
+from ..state.commit import Txn, commit
 from ..state.manifest import CommitConflict, Manifest, TableState
 from ..state.storage import write_parquet, write_run
 
@@ -324,240 +325,6 @@ def _check_bucket_layout(prev: Manifest, cfg: EngineConfig) -> None:
             "old count first, or keep the committed value.")
 
 
-# --------------------------------------------------------------------------
-# optimistic concurrency: commutable-conflict rebase (the retry half of U7)
-# --------------------------------------------------------------------------
-#
-# `TableState.publish` gives conflict DETECTION (exactly one winner per
-# version; the loser's runs stay invisible). The helpers below add
-# conflict RESOLUTION: a losing transaction whose effects COMMUTE with
-# every winner re-publishes its already-written run files on top of the
-# new latest manifest instead of recomputing the whole transaction.
-# Soundness rests on the layout's separation of content from position:
-# delta runs are per-key LWW-collapsed records of THEIR OWN WAL window
-# only (they never read the parent snapshot), and compacted bases fold
-# a frozen run list, so in both cases the parent manifest contributes
-# bookkeeping (file lists, watermarks), not data. What can NOT commute,
-# and always raises:
-#   * two WAL-consuming ticks (both tails started at the same
-#     committed_seq, so their windows overlap -> duplicate application);
-#   * a winner that ADDED control ops vs a tick whose folds were
-#     collapsed without those barriers (epoch assignment would differ);
-#   * competing compactions (both REWRITE the table's run lists --
-#     detected as a non-prefix change) and bucket-layout migrations
-#     (routing key changes under the loser's feet).
-# A matview refresh replaces only its view's list, which compaction
-# never rewrites, so a compaction carries the winner's list as it is.
-
-
-def _op_keys(ops: list | None) -> set:
-    import json as _json
-    return {_json.dumps(d, sort_keys=True) for d in (ops or [])}
-
-
-def _is_prefix(a: list, b: list) -> bool:
-    return len(a) <= len(b) and list(b[:len(a)]) == list(a)
-
-
-@dataclass
-class _AppendTxn:
-    """The reusable products of an append-shaped transaction (ingest
-    tick, control-only tick, replication window): everything needed to
-    rebuild its manifest on a DIFFERENT parent without recomputing."""
-    txn_id: str
-    num_buckets: int
-    global_appends: list          # [run_file, ...]
-    derived_appends: dict         # view -> [run_file, ...] (additive)
-    new_control_ops: list         # ControlOp dicts ADDED by this txn
-    wal_consumed: list
-    committed_seq: int
-    committed_lsn: int
-    schema_version: int
-    metrics: dict
-    #: False for replication windows: they are seq-independent, so a
-    #: concurrent WAL-consuming tick on the destination still commutes
-    consumes_wal: bool = True
-
-
-def _build_append_manifest(prev: Manifest, t: _AppendTxn) -> Manifest:
-    derived = {k: list(v) for k, v in prev.derived.items()}
-    for view, files in t.derived_appends.items():
-        derived.setdefault(view, []).extend(files)
-    ops = [c.to_dict() for c in sorted_controls(
-        list(prev.control_ops or []) + list(t.new_control_ops))]
-    return Manifest(
-        txn_id=t.txn_id,
-        committed_seq=max(prev.committed_seq, t.committed_seq),
-        committed_lsn=max(prev.committed_lsn, t.committed_lsn),
-        schema_version=max(prev.schema_version, t.schema_version),
-        num_buckets=max(prev.num_buckets, t.num_buckets),
-        buckets={k: list(v) for k, v in prev.buckets.items()},
-        global_runs=list(prev.global_runs) + list(t.global_appends),
-        derived=derived,
-        control_ops=ops,
-        wal_consumed=list(t.wal_consumed),
-        metrics=t.metrics,
-    )
-
-
-def _publish_append_rebased(state: TableState, cfg: EngineConfig,
-                            prev_version: int | None, prev: Manifest,
-                            t: _AppendTxn) -> Manifest:
-    """Publish an append txn, rebasing over commutable winners (see the
-    section comment above) up to ``cfg.commit_retries`` times."""
-    for attempt in range(max(0, cfg.commit_retries) + 1):
-        try:
-            return state.publish(expected_parent=prev_version,
-                                 manifest=_build_append_manifest(prev, t))
-        except CommitConflict:
-            if attempt >= cfg.commit_retries:
-                raise
-            new_version, new_prev = state.load_latest_versioned()
-            if t.consumes_wal and new_prev.committed_seq != prev.committed_seq:
-                raise CommitConflict(
-                    f"concurrent transaction advanced committed_seq "
-                    f"{prev.committed_seq} -> {new_prev.committed_seq} "
-                    f"while txn {t.txn_id} consumed the same WAL window; "
-                    "not rebasable (would apply the window twice) -- "
-                    "reload state and re-run the tick")
-            if _op_keys(new_prev.control_ops) - _op_keys(prev.control_ops):
-                raise CommitConflict(
-                    f"concurrent transaction added control ops; txn "
-                    f"{t.txn_id}'s folds were collapsed without those "
-                    "barriers -- reload state and re-run the tick")
-            if new_prev.num_buckets and t.num_buckets \
-                    and new_prev.num_buckets != t.num_buckets:
-                raise CommitConflict(
-                    "concurrent bucket-layout migration; not rebasable")
-            # walk EVERY winner in the window (not just the tip: a
-            # later tick can hide an erasure two versions back): a
-            # physical erasure never commutes -- this txn's
-            # already-written delta files may hold the erased key's
-            # pre-scrub rows, and re-pointing them would resurrect it
-            lo = 0 if prev_version is None else prev_version + 1
-            for v in range(lo, (new_version or 0) + 1):
-                winner = state.load(v)
-                if winner.rewrite == "erasure":
-                    raise CommitConflict(
-                        f"concurrent physical erasure at v{v}; not "
-                        "rebasable (the txn's run files may hold "
-                        "pre-erasure rows) -- reload state and re-run "
-                        "the tick")
-                # a rollback never commutes either: rebasing over a
-                # REWIND would re-advance committed_seq via the max()
-                # in _build_append_manifest (silently undoing the
-                # offset rewind without re-consuming the segments),
-                # and over a RESTORE would re-inflate committed_lsn
-                # past rows the restore dropped, corrupting the
-                # watermark used for control-op placement and lag
-                if winner.rewrite == "rollback":
-                    raise CommitConflict(
-                        f"concurrent rollback at v{v} "
-                        f"(mode={winner.metrics.get('rollback_mode')}); not "
-                        "rebasable (seq/lsn watermarks were rewound) "
-                        "-- reload state and re-run the tick")
-            t.metrics = {**t.metrics, "rebased_onto": new_version}
-            prev_version, prev = new_version, new_prev
-    raise AssertionError("unreachable")
-
-
-def _publish_compaction_rebased(state: TableState, cfg: EngineConfig,
-                                prev_version: int | None, prev: Manifest,
-                                txn: str,
-                                my_buckets: dict,
-                                my_derived: dict,
-                                keep_ops: list,
-                                my_schema: int,
-                                num_buckets: int,
-                                metrics: dict,
-                                rebucket: bool) -> Manifest:
-    """Publish a compaction, rebasing over concurrent winners that
-    commute with it: the compaction folded the base manifest's frozen
-    run list, so any files a winner appended after it are simply
-    carried forward on top of the new bases, and view lists it did not
-    rewrite (a matview refresh's replaced list) are carried as the
-    winner left them. Winners that REWROTE a list this compaction
-    rewrote (another compaction) or consumed absorbed-op territory do
-    not commute and raise. A `rebucket` migration never rebases: the
-    routing key itself changed, so concurrent appends under the old
-    layout would land mis-bucketed next to the new bases."""
-    import json as _json
-
-    base = prev                   # the manifest whose runs were folded
-    absorbed = _op_keys(base.control_ops) - _op_keys(keep_ops)
-
-    def _manifest_on(parent: Manifest) -> Manifest:
-        """This compaction's manifest rebuilt on `parent` (== base on
-        the first attempt): my bases + every file a winner appended
-        AFTER the base snapshot (per-bucket / global / compacted-view
-        tails), every other view list as `parent` has it, ops = my
-        keeps + winner additions. Always derived from the ORIGINAL base
-        products, so repeated rebases never double-count an earlier
-        winner's tail."""
-        buckets = {b: list(v) for b, v in my_buckets.items()}
-        for b, runs in parent.buckets.items():
-            tail = runs[len(base.buckets.get(b, [])):]
-            if tail:
-                buckets.setdefault(b, []).extend(tail)
-        derived = {v: list(f) for v, f in my_derived.items()}
-        for v, files in parent.derived.items():
-            if v in my_derived:
-                derived[v] += files[len(base.derived.get(v, [])):]
-            else:
-                derived[v] = list(files)
-        ops = [d for d in parent.control_ops
-               if _json.dumps(d, sort_keys=True) not in absorbed] \
-            if parent is not base else list(keep_ops)
-        return Manifest(
-            txn_id=txn,
-            committed_seq=parent.committed_seq,
-            committed_lsn=parent.committed_lsn,
-            schema_version=max(my_schema, parent.schema_version),
-            num_buckets=num_buckets,
-            buckets=buckets,
-            global_runs=parent.global_runs[len(base.global_runs):],
-            derived=derived,
-            control_ops=[c.to_dict() for c in sorted_controls(ops)],
-            wal_consumed=[],
-            metrics=metrics,
-        )
-
-    for attempt in range(max(0, cfg.commit_retries) + 1):
-        try:
-            return state.publish(expected_parent=prev_version,
-                                 manifest=_manifest_on(prev))
-        except CommitConflict:
-            if attempt >= cfg.commit_retries or rebucket:
-                raise
-            new_version, new_prev = state.load_latest_versioned()
-            # winners must be pure appends to every list this
-            # compaction folded: each a prefix, no op removed, layout
-            # unchanged
-            if new_prev.num_buckets != base.num_buckets \
-                    and base.num_buckets:
-                raise CommitConflict(
-                    "concurrent bucket-layout migration; not rebasable")
-            if not _is_prefix(base.global_runs, new_prev.global_runs) \
-                    or any(not _is_prefix(runs,
-                                          new_prev.buckets.get(b, []))
-                           for b, runs in base.buckets.items()) \
-                    or any(not _is_prefix(base.derived[v],
-                                          new_prev.derived.get(v, []))
-                           for v in my_derived):
-                raise CommitConflict(
-                    "concurrent transaction rewrote run lists this "
-                    "compaction folded (competing compaction or "
-                    "migration); not rebasable -- re-run compaction "
-                    "from the new state")
-            if _op_keys(base.control_ops) - _op_keys(new_prev.control_ops):
-                raise CommitConflict(
-                    "concurrent transaction removed control ops this "
-                    "compaction still carries; not rebasable")
-            metrics = {**metrics, "rebased_onto": new_version}
-            prev_version, prev = new_version, new_prev
-    raise AssertionError("unreachable")
-
-
 @dataclass
 class TickResult:
     manifest: Manifest
@@ -609,19 +376,15 @@ def apply_tick(cfg: EngineConfig,
     barriers = [c.lsn for c in all_controls] or None
     if new_controls and not wal.list_segments(cfg.wal_dir,
                                               after_seq=prev.committed_seq):
-        # control-only tick: nothing to fold, just commit the ops.
-        # consumes_wal=True is deliberate: an op's lsn position was
+        # control-only tick: nothing to fold, just commit the ops. It
+        # reads the WAL position like any tick: an op's lsn was
         # validated against prev.committed_lsn, so a concurrent
         # WAL-consuming winner invalidates it (rebase would commit an
         # op at/below the new watermark) -- conflict instead.
-        manifest = _publish_append_rebased(state, cfg, prev_version, prev, _AppendTxn(
-            txn_id=state.new_txn(), num_buckets=cfg.num_buckets,
-            global_appends=[], derived_appends={},
-            new_control_ops=[c.to_dict() for c in new_controls],
-            wal_consumed=[], committed_seq=prev.committed_seq,
-            committed_lsn=prev.committed_lsn,
-            schema_version=prev.schema_version,
-            metrics={"control_only": True}))
+        manifest = commit(state, cfg, prev_version, prev, Txn(
+            "control", state.new_txn(), {"control_only": True},
+            num_buckets=max(prev.num_buckets, cfg.num_buckets),
+            add_ops=[c.to_dict() for c in new_controls]))
         return TickResult(manifest, 0, 0, 0)
     # each apply task scans its own segment group; only list here
     segments = wal.list_segments(cfg.wal_dir, after_seq=prev.committed_seq)
@@ -702,17 +465,9 @@ def apply_tick(cfg: EngineConfig,
         n_rejected = sum(
             pq.read_metadata(p).num_rows for p in _glob.glob(os.path.join(
                 cfg.table_dir, QUARANTINE_SUBDIR, f"dead-x{txn}-*.parquet")))
-    manifest = _publish_append_rebased(state, cfg, prev_version, prev, _AppendTxn(
-        txn_id=txn,
-        num_buckets=cfg.num_buckets,
-        global_appends=[r["file"] for r in metrics],
-        derived_appends=derived_appends,
-        new_control_ops=[c.to_dict() for c in new_controls],
-        wal_consumed=[s.name for s in segments],
-        committed_seq=max(s.seq for s in segments),
-        committed_lsn=committed,
-        schema_version=cfg.schema_version,
-        metrics={
+    manifest = commit(state, cfg, prev_version, prev, Txn(
+        "tick", txn,
+        {
             "events_applied": total("events_in"),
             "records_written": total("records_out"),
             "deletes": total("n_delete"),
@@ -726,7 +481,14 @@ def apply_tick(cfg: EngineConfig,
                                             default=0.0), 3)}
                        for p in TASK_PHASES},
         },
-    ))
+        add_global=[r["file"] for r in metrics],
+        add_views=derived_appends,
+        add_ops=[c.to_dict() for c in new_controls],
+        wal_consumed=[s.name for s in segments],
+        seq=max(s.seq for s in segments),
+        lsn=committed,
+        schema_version=cfg.schema_version,
+        num_buckets=max(prev.num_buckets, cfg.num_buckets)))
     return TickResult(manifest, total("events_in"), total("records_out"),
                       len(segments))
 
@@ -973,8 +735,9 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
     computed (`stages.exchange.tasks_dataset`): the read runs one task
     per bucket and none per block for metadata, the Dataset comes back
     already executed (no streaming executor starts to list its blocks),
-    and a failing fold raises here. Every bucket is one block, an
-    empty one too.
+    and a failing fold raises here. Every bucket with live rows is one
+    block; empty ones are left out (a pandas `map_batches` over a 0-row
+    block makes Ray Data log a schema mismatch).
 
     `columns` (payload subset) pushes projection down to the run-file
     parquet scan: only key cols, lsn/op/bucket and the requested
@@ -1038,7 +801,8 @@ def read_snapshot(cfg: EngineConfig, manifest: Manifest | None = None,
                                      bases, columns=scan_cols,
                                      bucket_subset=buckets)
     return tasks_dataset(_fold_bucket,
-                         [(resolve, *args) for args in per_bucket])
+                         [(resolve, *args) for args in per_bucket],
+                         drop_empty=True)
 
 
 def read_conversation(cfg: EngineConfig, conv_id: str,
@@ -1207,23 +971,19 @@ def replicate_delta(cfg_src: EngineConfig, cfg_dst: EngineConfig,
     # replica's lag metric and its control-op positioning if it also
     # ingests its own WAL -- a replica mixing domains is on the user,
     # but the engine must not corrupt its own bookkeeping)
-    # consumes_wal=False: a replicated window is seq-independent, so it
-    # commutes even with a concurrent WAL-consuming tick on the
-    # destination (both are pure delta appends; LWW resolves by lsn)
-    return _publish_append_rebased(state, cfg_dst, prev_version, prev, _AppendTxn(
-        txn_id=txn, num_buckets=cfg_dst.num_buckets,
-        global_appends=[r["file"] for r in metrics],
-        derived_appends={}, new_control_ops=[],
-        wal_consumed=[], committed_seq=prev.committed_seq,
-        committed_lsn=prev.committed_lsn,
+    # a replicated window does not read the WAL position: it commutes
+    # even with a concurrent WAL-consuming tick on the destination
+    # (both are pure delta appends; LWW resolves by lsn)
+    return commit(state, cfg_dst, prev_version, prev, Txn(
+        "replicate", txn,
+        {"replicated_from": {"table_dir": cfg_src.table_dir,
+                             "versions": [from_version, to_version]},
+         "events_applied": sum(r["events_in"] for r in metrics),
+         "records_written": sum(r["records_out"] for r in metrics),
+         "lag": 0},
+        add_global=[r["file"] for r in metrics],
         schema_version=cfg_dst.schema_version,
-        consumes_wal=False,
-        metrics={"replicated_from": {
-                     "table_dir": cfg_src.table_dir,
-                     "versions": [from_version, to_version]},
-                 "events_applied": sum(r["events_in"] for r in metrics),
-                 "records_written": sum(r["records_out"] for r in metrics),
-                 "lag": 0}))
+        num_buckets=max(prev.num_buckets, cfg_dst.num_buckets)))
 
 
 def rollback(cfg: EngineConfig, to_version: int,
@@ -1290,14 +1050,12 @@ def rollback(cfg: EngineConfig, to_version: int,
         raise ValueError(
             f"version {to_version} left the GC retention window "
             f"(cfg.gc_keep_versions); missing run files e.g. {missing[:3]}")
-    m = replace(
-        target, txn_id=state.new_txn(),
-        committed_seq=target.committed_seq if rewind_stream
-        else prev.committed_seq,
-        wal_consumed=[],
-        metrics={"rollback_to": to_version,
-                 "rollback_mode": "rewind" if rewind_stream else "restore"})
-    return state.publish(m, expected_parent=prev_version)
+    return commit(state, cfg, prev_version, prev, Txn(
+        "rollback", state.new_txn(),
+        {"rollback_to": to_version,
+         "rollback_mode": "rewind" if rewind_stream else "restore"},
+        restore=replace(target, committed_seq=target.committed_seq
+                        if rewind_stream else prev.committed_seq)))
 
 
 def clone_table(cfg_src: EngineConfig, cfg_dst: EngineConfig,
@@ -1342,11 +1100,10 @@ def clone_table(cfg_src: EngineConfig, cfg_dst: EngineConfig,
             raise ValueError(
                 f"source version {v} left the GC retention window "
                 f"(missing run file {f})")
-    clone = replace(
-        m, txn_id=dst.new_txn(), wal_consumed=[],
-        metrics={"cloned_from": {"table_dir": cfg_src.table_dir,
-                                 "version": v}})
-    return dst.publish(clone, expected_parent=None)
+    return commit(dst, cfg_dst, None, Manifest(), Txn(
+        "clone", dst.new_txn(),
+        {"cloned_from": {"table_dir": cfg_src.table_dir, "version": v}},
+        restore=m))
 
 
 def _without_keys(path: str, conv_ids: "list[str]"
@@ -1417,8 +1174,8 @@ def erase_conversations(cfg: EngineConfig, conv_ids: "list[str]",
     Files containing none of the keys are NOT rewritten (cheap column
     probe) and stay byte-shared with prior versions/clones.
 
-    The rewrite commits as one strict-CAS manifest (same atomicity as
-    everything else); old files become unreferenced and age out via GC
+    The rewrite commits as one manifest (same atomicity as everything
+    else; a lost version race redoes it on the new latest); old files become unreferenced and age out via GC
     — full physical purge completes when the retention window passes
     (`gc_keep_versions`), the standard lakehouse erasure contract.
     Lineage-walking readers treat the commit as a history rewrite
@@ -1445,26 +1202,21 @@ def erase_conversations(cfg: EngineConfig, conv_ids: "list[str]",
         raise ValueError("empty erasure batch")
     conv_ids = sorted(set(conv_ids))
     state = TableState(cfg.table_dir)
-    # Losing the strict-CAS version race must not abandon the erasure:
-    # the unconsumed WAL tail is scrubbed BEFORE each publish attempt
-    # (see below), so an abandoned attempt would leave the
+    # Losing the version race must not abandon the erasure: the
+    # unconsumed WAL tail is scrubbed BEFORE each publish attempt (see
+    # `_erase_txn`), so an abandoned attempt would leave the
     # conversations in the table with their in-flight WAL updates
-    # already destroyed and no erasure recorded. Retry internally --
-    # reload state, re-check guards, re-run the (idempotent) rewrite
-    # against the new latest -- instead of relying on the caller.
-    for attempt in range(max(0, cfg.commit_retries) + 1):
-        try:
-            return _erase_attempt(cfg, state, conv_ids, scrub_wal)
-        except CommitConflict:
-            if attempt >= cfg.commit_retries:
-                raise
-    raise AssertionError("unreachable")
+    # already destroyed and no erasure recorded. The driver redoes the
+    # (idempotent) rewrite against the new latest instead.
+    redo = functools.partial(_erase_txn, cfg, state, conv_ids, scrub_wal)
+    return commit(state, cfg, *redo(), rebuild=redo)
 
 
-def _erase_attempt(cfg: EngineConfig, state: TableState,
-                   conv_ids: "list[str]", scrub_wal: bool) -> Manifest:
-    """One CAS attempt of :func:`erase_conversations`: rewrite against
-    the current latest and publish strictly on it."""
+def _erase_txn(cfg: EngineConfig, state: TableState,
+               conv_ids: "list[str]", scrub_wal: bool
+               ) -> "tuple[int, Manifest, Txn]":
+    """One attempt of :func:`erase_conversations` on the latest
+    version: (version, manifest, txn)."""
     prev_version, prev = state.load_latest_versioned()
     if prev_version is None:
         raise ValueError("cannot erase from a table with no commits")
@@ -1503,7 +1255,6 @@ def _erase_attempt(cfg: EngineConfig, state: TableState,
     drefs = {}
     invalidated = []
     retained = []
-    derived_new: dict = {}
     for k, fs in prev.derived.items():
         if k.startswith("gmv:"):
             invalidated.append(k)
@@ -1514,9 +1265,7 @@ def _erase_attempt(cfg: EngineConfig, state: TableState,
             keyed = k in VIEWS and VIEWS[k].key == "conv_id"
         if not keyed:
             retained.append(k)
-            derived_new[k] = list(fs)
             continue
-        derived_new[k] = list(fs)
         for f in fs:
             drefs[f] = _erase_from_file.remote(
                 os.path.join(state.runs_dir, f),
@@ -1532,19 +1281,19 @@ def _erase_attempt(cfg: EngineConfig, state: TableState,
         + sum(r[1] for r in dresults.values() if r)
     rewritten = sum(1 for r in (*results.values(), *dresults.values())
                     if r)
-    m = replace(
-        prev, txn_id=txn,
+    erasure = Txn(
+        "erase", txn,
+        {"erasure": {"conv_ids": conv_ids,
+                     "files_rewritten": rewritten,
+                     "rows_erased": int(rows_erased),
+                     "views_invalidated": sorted(invalidated),
+                     "views_retained_aggregate": sorted(retained),
+                     "wal_scrubbed": bool(scrub_wal)}},
         buckets={b: remap(fs, results) if b in affected else fs
                  for b, fs in prev.buckets.items()},
         global_runs=remap(prev.global_runs, results),
-        derived={k: remap(fs, dresults) for k, fs in derived_new.items()},
-        wal_consumed=[],
-        metrics={"erasure": {"conv_ids": conv_ids,
-                             "files_rewritten": rewritten,
-                             "rows_erased": int(rows_erased),
-                             "views_invalidated": sorted(invalidated),
-                             "views_retained_aggregate": sorted(retained),
-                             "wal_scrubbed": bool(scrub_wal)}})
+        views={k: None if k in invalidated else remap(fs, dresults)
+               for k, fs in prev.derived.items()})
     # resurrection guard, BEFORE the publish: WAL segments the table
     # has NOT consumed yet would re-insert the keys at the very next
     # tick (committed_seq is untouched by erasure), and scrubbing
@@ -1560,7 +1309,7 @@ def _erase_attempt(cfg: EngineConfig, state: TableState,
             if scrub_wal or s.seq > prev.committed_seq]
     if segs:
         ray.get([_scrub_segment.remote(s.path, conv_ids) for s in segs])
-    return state.publish(m, expected_parent=prev_version)
+    return prev_version, prev, erasure
 
 
 def snapshot_diff(cfg: EngineConfig, v_from: int, v_to: int | None = None,
@@ -1702,7 +1451,6 @@ def compact(cfg: EngineConfig, waves: int = 1,
     # future-dated ops must wait for their position's events
     controls = sorted_controls(prev.control_ops)
     absorb = [c for c in controls if c.lsn <= prev.committed_lsn]
-    keep_ops = [c.to_dict() for c in controls if c.lsn > prev.committed_lsn]
 
     cols = RUN_COLS_FIXED + payload
 
@@ -1730,18 +1478,16 @@ def compact(cfg: EngineConfig, waves: int = 1,
                                             bucket_subset=subset,
                                             rebucket=rebucket)]) if m]
 
-    manifest = _publish_compaction_rebased(
-        state, cfg, prev_version, prev, txn,
-        my_buckets={str(m["bucket"]): [m["file"]] for m in metas},
-        my_derived=_compact_derived(state, prev, txn),
-        keep_ops=keep_ops,
-        my_schema=prev.schema_version,
-        num_buckets=cfg.num_buckets,
-        metrics={"compaction": True,
-                 "live_rows": int(sum(m["rows"] for m in metas))},
-        rebucket=rebucket,
-    )
-    return manifest
+    return commit(state, cfg, prev_version, prev, Txn(
+        "rebucket" if rebucket else "compact", txn,
+        {"compaction": True,
+         "live_rows": int(sum(m["rows"] for m in metas))},
+        buckets={str(m["bucket"]): [m["file"]] for m in metas},
+        global_runs=[],
+        views=_compact_derived(state, prev, txn),
+        absorb_ops=[c.to_dict() for c in absorb],
+        schema_version=prev.schema_version,
+        num_buckets=cfg.num_buckets))
 
 
 # --------------------------------------------------------------------------
@@ -1762,15 +1508,17 @@ def run_loop(cfg: EngineConfig, max_ticks: int | None = None,
     driver-side thread CONCURRENTLY with subsequent ticks instead of
     stalling the loop for it -- the production shape at scale, where a
     full-table compaction takes orders of magnitude longer than a
-    tick. Safe because commits rebase on commutable conflicts
-    (`_publish_append_rebased` / `_publish_compaction_rebased`):
-    whichever side loses the version race re-points its run files and
-    retries; a compaction that loses non-commutably (retries
-    exhausted) just yields -- the next trigger re-attempts from fresh
-    state. At most ONE compaction is in flight (a live thread defers
-    new triggers), and the in-thread GC runs only when
-    `cfg.gc_min_age_s > 0` (the age guard is what protects a
-    concurrent tick's written-but-unpublished runs from the sweep)."""
+    tick. Safe because every commit goes through the one driver
+    (`state.commit.commit`): whichever side loses the version race to
+    a commuting winner re-points its run files and retries; a
+    compaction that loses non-commutably (or exhausts its retries)
+    just yields -- the next trigger re-attempts from fresh state -- and
+    a view refresh that loses recomputes on the new latest
+    (`refresh_matview(..., redo=True)`). At most ONE compaction is in
+    flight (a live thread defers new triggers), and the in-thread GC
+    runs only when `cfg.gc_min_age_s > 0` (the age guard is what
+    protects a concurrent tick's written-but-unpublished runs from the
+    sweep)."""
     import threading
     import time
 
@@ -1826,15 +1574,8 @@ def run_loop(cfg: EngineConfig, max_ticks: int | None = None,
             from .matview import refresh_matview
             for mv in cfg.matviews:
                 # a refresh can lose the version race to a background
-                # compaction; each retry is a fresh transaction built
-                # on the new latest (refresh reloads state internally)
-                for attempt in range(max(0, cfg.commit_retries) + 1):
-                    try:
-                        refresh_matview(cfg, mv)
-                        break
-                    except CommitConflict:
-                        if attempt >= cfg.commit_retries:
-                            raise
+                # compaction; it then recomputes on the new latest
+                refresh_matview(cfg, mv, redo=True)
         backlog = (cfg.auto_compact_runs and
                    len(res.manifest.table_run_files()) > cfg.auto_compact_runs)
         if backlog or (compact_every and ticks % compact_every == 0):
@@ -1877,16 +1618,16 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
     schema version. One plain task per source block writes one sorted
     global run (direct-mode layout) per slice of at most
     `direct_batch_rows` rows, only metrics dicts reach the driver, and
-    nothing is visible until the single manifest publish. Requires an
-    empty table (no committed runs)."""
+    nothing is visible until the single manifest publish. The backfill
+    is the table's FIRST commit, like a clone's: a table with any
+    committed version -- runs, or only control ops -- raises before
+    any file is written."""
     cfg.ensure_dirs()
     state = TableState(cfg.table_dir)
-    prev_version, prev = state.load_latest_versioned()
-    if prev.buckets or prev.global_runs:
+    if state.latest_version() is not None:
         raise ValueError(
             "bootstrap_import requires an empty table; the backfill "
-            "must be the first commit (import into a fresh table_dir, "
-            "or compact+inspect before re-importing)")
+            "must be the first commit (import into a fresh table_dir)")
     ds = ray.data.read_parquet(source) if isinstance(source, str) else source
     txn = state.new_txn()
     # pass-through apply: every row is already one full record at `lsn`
@@ -1899,15 +1640,16 @@ def bootstrap_import(cfg: EngineConfig, source, lsn: int = -1) -> Manifest:
             Partitioner(cfg.num_buckets, 1, None, include_key_hash=True)),
         fold=False)
     metrics = _apply_blocks(ds, applier, cfg.direct_batch_rows)
-    return state.publish(expected_parent=prev_version, manifest=Manifest(
-        txn_id=txn, committed_seq=prev.committed_seq, committed_lsn=lsn,
-        schema_version=cfg.schema_version, num_buckets=cfg.num_buckets,
-        buckets={}, global_runs=sorted(r["file"] for r in metrics),
-        derived={}, wal_consumed=[],
-        metrics={"bootstrap_import": True,
-                 "events_applied": sum(r["events_in"] for r in metrics),
-                 "records_written": sum(r["records_out"] for r in metrics),
-                 "lag": 0}))
+    return commit(state, cfg, None, Manifest(), Txn(
+        "bootstrap", txn,
+        {"bootstrap_import": True,
+         "events_applied": sum(r["events_in"] for r in metrics),
+         "records_written": sum(r["records_out"] for r in metrics),
+         "lag": 0},
+        restore=Manifest(committed_lsn=lsn,
+                         schema_version=cfg.schema_version,
+                         num_buckets=cfg.num_buckets,
+                         global_runs=sorted(r["file"] for r in metrics))))
 
 
 def _as_full_records(batch: pa.Table, target: pa.Schema,

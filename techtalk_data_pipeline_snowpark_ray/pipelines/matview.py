@@ -53,10 +53,11 @@ keeps it. Compaction leaves view files alone.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,6 +73,7 @@ from ..config import EngineConfig
 from ..stages.controls import resolve_stored, sorted_controls
 from ..stages.exchange import table_dataset, tasks_dataset
 from ..stages.partition import BUCKET_COL, hash_strings_arrow
+from ..state.commit import Txn, commit
 from ..state.manifest import Manifest, TableState
 from ..state.storage import write_run
 from . import derived
@@ -558,26 +560,9 @@ def _write_view_file(tbl: pa.Table, runs_dir: str, stem: str) -> str:
     return fname
 
 
-def _publish_refresh(state: TableState, cur: int, m: Manifest, txn: str,
-                     view_key: str, files: list[str], full: bool,
-                     stats: dict) -> Manifest:
-    """Commit a refresh on `m` (strict CAS on `cur`): each new file
-    takes its bucket's place in ``derived[view_key]``, and a full
-    refresh replaces every entry, so the list holds one file per
-    bucket."""
-    new = {_file_bucket(f) for f in files}
-    keep = [] if full else [f for f in m.derived.get(view_key, [])
-                            if _file_bucket(f) not in new]
-    return state.publish(expected_parent=cur, manifest=replace(
-        m, txn_id=txn, wal_consumed=[],
-        derived={**m.derived,
-                 view_key: sorted(keep + files, key=_file_bucket)},
-        metrics={"matview_refresh": stats}))
-
-
 def refresh_matview(cfg: EngineConfig, name: str,
-                    other: "EngineConfig | None" = None
-                    ) -> Manifest | None:
+                    other: "EngineConfig | None" = None, *,
+                    redo: bool = False) -> Manifest | None:
     """Bring the named view (keyed, grouped, index or join) up to its
     table's latest committed version -- a join view (`JOIN_MATVIEWS`)
     also up to `other`'s, the config of its second table B, which it
@@ -587,7 +572,22 @@ def refresh_matview(cfg: EngineConfig, name: str,
     refresh is itself a transaction). Each fold task writes its file
     itself, so this process only sees file names and the affected
     buckets. A no-op (already fresh, or an empty delta window) returns
-    None."""
+    None. The files stamp the version read, so a refresh never rebases:
+    a lost version race raises `CommitConflict`, or with `redo`
+    recomputes on the new latest."""
+    state = TableState(cfg.table_dir)
+    plan = functools.partial(_refresh_txn, cfg, name, other, state)
+    built = plan()
+    if built is None:
+        return None
+    return commit(state, cfg, *built, rebuild=plan if redo else None)
+
+
+def _refresh_txn(cfg: EngineConfig, name: str,
+                 other: "EngineConfig | None", state: TableState
+                 ) -> "tuple[int, Manifest, Txn] | None":
+    """One attempt of :func:`refresh_matview` on the latest version:
+    (version, manifest, txn), or None when there is nothing to do."""
     from .ingest import (_exchange_by_bucket, _fold_bucket_refs,
                          _pruned_scan, _stored_runs)
     from .joinview import JOIN_MATVIEWS
@@ -607,7 +607,7 @@ def refresh_matview(cfg: EngineConfig, name: str,
         raise ValueError(f"matview key must be the partition key "
                          f"'conv_id', got {view.key!r}")
     cfgs = [cfg, other] if join else [cfg]
-    states = [TableState(c.table_dir) for c in cfgs]
+    states = [state, *(TableState(c.table_dir) for c in cfgs[1:])]
     loaded = [s.load_latest_versioned() for s in states]
     if any(cur is None for cur, _m in loaded):
         return None
@@ -702,8 +702,13 @@ def refresh_matview(cfg: EngineConfig, name: str,
     files = ray.get([
         _fold_bucket_refs.remote(fold(args[0]), *args, *o, n_other=len(o))
         for args, o in zip(per_bucket, others)])
-    return _publish_refresh(states[0], curs[0], ms[0], txn,
-                            view.derived_key, files, buckets is None, stats)
+    new = {_file_bucket(f) for f in files}
+    keep = [] if buckets is None else [
+        f for f in ms[0].derived.get(view.derived_key, [])
+        if _file_bucket(f) not in new]
+    return curs[0], ms[0], Txn(
+        "refresh", txn, {"matview_refresh": stats},
+        views={view.derived_key: sorted(keep + files, key=_file_bucket)})
 
 
 # -- read side ---------------------------------------------------------------
@@ -717,12 +722,13 @@ def read_view_files(paths: list[str], empty: pa.Table) -> ray.data.Dataset:
     """Rows of a keyed (or join) view's current files, concatenated:
     each bucket's file owns that bucket's keys, so there is nothing to
     merge. A measured-small view (`derived.SMALL_VIEW_BYTES`) is read
-    in one task, a larger one in one task per file."""
+    in one task, a larger one in one task per file with rows."""
     if not paths:
         return table_dataset(empty)
     groups = [paths] if derived.view_bytes(paths) <= derived.SMALL_VIEW_BYTES \
         else [[p] for p in paths]
-    return tasks_dataset(_read_files, [(g,) for g in groups])
+    return tasks_dataset(_read_files, [(g,) for g in groups],
+                         drop_empty=True)
 
 
 def read_matview(cfg: EngineConfig, name: str) -> ray.data.Dataset:

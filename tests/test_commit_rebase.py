@@ -1,10 +1,11 @@
 """Optimistic-concurrency REBASE tests (the retry half of U7): a
 commit that loses the version race to a COMMUTABLE winner re-publishes
 its already-written run files on the new latest instead of recomputing
-(ingest._publish_append_rebased / _publish_compaction_rebased); any
-non-commutable pair still raises CommitConflict. Every rebased outcome
-is checked for serial equivalence against the dict oracle over the
-full WAL."""
+(the one driver, state.commit.commit, re-applies the transaction's
+actions to the new tip); any non-commutable pair still raises
+CommitConflict. Every rebased outcome is checked for serial
+equivalence against the dict oracle over the full WAL. The whole
+table of pairs is tests/test_conflict_table.py."""
 
 import pandas as pd
 import pytest
@@ -174,8 +175,9 @@ def test_winner_control_op_blocks_tick_rebase(tmp_path):
 
 
 def test_replication_rebases_over_destination_tick(tmp_path):
-    """A replicated window is seq-independent (consumes_wal=False): it
-    rebases even over a winner that consumed the DESTINATION's WAL."""
+    """A replicated window is seq-independent (its read set holds no
+    WAL position): it rebases even over a winner that consumed the
+    DESTINATION's WAL."""
     src = _mk_cfg(tmp_path, "src")
     write_wal(TINY, src.wal_dir, segment_rows=500)
     assert ingest.apply_tick(src) is not None
@@ -353,11 +355,11 @@ def test_tick_refuses_rebase_onto_concurrent_restore_rollback(tmp_path):
 
 
 def test_replication_refuses_rebase_onto_concurrent_rewind(tmp_path):
-    """A replication window is seq-independent (consumes_wal=False,
-    which also skips the committed_seq-changed guard) -- but racing a
-    REWIND rollback it still must not rebase: _build_append_manifest's
-    max() over committed_seq would silently re-advance the rewound
-    offset to its pre-rewind value without the segments ever being
+    """A replication window is seq-independent (its read set holds no
+    WAL position, so the committed_seq-changed guard does not apply) --
+    but racing a REWIND rollback it still must not rebase: the append's
+    committed_seq max() would silently re-advance the rewound offset
+    to its pre-rewind value without the segments ever being
     re-consumed."""
     src = _mk_cfg(tmp_path, "src")
     write_wal(TINY, src.wal_dir, segment_rows=500)

@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data
@@ -21,7 +22,11 @@ from techtalk_data_pipeline_snowpark_ray.stages.exchange import (
     block_refs, exchange_map_groups, tasks_dataset)
 from techtalk_data_pipeline_snowpark_ray.state.manifest import TableState
 
-from test_base_reads import KEYS, mixed_table  # noqa: F401 (fixture)
+from test_base_reads import (BASE_ONLY, KEYS, TWO_BASES,  # noqa: F401
+                             WITH_DELTA, mixed_table)
+
+#: the buckets of `mixed_table` with live rows (bucket EMPTY has none)
+LIVE = {BASE_ONLY, WITH_DELTA, TWO_BASES}
 
 
 def _arrow(ds) -> "pa.Table | None":
@@ -70,19 +75,19 @@ def assert_handoff(ds, n_blocks: int, sort_key=None) -> pa.Table:
 def test_snapshot_reads_hand_off(mixed_table):  # noqa: F811
     """Full, projected, bucket-subset, raw and empty-subset reads of a
     table with one-base, base-plus-delta, empty and two-base buckets;
-    every bucket is one block, the empty one too."""
+    every bucket with live rows is one block, and the empty one none."""
     cfg, _ = mixed_table
-    nb = TableState(cfg.table_dir).load_latest().num_buckets
-    full = assert_handoff(ingest.read_snapshot(cfg), nb, KEYS)
+    full = assert_handoff(ingest.read_snapshot(cfg), len(LIVE), KEYS)
     assert full.num_rows and full.column_names[:2] == KEYS
-    scan = assert_handoff(ingest.read_snapshot(cfg, columns=["role"]), nb,
-                          KEYS)
+    scan = assert_handoff(ingest.read_snapshot(cfg, columns=["role"]),
+                          len(LIVE), KEYS)
     assert scan.column_names == KEYS + ["role"]
     assert scan.equals(full.select(KEYS + ["role"]))
-    sub = assert_handoff(ingest.read_snapshot(cfg, buckets=[1, 2]), 2, KEYS)
+    sub = assert_handoff(ingest.read_snapshot(cfg, buckets=[1, 2]),
+                         len(LIVE & {1, 2}), KEYS)
     assert 0 < sub.num_rows < full.num_rows
-    raw = assert_handoff(ingest.read_snapshot(cfg, final_only=False), nb,
-                         KEYS)
+    raw = assert_handoff(ingest.read_snapshot(cfg, final_only=False),
+                         len(LIVE), KEYS)
     assert raw.num_rows == full.num_rows
     none = assert_handoff(ingest.read_snapshot(cfg, buckets=[]), 1, KEYS)
     assert none.num_rows == 0 and none.schema.equals(full.schema)
@@ -92,7 +97,7 @@ def test_time_travel_and_empty_table_hand_off(mixed_table, tmp_engine):  # noqa:
     cfg, _ = mixed_table
     m = TableState(cfg.table_dir).load_latest()
     then = assert_handoff(ingest.read_snapshot_as_of(cfg, m.version - 1),
-                          m.num_buckets, KEYS)
+                          len(LIVE), KEYS)
     now = _arrow(ingest.read_snapshot(cfg))
     assert then.num_rows and not then.equals(now)
 
@@ -113,8 +118,12 @@ def test_view_reads_hand_off(mixed_table, monkeypatch, gate):  # noqa: F811
     state = TableState(cfg.table_dir)
     keyed = matview._view("conv_live_stats")
     files = state.derived_paths(keyed.derived_key)
+    # past the gate, one block per file with rows: a bucket without
+    # live rows still has its (empty) view file
+    with_rows = sum(pq.read_metadata(f).num_rows > 0 for f in files)
+    assert with_rows < len(files)
     rows = assert_handoff(matview.read_matview(cfg, "conv_live_stats"),
-                          1 if gate is None else len(files), ["conv_id"])
+                          1 if gate is None else with_rows, ["conv_id"])
     assert rows.num_rows and rows.schema.equals(keyed.empty_result().schema)
 
     grouped = matview.GROUPED_MATVIEWS["role_live_stats"]
@@ -206,3 +215,47 @@ def test_ray_data_internals_stay_in_tasks_dataset():
                     calls.add(rel)
     assert calls == set()
     assert internal == {("stages/exchange.py", "tasks_dataset")}
+
+
+def test_empty_buckets_give_no_block_and_no_schema_warning(tmp_engine):
+    """Five conversations in 64 buckets: the snapshot read hands Ray
+    Data one block per bucket with rows, so a pandas `map_batches` over
+    it never meets a 0-row block (whose schema-less output makes Ray
+    Data log "Operator produced a RefBundle with a different schema"),
+    and every row still arrives."""
+    import logging
+    from dataclasses import replace
+
+    from techtalk_data_pipeline_snowpark_ray.sources.generate import (
+        GenSpec, write_wal)
+
+    cfg = replace(tmp_engine, num_buckets=64)
+    write_wal(GenSpec(n_events=300, n_conversations=5, max_turns=40,
+                      seed=3), cfg.wal_dir, segment_rows=100)
+    assert ingest.apply_tick(cfg) is not None
+    seen = []
+
+    class Catch(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    handler = Catch(level=logging.WARNING)
+    log.addHandler(handler)
+    try:
+        ds = ingest.read_snapshot(cfg)
+        m = TableState(cfg.table_dir).load_latest()
+        live = len({b for f in m.global_runs for b in pq.read_table(
+            f"{cfg.table_dir}/runs/{f}", columns=["bucket"])
+            ["bucket"].to_pylist()})
+        assert 1 < live < 64
+        assert ds.num_blocks() == live
+        got = ds.map_batches(lambda df: df, batch_format="pandas") \
+            .to_pandas()
+    finally:
+        log.removeHandler(handler)
+    assert not [s for s in seen if "different schema" in s], seen
+    want = ingest.snapshot_to_pandas(cfg)
+    pd.testing.assert_frame_equal(
+        got.sort_values(KEYS, ignore_index=True), want)
