@@ -383,7 +383,7 @@ def apply_tick(cfg: EngineConfig,
         # op at/below the new watermark) -- conflict instead.
         manifest = commit(state, cfg, prev_version, prev, Txn(
             "control", state.new_txn(), {"control_only": True},
-            num_buckets=max(prev.num_buckets, cfg.num_buckets),
+            num_buckets=cfg.num_buckets,
             add_ops=[c.to_dict() for c in new_controls]))
         return TickResult(manifest, 0, 0, 0)
     # each apply task scans its own segment group; only list here
@@ -488,7 +488,7 @@ def apply_tick(cfg: EngineConfig,
         seq=max(s.seq for s in segments),
         lsn=committed,
         schema_version=cfg.schema_version,
-        num_buckets=max(prev.num_buckets, cfg.num_buckets)))
+        num_buckets=cfg.num_buckets))
     return TickResult(manifest, total("events_in"), total("records_out"),
                       len(segments))
 
@@ -983,7 +983,7 @@ def replicate_delta(cfg_src: EngineConfig, cfg_dst: EngineConfig,
          "lag": 0},
         add_global=[r["file"] for r in metrics],
         schema_version=cfg_dst.schema_version,
-        num_buckets=max(prev.num_buckets, cfg_dst.num_buckets)))
+        num_buckets=cfg_dst.num_buckets))
 
 
 def rollback(cfg: EngineConfig, to_version: int,

@@ -72,7 +72,8 @@ class Txn:
     seq: int | None = None
     lsn: int | None = None
     schema_version: int | None = None
-    #: the bucket layout set
+    #: the bucket count rows were routed by: set as the layout by a txn
+    #: that replaces the bucket map, else the layout is raised to it
     num_buckets: int | None = None
     #: control-op dicts added / absorbed
     add_ops: list = field(default_factory=list)
@@ -130,7 +131,8 @@ def apply(t: Txn, base: Manifest, tip: Manifest) -> Manifest:
         committed_lsn=_advance(src.committed_lsn, t.lsn),
         schema_version=_advance(src.schema_version, t.schema_version),
         num_buckets=src.num_buckets if t.num_buckets is None
-        else t.num_buckets,
+        else t.num_buckets if t.buckets is not None
+        else max(src.num_buckets, t.num_buckets),
         buckets=buckets, global_runs=global_runs, derived=derived,
         control_ops=list(ops), wal_consumed=list(t.wal_consumed),
         metrics=t.metrics)
@@ -187,8 +189,10 @@ def conflict(t: Txn, parent: Manifest, w: Manifest, v: int) -> str | None:
             and _op_keys(w.control_ops) - _op_keys(parent.control_ops):
         return (f"concurrent transaction added control ops; txn "
                 f"{t.txn_id}'s folds collapsed without those barriers")
-    if LAYOUT in reads and w.num_buckets != parent.num_buckets \
-            and w.num_buckets != t.num_buckets:
+    # a layout of 0 is unknown (a manifest from before the field); one
+    # a winner left as it was does not conflict
+    if LAYOUT in reads and w.num_buckets != t.num_buckets and (
+            w.num_buckets or w.num_buckets != parent.num_buckets):
         return "concurrent bucket-layout migration"
     if LISTS in reads:
         mine, theirs = _replaced_lists(t, parent), _replaced_lists(t, w)
